@@ -6,7 +6,16 @@ import pytest
 from subproj import Problem, solve
 from subproj.cli import main
 from subproj.errors import SchemaError
-from subproj.serialize import problem_from_record, problem_to_record
+from subproj.serialize import (
+    control_from_record,
+    control_to_record,
+    function_from_record,
+    function_to_record,
+    problem_from_record,
+    problem_to_record,
+    set_from_record,
+    set_to_record,
+)
 
 
 def two_ball_record(**overrides):
@@ -217,3 +226,293 @@ def test_analyze_lipschitz(tmp_path, capsys):
     bound = float(out.splitlines()[0].split(": ")[1])
     quot = float(out.splitlines()[1].split(": ")[1])
     assert quot <= bound + 1e-9
+
+
+# -- every tag survives a record round trip ---------------------------------------------
+
+BALL = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+SET_RECORDS = [
+    BALL,
+    {"type": "halfspace", "normal": [1.0, 2.0], "offset": 0.5},
+    {"type": "box", "lo": [-1.0, -2.0], "hi": [1.0, 0.5]},
+    {"type": "point", "c": [0.25, -0.75]},
+]
+FUNCTION_RECORDS = [
+    {"type": "linear", "u": [0.5, -1.0]},
+    {"type": "dist", "set": BALL},
+    {"type": "sqdist", "set": {"type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+    {"type": "normpow", "p": 2.0, "dim": 2},
+    {"type": "neglog"},
+    {"type": "sqrtshift", "eta": 2.0},
+    {"type": "hyperbolic", "eta": 2.0},
+    {"type": "affinemax", "pieces": [{"a": [1.0, 0.0], "b": 1.0}, {"a": [0.0, -1.0], "b": 0.5}]},
+    {"type": "indicator", "set": {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.5}},
+    {"type": "scale", "factor": 2.0, "inner": {"type": "dist", "set": {"type": "point", "c": [1.0, 1.0]}}},
+    {"type": "power", "alpha": 0.5, "inner": {"type": "dist", "set": BALL}},
+    {"type": "rightlinear", "matrix": [[0.0, -2.0], [2.0, 0.0]],
+     "inner": {"type": "normpow", "p": 2.0, "dim": 2}},
+    {"type": "moreau", "gamma": 0.5, "inner": {"type": "indicator", "set": BALL}},
+]
+CONTROL_RECORDS = [
+    {"type": "cyclic"},
+    {"type": "quasicyclic", "windows": [2, 3]},
+    {"type": "explicit", "indices": [0, 1, 1]},
+    {"type": "explicit", "indices": [1, 0], "windows": [2, 2]},
+]
+
+
+@pytest.mark.parametrize("record", SET_RECORDS, ids=lambda r: r["type"])
+def test_set_record_round_trip(record):
+    again = set_to_record(set_from_record(record))
+    assert json.dumps(again) == json.dumps(record)
+
+
+@pytest.mark.parametrize("record", FUNCTION_RECORDS, ids=lambda r: r["type"])
+def test_function_record_round_trip(record):
+    again = function_to_record(function_from_record(record))
+    assert json.dumps(again) == json.dumps(record)
+
+
+@pytest.mark.parametrize("record", CONTROL_RECORDS,
+                         ids=lambda r: r["type"] + ("+windows" if "windows" in r else ""))
+def test_control_record_round_trip(record):
+    again = control_to_record(control_from_record(record))
+    assert json.dumps(again) == json.dumps(record)
+
+
+@pytest.mark.parametrize("relaxation", [1.5, [1.0, 1.5, 0.5]], ids=["number", "list"])
+def test_problem_round_trip_keeps_relaxation_shape(relaxation):
+    record = two_ball_record(relaxation=relaxation,
+                             control={"type": "explicit", "indices": [1, 0], "windows": [2, 2]})
+    again = problem_to_record(problem_from_record(record))
+    assert json.dumps(again) == json.dumps(record)
+    assert problem_from_record(again).relaxation_schedule(4) == \
+        problem_from_record(record).relaxation_schedule(4)
+
+
+# -- exact messages for malformed records ------------------------------------------------
+
+def _with(record, **changes):
+    """Copy of a record with keys replaced; a value of DROP deletes the key."""
+    out = dict(record)
+    for key, value in changes.items():
+        if value is DROP:
+            del out[key]
+        else:
+            out[key] = value
+    return out
+
+
+DROP = object()
+LINEAR = {"type": "linear", "u": [1.0, 0.0]}
+DIST = {"type": "dist", "set": BALL}
+PIECE = {"a": [1.0, 0.0], "b": 0.0}
+SHEAR = [[1.0, 1.0], [0.0, 1.0]]
+
+
+def _fn(record):
+    """The two-ball problem with its constraints replaced by one function."""
+    return two_ball_record(functions=[record])
+
+
+def _in_set(set_record):
+    return _fn({"type": "dist", "set": set_record})
+
+
+def _ragged_message():
+    try:
+        np.array([[1.0, 0.0], [0.0]], dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("numpy accepted a ragged matrix")
+
+
+F0 = "problem.functions[0]"
+NOT_FULL = "is not finite on the whole space; the iteration requires real-valued constraints"
+MALFORMED_PROBLEMS = [
+    # the problem object
+    ([], "problem: expected an object, got list"),
+    ("x", "problem: expected an object, got str"),
+    (_with(two_ball_record(), tol=DROP), "problem: missing keys ['tol']"),
+    (_with(two_ball_record(), tol=DROP, x0=DROP), "problem: missing keys ['tol', 'x0']"),
+    (_with(two_ball_record(), tol=DROP, knob=1), "problem: missing keys ['tol']"),
+    (two_ball_record(extra_knob=1), "problem: unknown keys ['extra_knob']"),
+    (two_ball_record(dimension="2"), "problem.dimension: expected a positive integer"),
+    (two_ball_record(dimension=0), "problem.dimension: expected a positive integer"),
+    (two_ball_record(dimension=2.0), "problem.dimension: expected a positive integer"),
+    (two_ball_record(dimension=True), "problem.dimension: expected a positive integer"),
+    (two_ball_record(functions=[]), "problem.functions: expected a nonempty list"),
+    (two_ball_record(functions={}), "problem.functions: expected a nonempty list"),
+    (two_ball_record(relaxation=True),
+     "problem.relaxation: expected a number or list of numbers"),
+    (two_ball_record(relaxation="1"), "problem.relaxation: expected a number or list of numbers"),
+    (two_ball_record(relaxation=[]), "problem.relaxation: expected a nonempty list of numbers"),
+    (two_ball_record(relaxation=[1.0, "a"]),
+     "problem.relaxation: expected a nonempty list of numbers"),
+    (two_ball_record(relaxation=[1.0, True]),
+     "problem.relaxation: expected a nonempty list of numbers"),
+    (two_ball_record(relaxation=2.5, epsilon=0.1),
+     "problem: lambda = 2.5 outside [0.1, 1.9] for epsilon = 0.1"),
+    (two_ball_record(relaxation=[1.0, 1.99]),
+     "problem: lambda = 1.99 outside [0.05, 1.95] for epsilon = 0.05"),
+    (two_ball_record(epsilon="0.05"), "problem.epsilon: expected a number"),
+    (two_ball_record(epsilon=True), "problem.epsilon: expected a number"),
+    (two_ball_record(epsilon=0), "problem: epsilon must lie in (0, 1]"),
+    (two_ball_record(x0=[]), "problem.x0: expected a nonempty list of numbers"),
+    (two_ball_record(x0="abc"), "problem.x0: expected a nonempty list of numbers"),
+    (two_ball_record(x0=[1.0, True]), "problem.x0: expected a nonempty list of numbers"),
+    (two_ball_record(x0=[1.0, 2.0, 3.0]), "problem: expected dimension 2, got 3"),
+    (two_ball_record(tol=None), "problem.tol: expected a number"),
+    (two_ball_record(tol=0), "problem: tol must be positive and max_iter >= 1"),
+    (two_ball_record(max_iter=1.5), "problem.max_iter: expected a positive integer"),
+    (two_ball_record(max_iter=0), "problem.max_iter: expected a positive integer"),
+    (two_ball_record(max_iter=True), "problem.max_iter: expected a positive integer"),
+    (two_ball_record(feasible_witness=[]),
+     "problem.feasible_witness: expected a nonempty list of numbers"),
+    (two_ball_record(feasible_witness=[1.0]), "problem: expected dimension 2, got 1"),
+    # tagged pieces
+    (two_ball_record(functions=[3]), f"{F0}: expected an object with a 'type' tag"),
+    (_fn({"u": [1.0, 0.0]}), f"{F0}: expected an object with a 'type' tag"),
+    (_fn({"type": "bogus"}), f"{F0}: unknown function type 'bogus'"),
+    (_fn({"type": ["dist"]}), f"{F0}: unknown function type ['dist']"),
+    (_fn({"type": 3}), f"{F0}: unknown function type 3"),
+    (_fn({"type": "bogus", "u": 1}), f"{F0}: unknown function type 'bogus'"),
+    (two_ball_record(control="cyclic"), "problem.control: expected an object with a 'type' tag"),
+    (two_ball_record(control={"type": "random"}), "problem.control: unknown control type 'random'"),
+    (_in_set([1.0]), f"{F0}.set: expected an object with a 'type' tag"),
+    (_in_set({"type": "circle"}), f"{F0}.set: unknown set type 'circle'"),
+    # missing, unknown and mistyped keys
+    (_fn(_with(LINEAR, u=DROP)), f"{F0}: missing keys ['u']"),
+    (_fn(_with(LINEAR, v=1)), f"{F0}: unknown keys ['v']"),
+    (_fn(_with(LINEAR, u="x")), f"{F0}.u: expected a nonempty list of numbers"),
+    (_fn(_with(LINEAR, u=[])), f"{F0}.u: expected a nonempty list of numbers"),
+    (_fn(_with(LINEAR, u=[1.0, True])), f"{F0}.u: expected a nonempty list of numbers"),
+    (_fn(_with(LINEAR, u=[1.0, "2"])), f"{F0}.u: expected a nonempty list of numbers"),
+    (_fn(_with(DIST, set=DROP)), f"{F0}: missing keys ['set']"),
+    (_in_set(_with(BALL, colour="red")), f"{F0}.set: unknown keys ['colour']"),
+    (_in_set(_with(BALL, radius=DROP)), f"{F0}.set: missing keys ['radius']"),
+    (_in_set(_with(BALL, radius="1")), f"{F0}.set.radius: expected a number"),
+    (_in_set(_with(BALL, radius=True)), f"{F0}.set.radius: expected a number"),
+    (_in_set(_with(BALL, center=[])), f"{F0}.set.center: expected a nonempty list of numbers"),
+    (_in_set(_with(BALL, center=[], radius="r")),
+     f"{F0}.set.center: expected a nonempty list of numbers"),
+    (_in_set({"type": "halfspace", "normal": [1.0, 0.0], "offset": None}),
+     f"{F0}.set.offset: expected a number"),
+    (_in_set({"type": "point", "c": "x"}), f"{F0}.set.c: expected a nonempty list of numbers"),
+    (_fn({"type": "sqdist", "set": {"type": "disc"}}), f"{F0}.set: unknown set type 'disc'"),
+    (_fn({"type": "normpow"}), f"{F0}: missing keys ['p']"),
+    (_fn({"type": "normpow", "p": "2"}), f"{F0}.p: expected a number"),
+    (_fn({"type": "normpow", "p": 2.0, "dim": 2, "q": 1}), f"{F0}: unknown keys ['q']"),
+    (_fn({"type": "neglog", "eta": 2.0}), f"{F0}: unknown keys ['eta']"),
+    (_fn({"type": "hyperbolic"}), f"{F0}: missing keys ['eta']"),
+    (_fn({"type": "affinemax", "pieces": []}), f"{F0}.pieces: expected a nonempty list"),
+    (_fn({"type": "affinemax", "pieces": "x"}), f"{F0}.pieces: expected a nonempty list"),
+    (_fn({"type": "affinemax", "pieces": [3]}), f"{F0}.pieces[0]: expected an object, got int"),
+    (_fn({"type": "affinemax", "pieces": [_with(PIECE, b=DROP)]}),
+     f"{F0}.pieces[0]: missing keys ['b']"),
+    (_fn({"type": "affinemax", "pieces": [_with(PIECE, c=1)]}),
+     f"{F0}.pieces[0]: unknown keys ['c']"),
+    (_fn({"type": "affinemax", "pieces": [_with(PIECE, a="x")]}),
+     f"{F0}.pieces[0].a: expected a nonempty list of numbers"),
+    (_fn({"type": "affinemax", "pieces": [PIECE, _with(PIECE, b="0")]}),
+     f"{F0}.pieces[1].b: expected a number"),
+    (_fn({"type": "scale", "factor": 2.0}), f"{F0}: missing keys ['inner']"),
+    (_fn({"type": "scale", "factor": 2.0, "inner": {"type": "bogus"}}),
+     f"{F0}.inner: unknown function type 'bogus'"),
+    (_fn({"type": "scale", "factor": 2.0, "inner": {
+        "type": "power", "alpha": 0.5, "inner": {"type": "sqdist", "set": _with(BALL, radius="r")}}}),
+     f"{F0}.inner.inner.set.radius: expected a number"),
+    (_fn({"type": "rightlinear", "matrix": "x", "inner": DIST}),
+     f"{F0}.matrix: expected a list of rows"),
+    (_fn({"type": "rightlinear", "matrix": [1.0, 2.0], "inner": DIST}),
+     f"{F0}.matrix: expected a list of rows"),
+    (_fn({"type": "moreau", "gamma": "1", "inner": DIST}), f"{F0}.gamma: expected a number"),
+    (two_ball_record(control={"type": "cyclic", "windows": [2, 2]}),
+     "problem.control: unknown keys ['windows']"),
+    (two_ball_record(control={"type": "quasicyclic"}), "problem.control: missing keys ['windows']"),
+    (two_ball_record(control={"type": "quasicyclic", "windows": [1.5, 2]}),
+     "problem.control.windows: expected a nonempty list of integers"),
+    (two_ball_record(control={"type": "quasicyclic", "windows": []}),
+     "problem.control.windows: expected a nonempty list of integers"),
+    (two_ball_record(control={"type": "quasicyclic", "windows": [True, 2]}),
+     "problem.control.windows: expected a nonempty list of integers"),
+    (two_ball_record(control={"type": "explicit", "windows": [2, 2]}),
+     "problem.control: missing keys ['indices']"),
+    (two_ball_record(control={"type": "explicit", "indices": []}),
+     "problem.control.indices: expected a nonempty list of integers"),
+    (two_ball_record(control={"type": "explicit", "indices": [0, 1], "windows": "x"}),
+     "problem.control.windows: expected a nonempty list of integers"),
+    # constructor failures, wrapped as "{where}: {message}"
+    (_in_set(_with(BALL, radius=-1.0)), f"{F0}.set: ball radius must be positive"),
+    (_in_set({"type": "halfspace", "normal": [0.0, 0.0], "offset": 1.0}),
+     f"{F0}.set: halfspace normal must be nonzero"),
+    (_in_set({"type": "box", "lo": [1.0, 0.0], "hi": [0.0, 1.0]}),
+     f"{F0}.set: box requires lo <= hi componentwise"),
+    (_in_set({"type": "box", "lo": [0.0, 0.0], "hi": [1.0]}),
+     f"{F0}.set: expected dimension 2, got 1"),
+    (_fn({"type": "normpow", "p": 0.5, "dim": 2}),
+     f"{F0}: NormPow requires p >= 1; use PowerComp for smaller exponents"),
+    (_fn({"type": "sqrtshift", "eta": 0.0}), f"{F0}: SqrtShift requires eta > 0"),
+    (_fn({"type": "hyperbolic", "eta": 1.0}), f"{F0}: Hyperbolic requires eta > 1"),
+    (_fn({"type": "affinemax", "pieces": [PIECE, {"a": [1.0], "b": 0.0}]}),
+     f"{F0}: all pieces must share one dimension"),
+    (_fn({"type": "scale", "factor": 0.0, "inner": DIST}), f"{F0}: Scale requires lam > 0"),
+    (_fn({"type": "power", "alpha": 0.0, "inner": DIST}), f"{F0}: PowerComp requires alpha > 0"),
+    (_fn({"type": "rightlinear", "matrix": [[1.0, 0.0], [0.0]], "inner": DIST}),
+     f"{F0}: {_ragged_message()}"),
+    (_fn({"type": "rightlinear", "matrix": SHEAR, "inner": DIST}),
+     f"{F0}: L^T L is not a positive multiple of the identity"),
+    (_fn({"type": "rightlinear", "matrix": [], "inner": DIST}), f"{F0}: matrix must be square"),
+    (_fn({"type": "rightlinear", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+          "inner": {"type": "normpow", "p": 2.0, "dim": 3}}),
+     f"{F0}: matrix rows must match the inner dimension"),
+    (_fn({"type": "moreau", "gamma": 0.0, "inner": {"type": "indicator", "set": BALL}}),
+     f"{F0}: gamma must be positive"),
+    (_fn({"type": "moreau", "gamma": 1.0, "inner": {"type": "neglog"}}),
+     f"{F0}: the Moreau envelope needs a prox-friendly inner function"),
+    (two_ball_record(control={"type": "quasicyclic", "windows": [0, 2]}),
+     "problem.control: window bounds must be >= 1"),
+    # well-formed pieces that break a solver invariant
+    (_in_set(_with(BALL, center=[0.0, 0.0, 0.0])),
+     "problem: every function must match the problem dimension"),
+    (_fn({"type": "indicator", "set": BALL}), f"problem: Indicator {NOT_FULL}"),
+    (neglog_record(), f"problem: NegLog {NOT_FULL}"),
+]
+
+
+@pytest.mark.parametrize("record,message", MALFORMED_PROBLEMS)
+def test_malformed_problem_message(record, message):
+    with pytest.raises(SchemaError) as info:
+        problem_from_record(record)
+    assert str(info.value) == message
+
+
+def test_malformed_piece_messages_from_entry_points():
+    for parse, record, message in [
+        (set_from_record, {"type": "x"}, "set: unknown set type 'x'"),
+        (function_from_record, 5, "function: expected an object with a 'type' tag"),
+        (control_from_record, {"type": "cyclic", "k": 1}, "control: unknown keys ['k']"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            parse(record)
+        assert str(info.value) == message
+
+
+def test_unserializable_objects_named():
+    from subproj import ControlSequence, ConvexSet, LeftCompose, NegLog
+
+    for write_record, obj, message in [
+        (set_to_record, ConvexSet(), "unserializable set ConvexSet"),
+        (function_to_record, LeftCompose(lambda t: t, lambda t: 1.0, NegLog()),
+         "unserializable function LeftCompose"),
+        (control_to_record, ControlSequence(), "unserializable control ControlSequence"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            write_record(obj)
+        assert str(info.value) == message
+
+
+def test_schema_error_reaches_stderr_with_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.json", _in_set(_with(BALL, radius=-1.0)))
+    assert main(["solve", "--file", path]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: {F0}.set: ball radius must be positive\n"

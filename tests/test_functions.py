@@ -8,6 +8,7 @@ from subproj import (
     LEAST_INDEX,
     AffineMax,
     Ball,
+    Box,
     DimensionMismatch,
     Dist,
     DomainError,
@@ -23,6 +24,7 @@ from subproj import (
     NormPow,
     NotScaledOrthogonal,
     NotTwiceDifferentiable,
+    Point,
     PowerComp,
     RightLinear,
     Scale,
@@ -174,6 +176,60 @@ def test_hessian_matches_finite_differences():
             h = hessian(f, x)
             approx = fd_jacobian(f.gradient, x)
             assert np.max(np.abs(h - approx)) <= 1e-6 * (1.0 + np.max(np.abs(h)))
+
+
+UNIT_BALL = Ball([0.0, 0.0], 1.0)
+HALFSPACE = Halfspace([1.0, 2.0], 0.5)
+POINT = Point([0.5, -1.0])
+UNIT_BOX = Box([-1.0, -1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("f", [
+    Dist(UNIT_BALL), Dist(HALFSPACE), Dist(POINT),
+    SqDist(UNIT_BALL), SqDist(HALFSPACE), SqDist(POINT), SqDist(UNIT_BOX),
+], ids=repr)
+def test_distance_hessians_match_finite_differences_off_the_boundary(f):
+    rng = np.random.default_rng(9)
+    checked = 0
+    while checked < 10:
+        x = rng.standard_normal(2) * 3.0
+        if f.set.distance(x) < 0.3:
+            continue  # outside the set, away from its boundary
+        if isinstance(f.set, Box) and np.min(np.abs(np.abs(x) - 1.0)) < 0.3:
+            continue  # away from the planes through the box facets
+        h = hessian(f, x)
+        approx = fd_jacobian(f.gradient, x)
+        assert np.max(np.abs(h - approx)) <= 1e-6 * (1.0 + np.max(np.abs(h)))
+        checked += 1
+
+
+@pytest.mark.parametrize("f,x", [
+    (Dist(UNIT_BALL), [0.5, 0.0]),
+    (Dist(HALFSPACE), [-1.0, 0.0]),
+    (SqDist(UNIT_BALL), [0.0, -0.5]),
+    (SqDist(HALFSPACE), [0.0, -1.0]),
+    (SqDist(UNIT_BOX), [0.5, -0.5]),
+    (Dist(UNIT_BOX), [0.5, -0.5]),
+], ids=repr)
+def test_distance_hessian_is_zero_in_the_strict_interior(f, x):
+    assert np.array_equal(hessian(f, x), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("f,x,message", [
+    (Dist(UNIT_BALL), [1.0, 0.0], "distance Hessian undefined on the set boundary"),
+    (Dist(HALFSPACE), [0.5, 0.0], "distance Hessian undefined on the set boundary"),
+    (Dist(POINT), [0.5, -1.0], "distance Hessian undefined on the set boundary"),
+    (SqDist(UNIT_BALL), [0.0, 1.0], "squared-distance Hessian undefined on the set boundary"),
+    (SqDist(POINT), [0.5, -1.0], "squared-distance Hessian undefined on the set boundary"),
+    (SqDist(UNIT_BOX), [1.0, 0.0], "squared-distance Hessian undefined on the set boundary"),
+    (SqDist(UNIT_BOX), [2.0, 1.0], "squared distance to a box is not C^2 on facets"),
+    (SqDist(UNIT_BOX), [-1.0, 3.0], "squared distance to a box is not C^2 on facets"),
+    (Dist(UNIT_BOX), [2.0, 0.0], "no distance Hessian oracle for this set"),
+], ids=repr)
+def test_distance_hessian_unavailable(f, x, message):
+    with pytest.raises(NotTwiceDifferentiable) as info:
+        hessian(f, x)
+    assert str(info.value) == message
 
 
 def test_hessian_unavailable():
