@@ -13,7 +13,6 @@ from .analysis import (
 )
 from .calculus import (
     acceleration_gap,
-    power_projection,
     sproj_convexcomb,
     sproj_infconv,
     sproj_leftcompose,

@@ -186,12 +186,6 @@ def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
     return fx / norm(grad) * (1.0 - 1.0 / alpha)
 
 
-def power_projection(alpha: float, f: FunctionSpec, x,
-                     strategy: SelectionStrategy = LEAST_INDEX) -> np.ndarray:
-    """Projection of f^alpha (alpha in (0, 1]) for f >= 0: (1 - 1/alpha) x + G_f x / alpha."""
-    return sproj_power(1.0 / alpha, f, x, strategy)
-
-
 __all__ = [
     "sproj_scale",
     "sproj_leftcompose",
@@ -201,5 +195,4 @@ __all__ = [
     "sproj_sum",
     "sproj_infconv",
     "acceleration_gap",
-    "power_projection",
 ]

@@ -81,6 +81,10 @@ class DegenerateMoreau(SubprojError):
     """Positive envelope value with a vanishing proximal displacement."""
 
 
+class ProxAuditFailed(SubprojError):
+    """A closed-form proximal point lost to a competitor in the optimality audit."""
+
+
 # -- feasibility solver -------------------------------------------------------
 
 class InvalidControl(SubprojError):

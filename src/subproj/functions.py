@@ -50,7 +50,7 @@ from .errors import (
     NotTwiceDifferentiable,
     UnsupportedAtom,
 )
-from .sets import Ball, Box, ConvexSet, Halfspace, Point
+from .sets import Ball, ConvexSet, Halfspace
 
 INF = math.inf
 
@@ -146,9 +146,6 @@ class Linear(FunctionSpec):
     def subgradient(self, x, strategy=LEAST_INDEX):
         return np.array(self.u)
 
-    def gradient(self, x):
-        return np.array(self.u)
-
     def hessian(self, x):
         return np.zeros((self.dim, self.dim))
 
@@ -161,14 +158,24 @@ class Linear(FunctionSpec):
         return f"Linear(u={self.u.tolist()})"
 
 
-class Dist(FunctionSpec):
-    """Distance to a closed convex set; its projector is the metric projection."""
+class _SetAtom(FunctionSpec):
+    """An atom built on a closed convex set S whose zero sublevel set is S."""
 
     nonnegative = True
 
     def __init__(self, s: ConvexSet):
         self.set = s
         self.dim = s.dim
+
+    def level_set_project(self, x):
+        return self.set.project(x)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.set!r})"
+
+
+class Dist(_SetAtom):
+    """Distance to a closed convex set; its projector is the metric projection."""
 
     def value(self, x):
         return self.set.distance(x)
@@ -181,48 +188,20 @@ class Dist(FunctionSpec):
         return np.zeros(self.dim)
 
     def gradient(self, x):
-        d = self.set.distance(x)
-        if d > 0.0:
-            return (x - self.set.project(x)) / d
-        if _strict_interior(self.set, x):
-            return np.zeros(self.dim)
-        raise NotDifferentiableHere("distance is not differentiable on the set boundary")
+        if self.set.distance(x) == 0.0 and not self.set.interior_contains(x):
+            raise NotDifferentiableHere("distance is not differentiable on the set boundary")
+        return self.subgradient(x)
 
     def hessian(self, x):
-        d = self.set.distance(x)
-        if d == 0.0:
-            if _strict_interior(self.set, x):
+        if self.set.distance(x) == 0.0:
+            if self.set.interior_contains(x):
                 return np.zeros((self.dim, self.dim))
             raise NotTwiceDifferentiable("distance Hessian undefined on the set boundary")
-        if isinstance(self.set, Ball):
-            z = x - self.set.center
-            n = norm(z)
-            s = z / n
-            return (np.eye(self.dim) - np.outer(s, s)) / n
-        if isinstance(self.set, Halfspace):
-            return np.zeros((self.dim, self.dim))
-        if isinstance(self.set, Point):
-            z = x - self.set.c
-            n = norm(z)
-            s = z / n
-            return (np.eye(self.dim) - np.outer(s, s)) / n
-        raise NotTwiceDifferentiable("no distance Hessian oracle for this set")
-
-    def level_set_project(self, x):
-        return self.set.project(x)
-
-    def __repr__(self):
-        return f"Dist({self.set!r})"
+        return self.set.dist_hessian(x)
 
 
-class SqDist(FunctionSpec):
+class SqDist(_SetAtom):
     """Squared distance to a closed convex set; differentiable everywhere."""
-
-    nonnegative = True
-
-    def __init__(self, s: ConvexSet):
-        self.set = s
-        self.dim = s.dim
 
     def value(self, x):
         d = self.set.distance(x)
@@ -231,40 +210,12 @@ class SqDist(FunctionSpec):
     def subgradient(self, x, strategy=LEAST_INDEX):
         return 2.0 * (x - self.set.project(x))
 
-    def gradient(self, x):
-        return 2.0 * (x - self.set.project(x))
-
     def hessian(self, x):
-        d = self.set.distance(x)
-        if d == 0.0:
-            if _strict_interior(self.set, x):
+        if self.set.distance(x) == 0.0:
+            if self.set.interior_contains(x):
                 return np.zeros((self.dim, self.dim))
             raise NotTwiceDifferentiable("squared-distance Hessian undefined on the set boundary")
-        if isinstance(self.set, Ball):
-            z = x - self.set.center
-            n = norm(z)
-            s = z / n
-            r = self.set.radius
-            return 2.0 * ((1.0 - r / n) * np.eye(self.dim) + (r / n) * np.outer(s, s))
-        if isinstance(self.set, Halfspace):
-            a = self.set.normal
-            return 2.0 * np.outer(a, a) / float(np.dot(a, a))
-        if isinstance(self.set, Point):
-            return 2.0 * np.eye(self.dim)
-        if isinstance(self.set, Box):
-            diag = np.zeros(self.dim)
-            for i in range(self.dim):
-                if x[i] == self.set.lo[i] or x[i] == self.set.hi[i]:
-                    raise NotTwiceDifferentiable("squared distance to a box is not C^2 on facets")
-                diag[i] = 2.0 if (x[i] < self.set.lo[i] or x[i] > self.set.hi[i]) else 0.0
-            return np.diag(diag)
-        raise NotTwiceDifferentiable("no squared-distance Hessian oracle for this set")
-
-    def level_set_project(self, x):
-        return self.set.project(x)
-
-    def __repr__(self):
-        return f"SqDist({self.set!r})"
+        return self.set.sqdist_hessian(x)
 
 
 class NormPow(FunctionSpec):
@@ -328,9 +279,6 @@ class NegLog(FunctionSpec):
             raise DomainError("-ln(x) is +inf at x <= 0")
         return np.array([-1.0 / t])
 
-    def gradient(self, x):
-        return self.subgradient(x)
-
     def hessian(self, x):
         t = float(x[0])
         if t <= 0.0:
@@ -365,9 +313,6 @@ class SqrtShift(FunctionSpec):
             raise DomainError("eta - sqrt(x) is +inf at x <= 0")
         return np.array([-0.5 / math.sqrt(t)])
 
-    def gradient(self, x):
-        return self.subgradient(x)
-
     def hessian(self, x):
         t = float(x[0])
         if t <= 0.0:
@@ -399,9 +344,6 @@ class Hyperbolic(FunctionSpec):
         t = float(x[0])
         return np.array([t / math.hypot(1.0, t)])
 
-    def gradient(self, x):
-        return self.subgradient(x)
-
     def hessian(self, x):
         t = float(x[0])
         return np.array([[(1.0 + t * t) ** (-1.5)]])
@@ -426,6 +368,10 @@ class AffineMax(FunctionSpec):
         for a in self.slopes:
             if a.size != self.dim:
                 raise DimensionMismatch("all pieces must share one dimension")
+
+    @property
+    def pieces(self) -> list[tuple[np.ndarray, float]]:
+        return list(zip(self.slopes, self.offsets))
 
     def _piece_values(self, x):
         return [float(np.dot(a, x)) + b for a, b in zip(self.slopes, self.offsets)]
@@ -481,34 +427,20 @@ class AffineMax(FunctionSpec):
         return np.array([min(max(float(x[0]), lo), hi)])
 
     def __repr__(self):
-        pieces = [(a.tolist(), b) for a, b in zip(self.slopes, self.offsets)]
+        pieces = [(a.tolist(), b) for a, b in self.pieces]
         return f"AffineMax(pieces={pieces})"
 
 
-class Indicator(FunctionSpec):
+class Indicator(_SetAtom):
     """0 on the set, +inf outside.  Valid only under a Moreau envelope."""
 
     domain_is_full = False
-    nonnegative = True
-
-    def __init__(self, s: ConvexSet):
-        self.set = s
-        self.dim = s.dim
 
     def value(self, x):
         return 0.0 if self.set.contains(x) else INF
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")
-
-    def gradient(self, x):
-        raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")
-
-    def level_set_project(self, x):
-        return self.set.project(x)
-
-    def __repr__(self):
-        return f"Indicator({self.set!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -838,19 +770,6 @@ def hessian(f: FunctionSpec, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _strict_interior(s: ConvexSet, x) -> bool:
-    """True when x lies in the set but not on its boundary (conservative)."""
-    if isinstance(s, Ball):
-        return norm(x - s.center) < s.radius
-    if isinstance(s, Halfspace):
-        return float(np.dot(x, s.normal)) < s.offset
-    if isinstance(s, Box):
-        return bool(np.all(x > s.lo) and np.all(x < s.hi))
-    if isinstance(s, Point):
-        return False
-    return False
-
 
 def _simplex_sample(verts: list[np.ndarray], k: int) -> list[np.ndarray]:
     """Deterministic dense sample of a simplex: vertices first, then barycentric

@@ -8,10 +8,12 @@ oracle-exact.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .core import EPS_NORM, as_vector, norm
-from .errors import DegenerateMoreau, UnsupportedAtom
+from .errors import DegenerateMoreau, ProxAuditFailed, UnsupportedAtom
 from .functions import (
     LEAST_INDEX,
     FunctionSpec,
@@ -24,52 +26,59 @@ from .functions import (
 PROX_AUDIT_TOL = 1e-8
 
 
+def _closed_form(f: FunctionSpec) -> Callable[[float, np.ndarray], np.ndarray] | None:
+    """The map (gamma, x) -> prox_{gamma f} x in closed form, or None if there is none.
+
+    This is the one list of prox-friendly atoms.
+    """
+    if isinstance(f, Scale):
+        inner = _closed_form(f.inner)
+        return None if inner is None else (lambda gamma, x: inner(gamma * f.lam, x))
+    if isinstance(f, Indicator):
+        return lambda gamma, x: f.set.project(x)
+    if isinstance(f, Linear):
+        return lambda gamma, x: x - gamma * f.u
+    if isinstance(f, NormPow):
+        return {1.0: _shrink, 2.0: lambda gamma, x: x / (1.0 + 2.0 * gamma)}.get(f.p)
+    return None
+
+
+def _shrink(gamma: float, x: np.ndarray) -> np.ndarray:
+    """Prox of gamma ||.||: block soft thresholding."""
+    n = norm(x)
+    if n <= gamma:
+        return np.zeros(x.size)
+    return (1.0 - gamma / n) * x
+
+
 def is_prox_friendly(f: FunctionSpec) -> bool:
     """True when prox has a closed form for this spec."""
-    if isinstance(f, (Indicator, Linear)):
-        return True
-    if isinstance(f, NormPow):
-        return f.p in (1.0, 2.0)
-    if isinstance(f, Scale):
-        return is_prox_friendly(f.inner)
-    return False
-
-
-def _prox_closed_form(f: FunctionSpec, gamma: float, x: np.ndarray) -> np.ndarray:
-    if isinstance(f, Scale):
-        return _prox_closed_form(f.inner, gamma * f.lam, x)
-    if isinstance(f, Indicator):
-        return f.set.project(x)
-    if isinstance(f, Linear):
-        return x - gamma * f.u
-    if isinstance(f, NormPow):
-        if f.p == 2.0:
-            return x / (1.0 + 2.0 * gamma)
-        if f.p == 1.0:
-            n = norm(x)
-            if n <= gamma:
-                return np.zeros(f.dim)
-            return (1.0 - gamma / n) * x
-    raise UnsupportedAtom(f"no closed-form prox for {type(f).__name__}")
+    return _closed_form(f) is not None
 
 
 def prox(f: FunctionSpec, gamma: float, x) -> np.ndarray:
     """Unique minimizer of f(y) + ||x - y||^2 / (2 gamma).
 
     The closed form is audited against 8 pseudo-random competitors on every
-    call; a failure would indicate a broken formula, not user error.
+    call and ProxAuditFailed is raised when one of them wins; that indicates
+    a broken formula or oracle, not user error.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     x = as_vector(x, dim=f.dim)
-    p = _prox_closed_form(f, gamma, x)
+    closed_form = _closed_form(f)
+    if closed_form is None:
+        raise UnsupportedAtom(f"no closed-form prox for {type(f).__name__}")
+    p = closed_form(gamma, x)
     rng = np.random.default_rng(314159)
     best = f.value(p) + norm(x - p) ** 2 / (2.0 * gamma)
     scale = 1.0 + norm(x)
     for _ in range(8):
         z = p + scale * rng.standard_normal(f.dim)
         cand = f.value(z) + norm(x - z) ** 2 / (2.0 * gamma)
-        assert cand >= best - PROX_AUDIT_TOL, "prox optimality audit failed"
+        if not cand >= best - PROX_AUDIT_TOL:
+            raise ProxAuditFailed(
+                f"prox optimality audit failed: a competitor improves it by {best - cand:.3e}")
     return p
 
 
@@ -127,9 +136,6 @@ class MoreauEnv(FunctionSpec):
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return (x - prox(self.inner, self.gamma, x)) / self.gamma
-
-    def gradient(self, x):
-        return self.subgradient(x)
 
     def level_set_project(self, x):
         # For an indicator the envelope is d^2 / (2 gamma), whose zero

@@ -2,21 +2,26 @@
 
 Only descriptions without user callables are serializable: the catalog atoms
 plus Scale, PowerComp, RightLinear, and MoreauEnv.  Parsing is strict: unknown
-keys are rejected before any numerics run.
+keys are rejected before any numerics run, and every number must be finite.
+
+``TAGS`` maps each tag to its class and the ordered fields its constructor
+takes; one generic reader and one generic writer walk it, so a new tag is one
+table entry.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import sys
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import SchemaError, SubprojError
-from .feasibility import ControlSequence, Cyclic, Explicit, Problem, QuasiCyclic
+from .feasibility import Cyclic, Explicit, Problem, QuasiCyclic
 from .functions import (
     AffineMax,
     Dist,
-    FunctionSpec,
     Hyperbolic,
     Indicator,
     Linear,
@@ -29,246 +34,234 @@ from .functions import (
     RightLinear,
 )
 from .prox import MoreauEnv
-from .sets import Ball, Box, ConvexSet, Halfspace, Point
+from .sets import Ball, Box, Halfspace, Point
+
+REQUIRED = object()  # default of a field that must be present
+_MAX_FLOAT = sys.float_info.max
 
 
-def _require_keys(record: dict, required: set[str], optional: set[str], where: str):
-    if not isinstance(record, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(record).__name__}")
-    keys = set(record)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+class Field(NamedTuple):
+    """One JSON key of a record and the object attribute it describes."""
+
+    key: str
+    attr: str
+    parse: Callable[[Any, str, str], Any]  # (JSON value, where, key) -> constructor argument
+    write: Callable[[Any], Any]  # attribute value -> JSON value
+    default: Any = REQUIRED  # used when the key is absent; a None value is not written
 
 
-def _number(record: dict, key: str, where: str) -> float:
-    v = record[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+class Shape:
+    """The ordered fields of one kind of record, and the keys it must and may have."""
+
+    def __init__(self, *fields: Field, tagged: bool = True):
+        self.fields = fields
+        self.required = {f.key for f in fields if f.default is REQUIRED} | (
+            {"type"} if tagged else set())
+        self.allowed = self.required | {f.key for f in fields}
+
+    def parse(self, record: Any, where: str) -> list:
+        """Check the record's keys, then parse its fields in order."""
+        if not isinstance(record, dict):
+            raise SchemaError(f"{where}: expected an object, got {type(record).__name__}")
+        if not self.required <= record.keys() <= self.allowed:
+            missing = self.required - record.keys()
+            if missing:
+                raise SchemaError(f"{where}: missing keys {sorted(missing)}")
+            raise SchemaError(f"{where}: unknown keys {sorted(record.keys() - self.allowed)}")
+        return [f.parse(record[f.key], where, f.key) if f.key in record else f.default
+                for f in self.fields]
+
+    def write(self, obj: Any, record: dict) -> dict:
+        for f in self.fields:
+            value = getattr(obj, f.attr)
+            if value is not None:
+                record[f.key] = f.write(value)
+        return record
+
+
+# ---------------------------------------------------------------------------
+# field parsers: (JSON value, where, key) -> Python value; errors name where.key
+# ---------------------------------------------------------------------------
+
+def _is_number(v: Any) -> bool:
+    """A finite JSON number (booleans are not numbers)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -_MAX_FLOAT <= v <= _MAX_FLOAT
+
+
+def _number(v: Any, where: str, key: str) -> float:
+    if not _is_number(v):
         raise SchemaError(f"{where}.{key}: expected a number")
     return float(v)
 
 
-def _vector(record: dict, key: str, where: str) -> list[float]:
-    v = record[key]
-    if not isinstance(v, list) or not v or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in v):
+def _positive_int(v: Any, where: str, key: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise SchemaError(f"{where}.{key}: expected a positive integer")
+    return v
+
+
+def _vector(v: Any, where: str, key: str) -> list[float]:
+    if not isinstance(v, list) or not v or not all(map(_is_number, v)):
         raise SchemaError(f"{where}.{key}: expected a nonempty list of numbers")
     return [float(t) for t in v]
 
 
-# ---------------------------------------------------------------------------
-# sets
-# ---------------------------------------------------------------------------
-
-def set_to_record(s: ConvexSet) -> dict:
-    if isinstance(s, Ball):
-        return {"type": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Box):
-        return {"type": "box", "lo": s.lo.tolist(), "hi": s.hi.tolist()}
-    if isinstance(s, Point):
-        return {"type": "point", "c": s.c.tolist()}
-    raise SchemaError(f"unserializable set {type(s).__name__}")
-
-
-def set_from_record(record: Any, where: str = "set") -> ConvexSet:
-    if not isinstance(record, dict) or "type" not in record:
-        raise SchemaError(f"{where}: expected an object with a 'type' tag")
-    tag = record["type"]
-    try:
-        if tag == "ball":
-            _require_keys(record, {"type", "center", "radius"}, set(), where)
-            return Ball(_vector(record, "center", where), _number(record, "radius", where))
-        if tag == "halfspace":
-            _require_keys(record, {"type", "normal", "offset"}, set(), where)
-            return Halfspace(_vector(record, "normal", where), _number(record, "offset", where))
-        if tag == "box":
-            _require_keys(record, {"type", "lo", "hi"}, set(), where)
-            return Box(_vector(record, "lo", where), _vector(record, "hi", where))
-        if tag == "point":
-            _require_keys(record, {"type", "c"}, set(), where)
-            return Point(_vector(record, "c", where))
-    except (ValueError, SubprojError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown set type {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# functions
-# ---------------------------------------------------------------------------
-
-def function_to_record(f: FunctionSpec) -> dict:
-    if isinstance(f, Linear):
-        return {"type": "linear", "u": f.u.tolist()}
-    if isinstance(f, Dist):
-        return {"type": "dist", "set": set_to_record(f.set)}
-    if isinstance(f, SqDist):
-        return {"type": "sqdist", "set": set_to_record(f.set)}
-    if isinstance(f, NormPow):
-        return {"type": "normpow", "p": f.p, "dim": f.dim}
-    if isinstance(f, NegLog):
-        return {"type": "neglog"}
-    if isinstance(f, SqrtShift):
-        return {"type": "sqrtshift", "eta": f.eta}
-    if isinstance(f, Hyperbolic):
-        return {"type": "hyperbolic", "eta": f.eta}
-    if isinstance(f, AffineMax):
-        pieces = [{"a": a.tolist(), "b": b} for a, b in zip(f.slopes, f.offsets)]
-        return {"type": "affinemax", "pieces": pieces}
-    if isinstance(f, Indicator):
-        return {"type": "indicator", "set": set_to_record(f.set)}
-    if isinstance(f, Scale):
-        return {"type": "scale", "factor": f.lam, "inner": function_to_record(f.inner)}
-    if isinstance(f, PowerComp):
-        return {"type": "power", "alpha": f.alpha, "inner": function_to_record(f.inner)}
-    if isinstance(f, RightLinear):
-        return {"type": "rightlinear", "matrix": f.L.tolist(),
-                "inner": function_to_record(f.inner)}
-    if isinstance(f, MoreauEnv):
-        return {"type": "moreau", "gamma": f.gamma, "inner": function_to_record(f.inner)}
-    raise SchemaError(f"unserializable function {type(f).__name__}")
-
-
-def function_from_record(record: Any, where: str = "function") -> FunctionSpec:
-    if not isinstance(record, dict) or "type" not in record:
-        raise SchemaError(f"{where}: expected an object with a 'type' tag")
-    tag = record["type"]
-    try:
-        if tag == "linear":
-            _require_keys(record, {"type", "u"}, set(), where)
-            return Linear(_vector(record, "u", where))
-        if tag == "dist":
-            _require_keys(record, {"type", "set"}, set(), where)
-            return Dist(set_from_record(record["set"], where + ".set"))
-        if tag == "sqdist":
-            _require_keys(record, {"type", "set"}, set(), where)
-            return SqDist(set_from_record(record["set"], where + ".set"))
-        if tag == "normpow":
-            _require_keys(record, {"type", "p"}, {"dim"}, where)
-            dim = int(record.get("dim", 1))
-            return NormPow(_number(record, "p", where), dim=dim)
-        if tag == "neglog":
-            _require_keys(record, {"type"}, set(), where)
-            return NegLog()
-        if tag == "sqrtshift":
-            _require_keys(record, {"type", "eta"}, set(), where)
-            return SqrtShift(_number(record, "eta", where))
-        if tag == "hyperbolic":
-            _require_keys(record, {"type", "eta"}, set(), where)
-            return Hyperbolic(_number(record, "eta", where))
-        if tag == "affinemax":
-            _require_keys(record, {"type", "pieces"}, set(), where)
-            pieces = record["pieces"]
-            if not isinstance(pieces, list) or not pieces:
-                raise SchemaError(f"{where}.pieces: expected a nonempty list")
-            parsed = []
-            for i, p in enumerate(pieces):
-                _require_keys(p, {"a", "b"}, set(), f"{where}.pieces[{i}]")
-                parsed.append((_vector(p, "a", f"{where}.pieces[{i}]"),
-                               _number(p, "b", f"{where}.pieces[{i}]")))
-            return AffineMax(parsed)
-        if tag == "indicator":
-            _require_keys(record, {"type", "set"}, set(), where)
-            return Indicator(set_from_record(record["set"], where + ".set"))
-        if tag == "scale":
-            _require_keys(record, {"type", "factor", "inner"}, set(), where)
-            return Scale(_number(record, "factor", where),
-                         function_from_record(record["inner"], where + ".inner"))
-        if tag == "power":
-            _require_keys(record, {"type", "alpha", "inner"}, set(), where)
-            return PowerComp(_number(record, "alpha", where),
-                             function_from_record(record["inner"], where + ".inner"))
-        if tag == "rightlinear":
-            _require_keys(record, {"type", "matrix", "inner"}, set(), where)
-            mat = record["matrix"]
-            if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
-                raise SchemaError(f"{where}.matrix: expected a list of rows")
-            return RightLinear(np.array(mat, dtype=float),
-                               function_from_record(record["inner"], where + ".inner"))
-        if tag == "moreau":
-            _require_keys(record, {"type", "gamma", "inner"}, set(), where)
-            return MoreauEnv(_number(record, "gamma", where),
-                             function_from_record(record["inner"], where + ".inner"))
-    except (ValueError, SubprojError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown function type {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# control sequences and problem files
-# ---------------------------------------------------------------------------
-
-def control_to_record(c: ControlSequence) -> dict:
-    if isinstance(c, Cyclic):
-        return {"type": "cyclic"}
-    if isinstance(c, QuasiCyclic):
-        return {"type": "quasicyclic", "windows": list(c.window_bounds)}
-    if isinstance(c, Explicit):
-        rec = {"type": "explicit", "indices": list(c.index_list)}
-        if c.window_bounds is not None:
-            rec["windows"] = list(c.window_bounds)
-        return rec
-    raise SchemaError(f"unserializable control {type(c).__name__}")
-
-
-def _int_list(record: dict, key: str, where: str) -> list[int]:
-    v = record[key]
+def _int_list(v: Any, where: str, key: str) -> list[int]:
     if not isinstance(v, list) or not v or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in v):
         raise SchemaError(f"{where}.{key}: expected a nonempty list of integers")
     return [int(t) for t in v]
 
 
-def control_from_record(record: Any, where: str = "control") -> ControlSequence:
+def _matrix(v: Any, where: str, key: str) -> np.ndarray:
+    if not isinstance(v, list) or not all(
+            isinstance(r, list) and all(map(_is_number, r)) for r in v):
+        raise SchemaError(f"{where}.{key}: expected a list of rows")
+    return np.array(v, dtype=float)
+
+
+def _relaxation(v: Any, where: str, key: str) -> float | list[float]:
+    if isinstance(v, list):
+        return _vector(v, where, key)
+    if not _is_number(v):
+        raise SchemaError(f"{where}.{key}: expected a number or list of numbers")
+    return float(v)
+
+
+def _nested(parse_record: Callable[[Any, str], Any]) -> Callable[[Any, str, str], Any]:
+    """A field holding one record, parsed by ``parse_record(record, where)``."""
+    return lambda v, where, key: parse_record(v, f"{where}.{key}")
+
+
+def _nonempty_list(parse_record: Callable[[Any, str], Any]) -> Callable[[Any, str, str], list]:
+    """A field holding a nonempty list of records."""
+    def parse(v: Any, where: str, key: str) -> list:
+        if not isinstance(v, list) or not v:
+            raise SchemaError(f"{where}.{key}: expected a nonempty list")
+        return [parse_record(item, f"{where}.{key}[{i}]") for i, item in enumerate(v)]
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# the generic reader and writer, and their public entry points
+# ---------------------------------------------------------------------------
+
+def _from_record(kind: str, record: Any, where: str | None = None) -> Any:
+    where = where or kind
     if not isinstance(record, dict) or "type" not in record:
         raise SchemaError(f"{where}: expected an object with a 'type' tag")
     tag = record["type"]
+    entry = TAGS[kind].get(tag) if isinstance(tag, str) else None
+    if entry is None:
+        raise SchemaError(f"{where}: unknown {kind} type {tag!r}")
+    cls, shape = entry
     try:
-        if tag == "cyclic":
-            _require_keys(record, {"type"}, set(), where)
-            return Cyclic()
-        if tag == "quasicyclic":
-            _require_keys(record, {"type", "windows"}, set(), where)
-            return QuasiCyclic(_int_list(record, "windows", where))
-        if tag == "explicit":
-            _require_keys(record, {"type", "indices"}, {"windows"}, where)
-            windows = _int_list(record, "windows", where) if "windows" in record else None
-            return Explicit(_int_list(record, "indices", where), windows)
+        return cls(*shape.parse(record, where))
+    except SchemaError:
+        raise
     except (ValueError, SubprojError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown control type {tag!r}")
 
 
-PROBLEM_REQUIRED = {"dimension", "functions", "control", "relaxation",
-                    "epsilon", "x0", "tol", "max_iter"}
-PROBLEM_OPTIONAL = {"feasible_witness"}
+def _to_record(kind: str, obj: Any) -> dict:
+    for cls in type(obj).__mro__:
+        if cls in _WRITERS[kind]:
+            tag, shape = _WRITERS[kind][cls]
+            return shape.write(obj, {"type": tag})
+    raise SchemaError(f"unserializable {kind} {type(obj).__name__}")
+
+
+# (record, where=kind) -> ConvexSet / FunctionSpec / ControlSequence, and back
+set_from_record = partial(_from_record, "set")
+set_to_record = partial(_to_record, "set")
+function_from_record = partial(_from_record, "function")
+function_to_record = partial(_to_record, "function")
+control_from_record = partial(_from_record, "control")
+control_to_record = partial(_to_record, "control")
+
+
+# ---------------------------------------------------------------------------
+# the tag table
+# ---------------------------------------------------------------------------
+
+def _same(v: Any) -> Any:
+    return v
+
+
+def _num(key: str, attr: str | None = None) -> Field:
+    return Field(key, attr or key, _number, _same)
+
+
+def _vec(key: str, default: Any = REQUIRED) -> Field:
+    return Field(key, key, _vector, np.ndarray.tolist, default)
+
+
+def _ints(key: str, attr: str, default: Any = REQUIRED) -> Field:
+    return Field(key, attr, _int_list, list, default)
+
+
+SET = Field("set", "set", _nested(set_from_record), set_to_record)
+INNER = Field("inner", "inner", _nested(function_from_record), function_to_record)
+PIECE = Shape(_vec("a"), _num("b"), tagged=False)
+
+TAGS: dict[str, dict[str, tuple[type, Shape]]] = {
+    "set": {
+        "ball": (Ball, Shape(_vec("center"), _num("radius"))),
+        "halfspace": (Halfspace, Shape(_vec("normal"), _num("offset"))),
+        "box": (Box, Shape(_vec("lo"), _vec("hi"))),
+        "point": (Point, Shape(_vec("c"))),
+    },
+    "function": {
+        "linear": (Linear, Shape(_vec("u"))),
+        "dist": (Dist, Shape(SET)),
+        "sqdist": (SqDist, Shape(SET)),
+        "normpow": (NormPow, Shape(_num("p"), Field("dim", "dim", _positive_int, _same, 1))),
+        "neglog": (NegLog, Shape()),
+        "sqrtshift": (SqrtShift, Shape(_num("eta"))),
+        "hyperbolic": (Hyperbolic, Shape(_num("eta"))),
+        "affinemax": (AffineMax, Shape(Field(
+            "pieces", "pieces", _nonempty_list(PIECE.parse),
+            lambda pieces: [{"a": a.tolist(), "b": b} for a, b in pieces]))),
+        "indicator": (Indicator, Shape(SET)),
+        "scale": (Scale, Shape(_num("factor", "lam"), INNER)),
+        "power": (PowerComp, Shape(_num("alpha"), INNER)),
+        "rightlinear": (RightLinear, Shape(Field("matrix", "L", _matrix, np.ndarray.tolist), INNER)),
+        "moreau": (MoreauEnv, Shape(_num("gamma"), INNER)),
+    },
+    "control": {
+        "cyclic": (Cyclic, Shape()),
+        "quasicyclic": (QuasiCyclic, Shape(_ints("windows", "window_bounds"))),
+        "explicit": (Explicit, Shape(_ints("indices", "index_list"),
+                                     _ints("windows", "window_bounds", None))),
+    },
+}
+
+_WRITERS = {kind: {cls: (tag, shape) for tag, (cls, shape) in table.items()}
+            for kind, table in TAGS.items()}
+
+
+# ---------------------------------------------------------------------------
+# problem files
+# ---------------------------------------------------------------------------
+
+PROBLEM = Shape(
+    Field("dimension", "dimension", _positive_int, _same),
+    Field("functions", "functions", _nonempty_list(function_from_record),
+          lambda fs: [function_to_record(f) for f in fs]),
+    Field("control", "control", _nested(control_from_record), control_to_record),
+    Field("relaxation", "relaxation", _relaxation,
+          lambda r: r if isinstance(r, (int, float)) else [float(v) for v in r]),
+    _num("epsilon"),
+    _vec("x0"),
+    _num("tol"),
+    Field("max_iter", "max_iter", _positive_int, _same),
+    _vec("feasible_witness", None),
+    tagged=False,
+)
 
 
 def problem_to_record(p: Problem) -> dict:
-    rec = {
-        "dimension": p.dimension,
-        "functions": [function_to_record(f) for f in p.functions],
-        "control": control_to_record(p.control),
-        "relaxation": (p.relaxation if isinstance(p.relaxation, (int, float))
-                       else [float(v) for v in p.relaxation]),
-        "epsilon": p.epsilon,
-        "x0": p.x0.tolist(),
-        "tol": p.tol,
-        "max_iter": p.max_iter,
-    }
-    if p.feasible_witness is not None:
-        rec["feasible_witness"] = p.feasible_witness.tolist()
-    return rec
+    return PROBLEM.write(p, {})
 
 
 def parse_problem_file(record: Any) -> dict:
@@ -279,46 +272,8 @@ def parse_problem_file(record: Any) -> dict:
     is built from the parts, not here, so projection and analysis commands
     can run on files whose functions have restricted domains.
     """
-    _require_keys(record, PROBLEM_REQUIRED, PROBLEM_OPTIONAL, "problem")
-    dim = record["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise SchemaError("problem.dimension: expected a positive integer")
-    funcs_rec = record["functions"]
-    if not isinstance(funcs_rec, list) or not funcs_rec:
-        raise SchemaError("problem.functions: expected a nonempty list")
-    functions = [function_from_record(r, f"problem.functions[{i}]")
-                 for i, r in enumerate(funcs_rec)]
-    control = control_from_record(record["control"], "problem.control")
-    relax = record["relaxation"]
-    if isinstance(relax, bool) or not isinstance(relax, (int, float, list)):
-        raise SchemaError("problem.relaxation: expected a number or list of numbers")
-    if isinstance(relax, list):
-        if not relax or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                for v in relax):
-            raise SchemaError("problem.relaxation: expected a nonempty list of numbers")
-        relax = [float(v) for v in relax]
-    else:
-        relax = float(relax)
-    epsilon = _number(record, "epsilon", "problem")
-    x0 = _vector(record, "x0", "problem")
-    tol = _number(record, "tol", "problem")
-    max_iter = record["max_iter"]
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise SchemaError("problem.max_iter: expected a positive integer")
-    witness = None
-    if "feasible_witness" in record:
-        witness = _vector(record, "feasible_witness", "problem")
-    return {
-        "dimension": dim,
-        "functions": functions,
-        "x0": x0,
-        "control": control,
-        "relaxation": relax,
-        "epsilon": epsilon,
-        "tol": tol,
-        "max_iter": max_iter,
-        "feasible_witness": witness,
-    }
+    values = PROBLEM.parse(record, "problem")
+    return {f.attr: v for f, v in zip(PROBLEM.fields, values)}
 
 
 def problem_from_record(record: Any) -> Problem:

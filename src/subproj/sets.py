@@ -2,6 +2,8 @@
 
 Every set variant is nonempty, closed and convex by construction, and its
 projection is the exact nearest-point map (idempotent, firmly nonexpansive).
+Each set also answers the second-order questions the distance atoms ask:
+strict-interior membership and the Hessians of d_S and d_S^2 off the set.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import as_vector, norm
+from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
 
@@ -27,6 +30,18 @@ class ConvexSet:
 
     def contains(self, x: np.ndarray) -> bool:
         raise NotImplementedError
+
+    def interior_contains(self, x: np.ndarray) -> bool:
+        """True when x lies in the set but not on its boundary (conservative)."""
+        return False
+
+    def dist_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of the distance at a point outside the set."""
+        raise NotTwiceDifferentiable("no distance Hessian oracle for this set")
+
+    def sqdist_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of the squared distance at a point outside the set."""
+        raise NotTwiceDifferentiable("no squared-distance Hessian oracle for this set")
 
 
 class Ball(ConvexSet):
@@ -59,6 +74,19 @@ class Ball(ConvexSet):
 
     def contains(self, x):
         return norm(x - self.center) <= self.radius
+
+    def interior_contains(self, x):
+        return norm(x - self.center) < self.radius
+
+    def dist_hessian(self, x):
+        return _radial_dist_hessian(x - self.center)
+
+    def sqdist_hessian(self, x):
+        z = x - self.center
+        n = norm(z)
+        s = z / n
+        r = self.radius
+        return 2.0 * ((1.0 - r / n) * np.eye(self.dim) + (r / n) * np.outer(s, s))
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -97,6 +125,16 @@ class Halfspace(ConvexSet):
     def contains(self, x):
         return float(np.dot(x, self.normal)) <= self.offset
 
+    def interior_contains(self, x):
+        return float(np.dot(x, self.normal)) < self.offset
+
+    def dist_hessian(self, x):
+        return np.zeros((self.dim, self.dim))
+
+    def sqdist_hessian(self, x):
+        a = self.normal
+        return 2.0 * np.outer(a, a) / float(np.dot(a, a))
+
     def __repr__(self):
         return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"
 
@@ -120,6 +158,17 @@ class Box(ConvexSet):
     def contains(self, x):
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
+    def interior_contains(self, x):
+        return bool(np.all(x > self.lo) and np.all(x < self.hi))
+
+    def sqdist_hessian(self, x):
+        diag = np.zeros(self.dim)
+        for i in range(self.dim):
+            if x[i] == self.lo[i] or x[i] == self.hi[i]:
+                raise NotTwiceDifferentiable("squared distance to a box is not C^2 on facets")
+            diag[i] = 2.0 if (x[i] < self.lo[i] or x[i] > self.hi[i]) else 0.0
+        return np.diag(diag)
+
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
@@ -140,8 +189,21 @@ class Point(ConvexSet):
     def contains(self, x):
         return bool(np.all(np.asarray(x, dtype=float) == self.c))
 
+    def dist_hessian(self, x):
+        return _radial_dist_hessian(x - self.c)
+
+    def sqdist_hessian(self, x):
+        return 2.0 * np.eye(self.dim)
+
     def __repr__(self):
         return f"Point(c={self.c.tolist()})"
+
+
+def _radial_dist_hessian(z: np.ndarray) -> np.ndarray:
+    """Hessian of ||.|| - const at the offset z from a center: (I - s s^T) / ||z||."""
+    n = norm(z)
+    s = z / n
+    return (np.eye(z.size) - np.outer(s, s)) / n
 
 
 def project_set(s: ConvexSet, x) -> np.ndarray:

@@ -516,3 +516,55 @@ def test_schema_error_reaches_stderr_with_exit_2(tmp_path, capsys):
     path = write(tmp_path, "p.json", _in_set(_with(BALL, radius=-1.0)))
     assert main(["solve", "--file", path]) == 2
     assert capsys.readouterr().err == f"error: SchemaError: {F0}.set: ball radius must be positive\n"
+
+
+def test_round_trip_covers_every_tag():
+    from subproj import serialize
+
+    assert {r["type"] for r in FUNCTION_RECORDS} == set(serialize.TAGS["function"])
+    assert {r["type"] for r in SET_RECORDS} == set(serialize.TAGS["set"])
+    assert {r["type"] for r in CONTROL_RECORDS} == set(serialize.TAGS["control"])
+
+
+def test_readme_lists_every_tag():
+    import re
+    from pathlib import Path
+
+    from subproj import serialize
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Function types:")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    functions, rest = paragraph.split("Sets:")
+    sets, controls = rest.split("Controls:")
+
+    def tags(text):
+        return {item.split()[0] for item in re.findall(r"`([^`]+)`", text)}
+
+    assert tags(functions) == set(serialize.TAGS["function"])
+    assert tags(sets) == set(serialize.TAGS["set"])
+    assert tags(controls) == set(serialize.TAGS["control"])
+
+
+# -- problem files that parse but would give wrong answers -------------------------------
+
+@pytest.mark.parametrize("record,message", [
+    (_in_set({"type": "halfspace", "normal": [1.0, 0.0], "offset": float("nan")}),
+     f"{F0}.set.offset: expected a number"),
+    (_in_set(_with(BALL, radius=float("inf"))), f"{F0}.set.radius: expected a number"),
+    (two_ball_record(tol=float("nan")), "problem.tol: expected a number"),
+    (two_ball_record(x0=[float("nan"), 5.0]), "problem.x0: expected a nonempty list of numbers"),
+    (two_ball_record(feasible_witness=[0.75, float("-inf")]),
+     "problem.feasible_witness: expected a nonempty list of numbers"),
+    (two_ball_record(relaxation=[1.0, float("nan")]),
+     "problem.relaxation: expected a nonempty list of numbers"),
+    (_fn({"type": "normpow", "p": 2.0, "dim": 2.9}), f"{F0}.dim: expected a positive integer"),
+    (_fn({"type": "normpow", "p": 2.0, "dim": True}), f"{F0}.dim: expected a positive integer"),
+    (_fn({"type": "rightlinear", "matrix": [["1", "0"], ["0", "1"]], "inner": DIST}),
+     f"{F0}.matrix: expected a list of rows"),
+], ids=["nan-offset", "inf-radius", "nan-tol", "nan-x0", "inf-witness", "nan-relaxation",
+        "fractional-dim", "boolean-dim", "string-matrix"])
+def test_nonfinite_and_mistyped_values_exit_2(tmp_path, capsys, record, message):
+    path = write(tmp_path, "p.json", record)
+    assert main(["solve", "--file", path]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: {message}\n"

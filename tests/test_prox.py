@@ -10,6 +10,7 @@ from subproj import (
     MoreauEnv,
     NegLog,
     NormPow,
+    ProxAuditFailed,
     Scale,
     SqDist,
     UnsupportedAtom,
@@ -145,3 +146,39 @@ def test_moreau_env_spec_matches_direct_operator():
 def test_moreau_env_requires_prox_friendly():
     with pytest.raises(UnsupportedAtom):
         MoreauEnv(1.0, NegLog())
+
+
+class _FlippedLinear(Linear):
+    """A linear atom whose value has the wrong sign, so its closed-form prox is wrong."""
+
+    def value(self, x):
+        return -super().value(x)
+
+
+def test_prox_audit_failure_is_a_named_error():
+    with pytest.raises(ProxAuditFailed):
+        prox(_FlippedLinear([100.0, 0.0]), 1.0, [0.0, 0.0])
+
+
+def test_prox_audit_survives_optimized_mode():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import subproj
+
+    code = (
+        "from subproj import Linear, ProxAuditFailed, prox\n"
+        "class Flipped(Linear):\n"
+        "    def value(self, x):\n"
+        "        return -super().value(x)\n"
+        "try:\n"
+        "    prox(Flipped([100.0, 0.0]), 1.0, [0.0, 0.0])\n"
+        "except ProxAuditFailed:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(subproj.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
