@@ -184,3 +184,37 @@ def test_stalled_step_detected():
     p = Problem(dimension=1, functions=[f], x0=[1e-300], tol=1e-310)
     with pytest.raises(StalledStep):
         solve(p)
+
+
+# -- control schedule through solve ---------------------------------------------------
+
+@pytest.mark.parametrize("control", [
+    Cyclic(), QuasiCyclic([2, 3]), Explicit([1, 0, 1]), Explicit([1, 0], [2, 2]),
+], ids=repr)
+def test_trace_columns_follow_control_and_relaxation(control):
+    p = two_ball_problem(control=control, relaxation=[1.0, 1.5, 0.7], max_iter=500)
+    _x, trace = solve(p)
+    assert trace.iterations > 3
+    assert [r.index for r in trace.rows] == control.indices(2, trace.iterations)
+    assert [r.lam for r in trace.rows] == p.relaxation_schedule(trace.iterations)
+
+
+@pytest.mark.parametrize("control, max_iter, message", [
+    # violations are reported by index, then by window start
+    (Explicit([0, 0, 0, 1, 1, 1], [2, 2]), 12,
+     "index 0 missing from window [3, 4]; index 0 missing from window [9, 10]; "
+     "index 1 missing from window [0, 1]; index 1 missing from window [6, 7]"),
+    # the horizon is max_iter when no window is declared
+    (Explicit([0, 1]), 1, "index 1 missing from window [0, 0]"),
+    (Explicit([0, 1], [3, 3, 3]), 100, "3 window bounds for 2 functions"),
+    # at most five violations are named
+    (QuasiCyclic([1, 1]), 10,
+     "index 0 missing from window [1, 1]; index 0 missing from window [3, 3]; "
+     "index 0 missing from window [5, 5]; index 0 missing from window [7, 7]; "
+     "index 0 missing from window [9, 9]"),
+])
+def test_invalid_control_messages_through_solve(control, max_iter, message):
+    p = two_ball_problem(control=control, max_iter=max_iter)
+    with pytest.raises(InvalidControl) as info:
+        solve(p)
+    assert str(info.value) == message
