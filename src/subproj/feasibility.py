@@ -48,12 +48,19 @@ TRACE_ASSUMPTION = "subdifferentials-bounded-on-bounded-sets"
 class ControlSequence:
     """Order in which constraint indices are visited."""
 
+    window_bounds: Optional[list[int]] = None  # None: every index need only appear
+
     def indices(self, m: int, horizon: int) -> list[int]:
         raise NotImplementedError
 
     def windows(self, m: int) -> list[Optional[int]]:
         """Declared window bound per index (None when only presence is required)."""
-        raise NotImplementedError
+        if self.window_bounds is None:
+            return [None] * m
+        if m != len(self.window_bounds):
+            raise InvalidControl(
+                f"{len(self.window_bounds)} window bounds for {m} functions")
+        return list(self.window_bounds)
 
 
 class Cyclic(ControlSequence):
@@ -84,24 +91,15 @@ class QuasiCyclic(ControlSequence):
             raise InvalidControl("window bounds must be >= 1")
 
     def indices(self, m, horizon):
-        if m != len(self.window_bounds):
-            raise InvalidControl(
-                f"{len(self.window_bounds)} window bounds for {m} functions")
+        windows = self.windows(m)
         last = [-1] * m
         out = []
         for n in range(horizon):
             best = max(range(m),
-                       key=lambda i: ((n - last[i]) / self.window_bounds[i],
-                                      n - last[i], -i))
+                       key=lambda i: ((n - last[i]) / windows[i], n - last[i], -i))
             out.append(best)
             last[best] = n
         return out
-
-    def windows(self, m):
-        if m != len(self.window_bounds):
-            raise InvalidControl(
-                f"{len(self.window_bounds)} window bounds for {m} functions")
-        return list(self.window_bounds)
 
     def __repr__(self):
         return f"QuasiCyclic(window_bounds={self.window_bounds})"
@@ -126,14 +124,6 @@ class Explicit(ControlSequence):
         reps = -(-horizon // len(self.index_list))
         return (self.index_list * reps)[:horizon]
 
-    def windows(self, m):
-        if self.window_bounds is not None:
-            if m != len(self.window_bounds):
-                raise InvalidControl(
-                    f"{len(self.window_bounds)} window bounds for {m} functions")
-            return list(self.window_bounds)
-        return [None] * m
-
     def __repr__(self):
         return f"Explicit(index_list={self.index_list}, window_bounds={self.window_bounds})"
 
@@ -153,34 +143,32 @@ class ControlViolation:
 
 def validate_control(control: ControlSequence, m: int, horizon: int) -> list[ControlViolation]:
     """Scan every admissible window over the horizon; violations are data, not errors."""
+    return _scan(control, m, horizon)[1]
+
+
+def _scan(control: ControlSequence, m: int,
+          horizon: int) -> tuple[list[int], list[ControlViolation]]:
+    """The control's first ``horizon`` indices and the windows they miss, by index and start."""
     if m < 1:
         raise InvalidControl("need at least one function")
     windows = control.windows(m)
-    declared = [w for w in windows if w is not None]
-    if declared and horizon < max(declared):
+    if any(w is not None and w > horizon for w in windows):
         raise ValueError("horizon must cover the largest declared window")
+    # A presence-only index has the whole horizon as its window, missed only if it never appears.
+    bound = [horizon if w is None else w for w in windows]
     seq = control.indices(m, horizon)
-    occurrences: list[list[int]] = [[] for _ in range(m)]
+    last = [-1] * m
+    violations = []
     for n, i in enumerate(seq):
         if 0 <= i < m:
-            occurrences[i].append(n)
-    violations = []
+            if n - last[i] > bound[i]:
+                violations.append(ControlViolation(i, last[i] + 1, bound[i]))
+            last[i] = n
     for i in range(m):
-        w = windows[i]
-        if w is None:
-            # Presence-only: an index absent from the horizon can never recur.
-            if not occurrences[i]:
-                violations.append(ControlViolation(i, 0, horizon))
-            continue
-        occ = occurrences[i]
-        prev = -1
-        for n in occ:
-            if n - prev > w:
-                violations.append(ControlViolation(i, prev + 1, w))
-            prev = n
-        if horizon - prev > w:
-            violations.append(ControlViolation(i, prev + 1, w))
-    return violations
+        if horizon - last[i] > bound[i]:
+            violations.append(ControlViolation(i, last[i] + 1, bound[i]))
+    violations.sort(key=lambda v: v.index)
+    return seq, violations
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +211,8 @@ class Problem:
             self.selections = list(self.selections)
             if len(self.selections) != len(self.functions):
                 raise InvalidSpec("one selection strategy per function is required")
-        lams = self.relaxation_schedule(len(self._relaxation_base()))
         lo, hi = self.epsilon, 2.0 - self.epsilon
-        for lam in lams:
+        for lam in self._relaxation_base():
             if not lo <= lam <= hi:
                 raise RelaxationOutOfRange(
                     f"lambda = {lam} outside [{lo}, {hi}] for epsilon = {self.epsilon}")
@@ -302,14 +289,11 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     longer move the iterate (step size underflow).
     """
     m = len(p.functions)
-    horizon = p.max_iter
     declared = [w for w in p.control.windows(m) if w is not None]
-    check_horizon = max([horizon] + declared)
-    violations = validate_control(p.control, m, check_horizon)
+    idx, violations = _scan(p.control, m, max([p.max_iter] + declared))
     if violations:
         raise InvalidControl("; ".join(str(v) for v in violations[:5]))
-    idx = p.control.indices(m, horizon)
-    lams = p.relaxation_schedule(horizon)
+    lams = p._relaxation_base()
 
     witness = p.feasible_witness
     x = np.array(p.x0)
@@ -319,8 +303,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     if residual(p, x) <= p.tol:
         return x, SolveTrace([], "Converged", x)
 
-    for n in range(horizon):
-        i = idx[n]
+    for n, i in zip(range(p.max_iter), idx):
         f = p.functions[i]
         out = sproj(f, x, p.selections[i])
         if out.status is ProjStatus.PROJECTED:
@@ -329,7 +312,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")
-        lam = lams[n]
+        lam = lams[n % len(lams)]
         x_next = x + lam * (out.point - x)
         res = residual(p, x_next)
         rows.append(TraceRow(

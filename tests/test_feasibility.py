@@ -218,3 +218,16 @@ def test_invalid_control_messages_through_solve(control, max_iter, message):
     with pytest.raises(InvalidControl) as info:
         solve(p)
     assert str(info.value) == message
+
+
+def test_solve_builds_the_index_sequence_once():
+    calls = []
+
+    class CountingQuasiCyclic(QuasiCyclic):
+        def indices(self, m, horizon):
+            calls.append(horizon)
+            return super().indices(m, horizon)
+
+    _x, trace = solve(two_ball_problem(control=CountingQuasiCyclic([2, 3]), max_iter=500))
+    assert trace.status == "Converged"
+    assert calls == [500]
