@@ -7,6 +7,7 @@ vector in place.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
+    return v
+
+
+def finite_float(v, what: str, error: type[Exception] = ValueError) -> float:
+    """``float(v)``, raising ``error`` when it is NaN or infinite."""
+    v = float(v)
+    if not math.isfinite(v):
+        raise error(f"{what} must be finite")
     return v
 
 

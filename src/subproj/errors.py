@@ -21,6 +21,10 @@ class DomainError(SubprojError):
     """The function value is +inf at the queried point."""
 
 
+class NonFiniteValue(SubprojError):
+    """A function oracle returned NaN."""
+
+
 class EmptySubdifferential(SubprojError):
     """No subgradient can be produced at the queried point."""
 

@@ -20,15 +20,17 @@ trace, since it cannot be verified numerically for user-supplied oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_vector, norm
+from .core import as_vector, finite_float, norm
 from .errors import (
     DomainError,
     InvalidControl,
     InvalidSpec,
+    NonFiniteValue,
     RelaxationOutOfRange,
     StalledStep,
 )
@@ -203,6 +205,9 @@ class Problem:
                     "the iteration requires real-valued constraints")
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidSpec("epsilon must lie in (0, 1]")
+        finite_float(self.tol, "tol", InvalidSpec)
+        if not isinstance(self.max_iter, Integral):
+            raise InvalidSpec("max_iter must be an integer")
         if self.tol <= 0.0 or self.max_iter < 1:
             raise InvalidSpec("tol must be positive and max_iter >= 1")
         if isinstance(self.selections, SelectionStrategy):
@@ -274,10 +279,12 @@ def residual(p: Problem, x) -> float:
     worst = 0.0
     for f in p.functions:
         v = f.value(x)
-        if v == INF:
-            raise DomainError("residual undefined where a constraint is +inf")
         if v > worst:
+            if v == INF:
+                raise DomainError("residual undefined where a constraint is +inf")
             worst = v
+        elif v != v:
+            raise NonFiniteValue(f"{type(f).__name__} value is NaN")
     return worst
 
 

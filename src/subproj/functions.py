@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import as_vector, norm
+from .core import as_vector, finite_float, norm
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -224,10 +224,12 @@ class NormPow(FunctionSpec):
     nonnegative = True
 
     def __init__(self, p: float, dim: int = 1):
-        self.p = float(p)
+        self.p = finite_float(p, "NormPow p", InvalidSpec)
         self.dim = int(dim)
         if self.p < 1.0:
             raise InvalidSpec("NormPow requires p >= 1; use PowerComp for smaller exponents")
+        if self.dim < 1:
+            raise InvalidSpec("NormPow requires dim >= 1")
 
     def value(self, x):
         return norm(x) ** self.p
@@ -299,7 +301,7 @@ class SqrtShift(FunctionSpec):
     domain_is_full = False
 
     def __init__(self, eta: float):
-        self.eta = float(eta)
+        self.eta = finite_float(eta, "SqrtShift eta", InvalidSpec)
         if self.eta <= 0.0:
             raise InvalidSpec("SqrtShift requires eta > 0")
 
@@ -332,7 +334,7 @@ class Hyperbolic(FunctionSpec):
     dim = 1
 
     def __init__(self, eta: float):
-        self.eta = float(eta)
+        self.eta = finite_float(eta, "Hyperbolic eta", InvalidSpec)
         if self.eta <= 1.0:
             raise InvalidSpec("Hyperbolic requires eta > 1")
 
@@ -451,7 +453,7 @@ class Scale(FunctionSpec):
     """lam * f with lam > 0; shares the sublevel set and projector of f."""
 
     def __init__(self, lam: float, f: FunctionSpec):
-        self.lam = float(lam)
+        self.lam = finite_float(lam, "Scale lam", InvalidSpec)
         self.inner = f
         if self.lam <= 0.0:
             raise InvalidSpec("Scale requires lam > 0")
@@ -487,7 +489,7 @@ class PowerComp(FunctionSpec):
     nonnegative = True
 
     def __init__(self, alpha: float, f: FunctionSpec):
-        self.alpha = float(alpha)
+        self.alpha = finite_float(alpha, "PowerComp alpha", InvalidSpec)
         self.inner = f
         if self.alpha <= 0.0:
             raise InvalidSpec("PowerComp requires alpha > 0")
@@ -555,7 +557,7 @@ class LeftCompose(FunctionSpec):
         self.inner = f
         self.dim = f.dim
         self.domain_is_full = f.domain_is_full
-        if abs(float(phi(0.0))) > 1e-12:
+        if not abs(float(phi(0.0))) <= 1e-12:
             raise InvalidSpec("left composition requires phi(0) = 0")
 
     def value(self, x):

@@ -27,6 +27,7 @@ from .core import EPS_NORM, as_vector, norm
 from .errors import (
     DomainError,
     InfeasibleWitness,
+    NonFiniteValue,
     RelaxationOutOfRange,
     ZeroSubgradient,
 )
@@ -75,6 +76,16 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
     return x - (fx / n2) * u
 
 
+def _value(f: FunctionSpec, x: np.ndarray) -> float:
+    """f(x), raising where it is +inf or NaN and no projection is defined."""
+    fx = f.value(x)
+    if fx == INF:
+        raise DomainError("cannot project from outside the effective domain")
+    if fx != fx:
+        raise NonFiniteValue(f"{type(f).__name__} value is NaN")
+    return fx
+
+
 def sproj(f: FunctionSpec, x, strategy: SelectionStrategy = LEAST_INDEX) -> ProjOutcome:
     """Subgradient projection of x under the selection rule ``strategy``.
 
@@ -83,9 +94,7 @@ def sproj(f: FunctionSpec, x, strategy: SelectionStrategy = LEAST_INDEX) -> Proj
     raises ZeroSubgradient rather than being patched over.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
     if fx <= 0.0:
         return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None)
     u = f.subgradient(x, strategy)
@@ -101,9 +110,7 @@ def sproj_set(f: FunctionSpec, x, k: int) -> list[np.ndarray]:
     midpoints, then finer barycentric grids.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
     if fx <= 0.0:
         return [np.array(x)]
     return [halfspace_project(x, u, fx) for u in f.subdifferential_sample(x, k)]

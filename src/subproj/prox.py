@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EPS_NORM, as_vector, norm
+from .core import EPS_NORM, as_vector, finite_float, norm
 from .errors import DegenerateMoreau, ProxAuditFailed, UnsupportedAtom
 from .functions import (
     LEAST_INDEX,
@@ -63,6 +63,7 @@ def prox(f: FunctionSpec, gamma: float, x) -> np.ndarray:
     call and ProxAuditFailed is raised when one of them wins; that indicates
     a broken formula or oracle, not user error.
     """
+    finite_float(gamma, "gamma")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     x = as_vector(x, dim=f.dim)
@@ -123,6 +124,7 @@ class MoreauEnv(FunctionSpec):
     """
 
     def __init__(self, gamma: float, f: FunctionSpec):
+        finite_float(gamma, "gamma")
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if not is_prox_friendly(f):

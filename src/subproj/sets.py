@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector, norm
+from .core import as_vector, finite_float, norm
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -49,7 +49,7 @@ class Ball(ConvexSet):
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center)
-        self.radius = float(radius)
+        self.radius = finite_float(radius, "ball radius")
         self.dim = self.center.size
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
@@ -97,7 +97,7 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
-        self.offset = float(offset)
+        self.offset = finite_float(offset, "halfspace offset")
         self.dim = self.normal.size
         n2 = float(np.dot(self.normal, self.normal))
         if n2 == 0.0:

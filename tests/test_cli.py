@@ -568,3 +568,12 @@ def test_nonfinite_and_mistyped_values_exit_2(tmp_path, capsys, record, message)
     path = write(tmp_path, "p.json", record)
     assert main(["solve", "--file", path]) == 2
     assert capsys.readouterr().err == f"error: SchemaError: {message}\n"
+
+
+def test_nan_oracle_value_exits_3_naming_the_error(tmp_path, capsys, monkeypatch):
+    from subproj import Dist
+
+    path = write(tmp_path, "p.json", two_ball_record())
+    monkeypatch.setattr(Dist, "value", lambda self, x: float("nan"))
+    assert main(["solve", "--file", path]) == 3
+    assert capsys.readouterr().err == "error: NonFiniteValue: Dist value is NaN\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,26 @@ from subproj import (
     Cyclic,
     Dist,
     Explicit,
+    Halfspace,
+    Hyperbolic,
     InvalidControl,
     InvalidSpec,
+    LeftCompose,
     Linear,
+    MoreauEnv,
     NegLog,
+    NonFiniteValue,
+    NormPow,
+    PowerComp,
     Problem,
     QuasiCyclic,
     RelaxationOutOfRange,
+    Scale,
+    SqrtShift,
     StalledStep,
     residual,
     solve,
+    sproj,
     validate_control,
 )
 
@@ -231,3 +243,64 @@ def test_solve_builds_the_index_sequence_once():
     _x, trace = solve(two_ball_problem(control=CountingQuasiCyclic([2, 3]), max_iter=500))
     assert trace.status == "Converged"
     assert calls == [500]
+
+
+# -- non-finite input and oracle values --------------------------------------------------
+
+def _problem_with(**kwargs):
+    return lambda: Problem(dimension=1, functions=[Linear([1.0])], x0=[1.0], **kwargs)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Ball([0.0, 0.0], math.nan), ValueError, "ball radius must be finite"),
+    (lambda: Ball([0.0, 0.0], math.inf), ValueError, "ball radius must be finite"),
+    (lambda: Ball([0.0, 0.0], -math.inf), ValueError, "ball radius must be finite"),
+    (lambda: Ball([0.0, 0.0], 0.0), ValueError, "ball radius must be positive"),
+    (lambda: Halfspace([1.0, 0.0], math.nan), ValueError, "halfspace offset must be finite"),
+    (lambda: Halfspace([1.0, 0.0], math.inf), ValueError, "halfspace offset must be finite"),
+    (lambda: Halfspace([1.0, 0.0], -math.inf), ValueError, "halfspace offset must be finite"),
+    (lambda: NormPow(math.nan), InvalidSpec, "NormPow p must be finite"),
+    (lambda: NormPow(2.0, dim=0), InvalidSpec, "NormPow requires dim >= 1"),
+    (lambda: Scale(math.nan, Linear([1.0])), InvalidSpec, "Scale lam must be finite"),
+    (lambda: PowerComp(math.nan, NormPow(2.0)), InvalidSpec, "PowerComp alpha must be finite"),
+    (lambda: SqrtShift(math.nan), InvalidSpec, "SqrtShift eta must be finite"),
+    (lambda: Hyperbolic(math.nan), InvalidSpec, "Hyperbolic eta must be finite"),
+    (lambda: Hyperbolic(1.0), InvalidSpec, "Hyperbolic requires eta > 1"),
+    (lambda: MoreauEnv(math.nan, NormPow(2.0)), ValueError, "gamma must be finite"),
+    (lambda: LeftCompose(lambda t: math.nan, lambda t: 1.0, Linear([1.0])), InvalidSpec,
+     "left composition requires phi(0) = 0"),
+    (_problem_with(tol=math.nan), InvalidSpec, "tol must be finite"),
+    (_problem_with(tol=math.inf), InvalidSpec, "tol must be finite"),
+    (_problem_with(tol=0.0), InvalidSpec, "tol must be positive and max_iter >= 1"),
+    (_problem_with(max_iter=2.5), InvalidSpec, "max_iter must be an integer"),
+])
+def test_non_finite_and_non_integer_parameters_rejected(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def nan_outside_unit_ball():
+    """A broken oracle: phi(t) is NaN for t > 0, so the value is NaN off the ball."""
+    return LeftCompose(lambda t: math.nan if t > 0.0 else t, lambda t: 1.0,
+                       Dist(Ball([0.0, 0.0], 1.0)))
+
+
+def test_nan_oracle_value_is_not_converged():
+    p = Problem(dimension=2, functions=[nan_outside_unit_ball()], x0=[3.0, 0.0])
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        solve(p)
+
+
+def test_nan_oracle_value_is_not_projected():
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        sproj(nan_outside_unit_ball(), [3.0, 0.0])
+
+
+def test_nan_oracle_value_is_not_skipped_by_residual():
+    p = Problem(dimension=2, functions=[nan_outside_unit_ball(), Dist(Ball([0.0, 0.0], 1.0))],
+                x0=[3.0, 0.0])
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        residual(p, [3.0, 0.0])
+    assert residual(p, [0.5, 0.0]) == 0.0
