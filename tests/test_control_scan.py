@@ -49,13 +49,8 @@ def reference_validate(control, m, horizon):
 def outcome(check, control, m, horizon):
     try:
         return "ok", check(control, m, horizon)
-    except Exception as exc:  # the comparison covers the error type and message
+    except (InvalidControl, ValueError) as exc:
         return "raised", type(exc), str(exc)
-
-
-def window_lists(m):
-    # Mostly one bound per index; sometimes a wrong count, to reach that error.
-    return st.lists(st.integers(-1, 10), min_size=max(m - 1, 0), max_size=m + 1)
 
 
 @st.composite
@@ -67,7 +62,9 @@ def cases(draw):
                                             max_size=m + 1)))
     else:
         index_list = draw(st.lists(st.integers(-1, m), min_size=1, max_size=12))
-        windows = draw(window_lists(m)) if kind == "explicit-windows" else None
+        # Mostly one bound per index; sometimes a wrong count, to reach that error.
+        windows = (draw(st.lists(st.integers(-1, 10), min_size=m - 1, max_size=m + 1))
+                   if kind == "explicit-windows" else None)
         control = Explicit(index_list, windows)
     return control, m, draw(st.integers(0, 60))
 
