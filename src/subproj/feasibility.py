@@ -239,9 +239,13 @@ class Problem:
         return (base * reps)[:horizon]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
-    """One executed iteration: x_{n+1} statistics under constraint i(n)."""
+    """One executed iteration: x_{n+1} statistics under constraint i(n).
+
+    Slotted: a solve keeps one row per iteration, so the trace is most of the
+    memory a long solve holds.
+    """
 
     n: int
     index: int
