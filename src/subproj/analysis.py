@@ -17,12 +17,24 @@ import numpy as np
 
 from .core import EPS_NORM, as_vector, norm
 from .errors import (
+    DomainError,
     EmptySample,
     NotPositiveHere,
     ZeroFunctionValue,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import sproj
+from .projector import _value, sproj
+
+
+def _positive_value(f: FunctionSpec, x: np.ndarray, message: str) -> float:
+    """f(x) through the projector's value gate; NotPositiveHere(message) unless f(x) > 0."""
+    try:
+        fx = _value(f, x)
+    except DomainError:
+        raise NotPositiveHere(message) from None
+    if fx <= 0.0:
+        raise NotPositiveHere(message)
+    return fx
 
 
 def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
@@ -36,9 +48,7 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     boundary, where the operator is smooth.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF or fx <= 0.0:
-        raise NotPositiveHere("the Jacobian formula applies where f(x) > 0")
+    fx = _positive_value(f, x, "the Jacobian formula applies where f(x) > 0")
     u = f.gradient(x)
     h = f.hessian(x)
     n2 = float(np.dot(u, u))
@@ -59,7 +69,7 @@ def sproj_deriv_1d(f: FunctionSpec, x: float) -> float:
     not be differentiable even for smooth f.
     """
     xv = as_vector(x, dim=1)
-    fx = f.value(xv)
+    fx = _value(f, xv)
     if fx == 0.0:
         raise ZeroFunctionValue("the projector derivative is undefined where f(x) = 0")
     if fx < 0.0:
@@ -84,10 +94,7 @@ def lipschitz_bound(f: FunctionSpec, samples: Sequence, beta: float) -> float:
     vals = []
     grads = []
     for p in pts:
-        v = f.value(p)
-        if v <= 0.0 or v == INF:
-            raise NotPositiveHere("every sample must satisfy 0 < f(x) < +inf")
-        vals.append(v)
+        vals.append(_positive_value(f, p, "every sample must satisfy 0 < f(x) < +inf"))
         grads.append(f.gradient(p))
     if f.dim == 1:
         sup_f = max(vals)
@@ -178,14 +185,13 @@ def seq_lab(family: Callable[[int], FunctionSpec], f: FunctionSpec, x,
     * f(x) > 0 with f_n(x) -> f(x) and U_n x -> U x: plain convergence.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
     out = sproj(f, x, strategy)
-    gx = out.point
+    fx, gx = out.f_value, out.point
 
     devs = np.zeros(n_steps)
     fn_vals = np.zeros(n_steps)
     sel_devs = np.zeros(n_steps)
-    u_lim = out.subgradient_used if out.subgradient_used is not None else None
+    u_lim = out.subgradient_used
     for j in range(n_steps):
         fn = family(j + 1)
         xn = as_vector(x, dim=fn.dim)
@@ -244,9 +250,7 @@ def dist_bound_check(f: FunctionSpec, x,
     true distance.  Requires an exact level-set projection oracle.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF or fx <= 0.0:
-        raise NotPositiveHere("the bound is defined where f(x) > 0")
+    fx = _positive_value(f, x, "the bound is defined where f(x) > 0")
     u = f.subgradient(x, strategy)
     lhs = fx / norm(u)
     rhs = norm(x - f.level_set_project(x))

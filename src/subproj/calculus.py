@@ -21,20 +21,19 @@ import numpy as np
 
 from .core import as_vector, norm
 from .errors import (
-    DomainError,
     NegativeBaseError,
     NonMonotonePhi,
     NotPositiveHere,
 )
 from .functions import (
-    INF,
     LEAST_INDEX,
     FunctionSpec,
+    InfConv,
     Scale,
     SelectionStrategy,
     scaled_orthogonal_factor,
 )
-from .projector import ProjOutcome, sproj
+from .projector import ProjOutcome, _cut_norm2, _value, halfspace_project, sproj
 
 
 def sproj_scale(lam: float, f: FunctionSpec, x,
@@ -52,16 +51,13 @@ def sproj_leftcompose(phi_pair, f: FunctionSpec, x) -> np.ndarray:
     """
     phi, dphi = phi_pair
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
     if fx <= 0.0:
         return np.array(x)
     slope = float(dphi(fx))
     if slope <= 0.0:
         raise NonMonotonePhi(f"phi'({fx}) = {slope} must be positive")
-    grad = f.gradient(x)
-    gx = x - (fx / float(np.dot(grad, grad))) * grad
+    gx = halfspace_project(x, f.gradient(x), fx)
     ratio = float(phi(fx)) / (fx * slope)
     return x + ratio * (gx - x)
 
@@ -72,12 +68,10 @@ def sproj_power(alpha: float, f: FunctionSpec, x,
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF:
-        raise DomainError("cannot project from outside the effective domain")
-    if fx < -1e-12:
-        raise NegativeBaseError(f"the power rule needs f >= 0, got f(x) = {fx}")
-    return (1.0 - alpha) * x + alpha * sproj(f, x, strategy).point
+    out = sproj(f, x, strategy)
+    if out.f_value < -1e-12:
+        raise NegativeBaseError(f"the power rule needs f >= 0, got f(x) = {out.f_value}")
+    return (1.0 - alpha) * x + alpha * out.point
 
 
 def sproj_rightlinear(L, f: FunctionSpec, y,
@@ -101,14 +95,12 @@ def sproj_convexcomb(alpha: float, f: FunctionSpec, g: FunctionSpec,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    gx = g.value(x)
-    if fx == INF or gx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
+    gx = _value(g, x)
     if fx <= 0.0 and gx <= 0.0:
         return np.array(x)
     u = as_vector(joint_u(x), dim=f.dim)
-    n2 = float(np.dot(u, u))
+    n2 = _cut_norm2(u)
     hx = alpha * fx + (1.0 - alpha) * gx
     pf = x - (max(fx, 0.0) / n2) * u
     pg = x - (max(gx, 0.0) / n2) * u
@@ -131,14 +123,12 @@ def sproj_sum(f: FunctionSpec, g: FunctionSpec, joint_u, x) -> np.ndarray:
     carries the min(|f(x)|, |g(x)|) / (2 ||u||^2) correction along u.
     """
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    gx = g.value(x)
-    if fx == INF or gx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
+    gx = _value(g, x)
     if fx <= 0.0 and gx <= 0.0:
         return np.array(x)
     u = as_vector(joint_u(x), dim=f.dim)
-    n2 = float(np.dot(u, u))
+    n2 = _cut_norm2(u)
     pf = x - (max(fx, 0.0) / n2) * u
     pg = x - (max(gx, 0.0) / n2) * u
     mean = 0.5 * pf + 0.5 * pg
@@ -154,17 +144,12 @@ def sproj_infconv(f: FunctionSpec, g: FunctionSpec, minimizer, joint_u, x) -> np
     call; ``joint_u`` must satisfy u(x) = u(Mx) = u(x - Mx).  The result splits
     as G_f(Mx) + G_g(x - Mx) exactly when f(Mx) g(x - Mx) >= 0.
     """
-    from .functions import InfConv
-
     spec = InfConv(f, g, minimizer, joint_u)
     x = as_vector(x, dim=f.dim)
     _, fy, gxy = spec.split_at(x)
     if fy <= 0.0 and gxy <= 0.0:
         return np.array(x)
-    u = as_vector(joint_u(x), dim=f.dim)
-    n2 = float(np.dot(u, u))
-    total = max(fy + gxy, 0.0)
-    return x - (total / n2) * u
+    return halfspace_project(x, joint_u(x), fy + gxy)
 
 
 def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
@@ -177,9 +162,7 @@ def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     x = as_vector(x, dim=f.dim)
-    fx = f.value(x)
-    if fx == INF:
-        raise DomainError("cannot project from outside the effective domain")
+    fx = _value(f, x)
     if fx <= 0.0:
         raise NotPositiveHere("the gap is defined where f(x) > 0")
     grad = f.gradient(x)

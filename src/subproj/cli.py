@@ -23,13 +23,16 @@ import numpy as np
 
 from . import analysis
 from .core import as_vector, fd_jacobian
-from .errors import SchemaError, SubprojError
+from .errors import EmptySample, SchemaError, SubprojError
 from .feasibility import Problem, SolveTrace, solve
 from .functions import EndpointK, LEAST_INDEX, CENTROID, SelectionStrategy
 from .projector import sproj
 from .serialize import parse_problem_file, problem_from_record
 
 FMT = "{:.17g}"  # trace numbers carry 17 significant digits
+
+# analyze lipschitz gives up after this many random draws per requested sample.
+DRAWS_PER_SAMPLE = 100
 
 
 def _fmt(v: float) -> str:
@@ -140,10 +143,16 @@ def cmd_analyze(args) -> int:
 
     if args.what == "lipschitz":
         samples = []
-        while len(samples) < args.count:
+        draws = DRAWS_PER_SAMPLE * args.count
+        for _ in range(draws):
+            if len(samples) >= args.count:
+                break
             cand = point + rng.standard_normal(f.dim)
             if 0.0 < f.value(cand) < np.inf:
                 samples.append(cand)
+        if len(samples) < args.count:
+            raise EmptySample(f"{len(samples)} of {draws} draws around the point"
+                              f" have 0 < f(x) < +inf; {args.count} are needed")
         bound = analysis.lipschitz_bound(f, samples, args.beta)
         quotients = []
         for _ in range(args.count):

@@ -65,6 +65,14 @@ class ControlSequence:
         return list(self.window_bounds)
 
 
+def _window_bounds(window_bounds: Sequence[int]) -> list[int]:
+    """Declared window bounds as ints, raising InvalidControl on any below 1."""
+    bounds = [int(w) for w in window_bounds]
+    if any(w < 1 for w in bounds):
+        raise InvalidControl("window bounds must be >= 1")
+    return bounds
+
+
 class Cyclic(ControlSequence):
     """0, 1, ..., m-1, 0, 1, ...; every index recurs within a window of m."""
 
@@ -88,9 +96,7 @@ class QuasiCyclic(ControlSequence):
     """
 
     def __init__(self, window_bounds: Sequence[int]):
-        self.window_bounds = [int(w) for w in window_bounds]
-        if any(w < 1 for w in self.window_bounds):
-            raise InvalidControl("window bounds must be >= 1")
+        self.window_bounds = _window_bounds(window_bounds)
 
     def indices(self, m, horizon):
         windows = self.windows(m)
@@ -118,7 +124,7 @@ class Explicit(ControlSequence):
         self.index_list = [int(i) for i in index_list]
         if not self.index_list:
             raise InvalidControl("the index list must be nonempty")
-        self.window_bounds = None if window_bounds is None else [int(w) for w in window_bounds]
+        self.window_bounds = None if window_bounds is None else _window_bounds(window_bounds)
 
     def indices(self, m, horizon):
         if any(i < 0 or i >= m for i in self.index_list):

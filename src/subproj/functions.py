@@ -45,6 +45,7 @@ from .errors import (
     JointSelectionUnavailable,
     NegativeBaseError,
     NoLevelSetOracle,
+    NonFiniteValue,
     NotDifferentiableHere,
     NotScaledOrthogonal,
     NotTwiceDifferentiable,
@@ -601,14 +602,15 @@ def scaled_orthogonal_factor(L: np.ndarray, tol: float = 1e-10) -> float:
     return alpha
 
 
-class _LinearImage(FunctionSpec):
-    """f o L for an arbitrary matrix L; subgradients are L^T u(Lx)."""
+class RightLinear(FunctionSpec):
+    """f o L for L^T L = L L^T = alpha I (checked at construction); subgradients L^T u(Lx)."""
 
     def __init__(self, L, f: FunctionSpec):
         self.L = np.asarray(L, dtype=float)
-        self.inner = f
-        if self.L.ndim != 2 or self.L.shape[0] != f.dim:
+        self.alpha = scaled_orthogonal_factor(self.L)
+        if self.L.shape[0] != f.dim:
             raise DimensionMismatch("matrix rows must match the inner dimension")
+        self.inner = f
         self.dim = self.L.shape[1]
         self.domain_is_full = f.domain_is_full
         self.nonnegative = f.nonnegative
@@ -624,15 +626,6 @@ class _LinearImage(FunctionSpec):
 
     def hessian(self, x):
         return self.L.T @ self.inner.hessian(self.L @ x) @ self.L
-
-
-class RightLinear(_LinearImage):
-    """f o L for L with L^T L = L L^T = alpha I (verified at construction)."""
-
-    def __init__(self, L, f: FunctionSpec):
-        alpha = scaled_orthogonal_factor(np.asarray(L, dtype=float))
-        super().__init__(L, f)
-        self.alpha = alpha
 
     def level_set_project(self, x):
         p = self.inner.level_set_project(self.L @ x)
@@ -709,10 +702,17 @@ class InfConv(FunctionSpec):
         self.dim = f.dim
 
     def split_at(self, x):
-        """Return (y, f(y), g(x - y)) with the argmin audited."""
+        """Return (y, f(y), g(x - y)) with the argmin audited.
+
+        Raises NonFiniteValue when f(y) or g(x - y) is NaN, which the audit
+        could not catch.
+        """
         y = as_vector(self.minimizer(x), dim=self.dim)
         fy = self.f.value(y)
         gxy = self.g.value(x - y)
+        for h, v in ((self.f, fy), (self.g, gxy)):
+            if v != v:
+                raise NonFiniteValue(f"{type(h).__name__} value is NaN")
         best = fy + gxy
         rng = np.random.default_rng(271828)
         scale = 1.0 + norm(x)

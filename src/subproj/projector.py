@@ -70,10 +70,15 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
     if fx <= 0.0:
         return np.array(x)
     u = as_vector(u, dim=x.size)
+    return x - (fx / _cut_norm2(u)) * u
+
+
+def _cut_norm2(u: np.ndarray) -> float:
+    """||u||^2 of a cut normal, raising ZeroSubgradient where u is numerically zero."""
     n2 = float(np.dot(u, u))
     if np.sqrt(n2) <= EPS_NORM:
         raise ZeroSubgradient("zero subgradient with positive function value")
-    return x - (fx / n2) * u
+    return n2
 
 
 def _value(f: FunctionSpec, x: np.ndarray) -> float:

@@ -10,9 +10,11 @@ from subproj import (
     EmptySample,
     Halfspace,
     Hyperbolic,
+    LeftCompose,
     Linear,
     NegLog,
     NoLevelSetOracle,
+    NonFiniteValue,
     NormPow,
     NotPositiveHere,
     Scale,
@@ -285,3 +287,19 @@ def test_dist_bound_requires_oracle_and_positive_value():
         dist_bound_check(f, [1.0, 1.0])
     with pytest.raises(NotPositiveHere):
         dist_bound_check(NegLog(), 2.0)
+
+
+# -- broken oracles end as named errors ------------------------------------------------
+
+@pytest.mark.parametrize("dim, call", [
+    pytest.param(2, lambda f: sproj_jacobian(f, [3.0, 0.0]), id="jacobian"),
+    pytest.param(1, lambda f: sproj_deriv_1d(f, 3.0), id="deriv-1d"),
+    pytest.param(2, lambda f: lipschitz_bound(f, [[3.0, 0.0]], 1.0), id="lipschitz"),
+    pytest.param(2, lambda f: dist_bound_check(f, [3.0, 0.0]), id="distbound"),
+])
+def test_nan_value_raises_nonfinite(dim, call):
+    # phi(t) is NaN for t > 0, so the value is NaN outside the unit ball.
+    f = LeftCompose(lambda t: math.nan if t > 0.0 else t, lambda t: 1.0,
+                    Dist(Ball(np.zeros(dim), 1.0)))
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        call(f)

@@ -8,12 +8,15 @@ from subproj import (
     Ball,
     ConvexComb,
     Dist,
+    FunctionSpec,
     InconsistentMinimizer,
     Indicator,
     JointSelectionUnavailable,
+    LEAST_INDEX,
     LeftCompose,
     Linear,
     NegLog,
+    NonFiniteValue,
     NonMonotonePhi,
     NormPow,
     NotDifferentiableHere,
@@ -24,6 +27,7 @@ from subproj import (
     Scale,
     SqDist,
     SumPair,
+    ZeroSubgradient,
     acceleration_gap,
     concentric_ball_pair,
     evaluate,
@@ -37,7 +41,6 @@ from subproj import (
     sproj_scale,
     sproj_sum,
 )
-from subproj.functions import _LinearImage
 
 
 def random_rotation(rng, d):
@@ -196,6 +199,19 @@ def test_rightlinear_rejects_general_matrices():
         sproj_rightlinear(np.array([[1.0, 0.3], [0.0, 1.0]]), NormPow(2.0, dim=2), [1.0, 1.0])
 
 
+class LinearImage(FunctionSpec):
+    """f o L for an arbitrary matrix L, with subgradients L^T u(Lx)."""
+
+    def __init__(self, L, f):
+        self.L, self.inner, self.dim = L, f, L.shape[1]
+
+    def value(self, x):
+        return self.inner.value(self.L @ x)
+
+    def subgradient(self, x, strategy=LEAST_INDEX):
+        return self.L.T @ self.inner.subgradient(self.L @ x, strategy)
+
+
 def test_general_linear_image_identity():
     # For arbitrary L the pulled-back projection and the projection of the
     # composed function are linked by an exact correction identity.
@@ -204,7 +220,7 @@ def test_general_linear_image_identity():
     for _ in range(40):
         L = rng.standard_normal((3, 3))
         y = rng.standard_normal(3) * 2.0
-        comp = _LinearImage(L, f)
+        comp = LinearImage(L, f)
         if evaluate(comp, y) <= 0.0:
             continue
         u = f.subgradient(L @ y)
@@ -387,3 +403,70 @@ def test_acceleration_reach_and_proximity():
         assert reach_diff == pytest.approx(gap, abs=1e-9)
         p = ball_set.project(x)
         assert np.linalg.norm(gx - p) <= np.linalg.norm(gax - p) + 1e-12
+
+
+# -- broken oracles end as named errors ------------------------------------------------
+
+def nan_off_ball():
+    """A broken oracle: the value is NaN outside the unit ball."""
+    return LeftCompose(lambda t: math.nan if t > 0.0 else t, lambda t: 1.0,
+                       Dist(Ball([0.0, 0.0], 1.0)))
+
+
+X = [3.0, 0.0]
+PHI = (lambda t: t, lambda t: 1.0)
+FINE = Dist(Ball([0.0, 0.0], 2.0))
+
+
+def along_x(x):
+    return np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: sproj_leftcompose(PHI, f, X), id="leftcompose"),
+    pytest.param(lambda f: sproj_power(0.5, f, X), id="power"),
+    pytest.param(lambda f: sproj_convexcomb(0.5, f, FINE, along_x, X), id="convexcomb-f"),
+    pytest.param(lambda f: sproj_convexcomb(0.5, FINE, f, along_x, X), id="convexcomb-g"),
+    pytest.param(lambda f: sproj_sum(f, FINE, along_x, X), id="sum-f"),
+    pytest.param(lambda f: sproj_sum(FINE, f, along_x, X), id="sum-g"),
+    pytest.param(lambda f: sproj_infconv(f, FINE, lambda x: x, along_x, X), id="infconv-f"),
+    pytest.param(lambda f: sproj_infconv(FINE, f, lambda x: 0.0 * x, along_x, X), id="infconv-g"),
+    pytest.param(lambda f: acceleration_gap(f, 0.5, X), id="acceleration-gap"),
+])
+def test_nan_value_raises_nonfinite(call):
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        call(nan_off_ball())
+
+
+CONSTANT = AffineMax([([0.0, 0.0], 1.0)])  # f = 1 everywhere, gradient 0
+
+
+def zero(x):
+    return np.zeros(2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sproj_leftcompose(PHI, CONSTANT, X), id="leftcompose"),
+    pytest.param(lambda: sproj_convexcomb(0.5, CONSTANT, CONSTANT, zero, X), id="convexcomb"),
+    pytest.param(lambda: sproj_sum(CONSTANT, CONSTANT, zero, X), id="sum"),
+    pytest.param(lambda: sproj_infconv(CONSTANT, CONSTANT, lambda x: 0.5 * x, zero, X),
+                 id="infconv"),
+])
+def test_zero_normal_at_positive_value_raises(call):
+    with pytest.raises(ZeroSubgradient, match="zero subgradient with positive function value"):
+        call()
+
+
+def test_power_rule_evaluates_f_once():
+    calls = []
+
+    class CountingDist(Dist):
+        def value(self, x):
+            calls.append(x)
+            return super().value(x)
+
+    f = CountingDist(Ball([0.0, 0.0], 1.0))
+    for x in ([3.0, 0.0], [0.2, 0.0]):
+        calls.clear()
+        sproj_power(0.5, f, x)
+        assert len(calls) == 1

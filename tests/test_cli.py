@@ -228,6 +228,17 @@ def test_analyze_lipschitz(tmp_path, capsys):
     assert quot <= bound + 1e-9
 
 
+def test_analyze_lipschitz_gives_up_without_positive_samples(tmp_path, capsys):
+    # Every draw around the centre of a large ball has f = 0, so none qualifies.
+    record = neglog_record(functions=[{"type": "dist", "set": {
+        "type": "ball", "center": [0.0, 0.0], "radius": 1000.0}}], dimension=2, x0=[0.0, 0.0])
+    path = write(tmp_path, "p.json", record)
+    assert main(["analyze", "lipschitz", "--file", path, "--point", "0.0", "0.0",
+                 "--count", "5"]) == 3
+    assert capsys.readouterr().err == ("error: EmptySample: 0 of 500 draws around the point"
+                                       " have 0 < f(x) < +inf; 5 are needed\n")
+
+
 # -- every tag survives a record round trip ---------------------------------------------
 
 BALL = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
@@ -477,6 +488,9 @@ MALFORMED_PROBLEMS = [
      "problem: every function must match the problem dimension"),
     (_fn({"type": "indicator", "set": BALL}), f"problem: Indicator {NOT_FULL}"),
     (neglog_record(), f"problem: NegLog {NOT_FULL}"),
+    # the window check QuasiCyclic and Explicit share
+    (two_ball_record(control={"type": "explicit", "indices": [0, 1], "windows": [0, 5]}),
+     "problem.control: window bounds must be >= 1"),
 ]
 
 

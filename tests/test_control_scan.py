@@ -63,7 +63,8 @@ def cases(draw):
     else:
         index_list = draw(st.lists(st.integers(-1, m), min_size=1, max_size=12))
         # Mostly one bound per index; sometimes a wrong count, to reach that error.
-        windows = (draw(st.lists(st.integers(-1, 10), min_size=m - 1, max_size=m + 1))
+        # Bounds below 1 are rejected at construction (tested in test_feasibility).
+        windows = (draw(st.lists(st.integers(1, 10), min_size=m - 1, max_size=m + 1))
                    if kind == "explicit-windows" else None)
         control = Explicit(index_list, windows)
     return control, m, draw(st.integers(0, 60))

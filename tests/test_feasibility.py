@@ -71,6 +71,13 @@ def test_quasicyclic_window_count_mismatch():
         QuasiCyclic([2, 2]).indices(3, 10)
 
 
+@pytest.mark.parametrize("make", [lambda: QuasiCyclic([0, 2]), lambda: Explicit([0, 1], [0, 5])],
+                         ids=["quasicyclic", "explicit"])
+def test_window_bounds_below_one_rejected_at_construction(make):
+    with pytest.raises(InvalidControl, match="^window bounds must be >= 1$"):
+        make()
+
+
 def test_validate_control_requires_covering_horizon():
     with pytest.raises(ValueError):
         validate_control(QuasiCyclic([50, 50]), 2, 10)
