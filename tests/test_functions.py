@@ -12,6 +12,7 @@ from subproj import (
     DimensionMismatch,
     Dist,
     DomainError,
+    EmptySubdifferential,
     EndpointK,
     Halfspace,
     Hyperbolic,
@@ -19,9 +20,11 @@ from subproj import (
     InvalidSpec,
     LeftCompose,
     Linear,
+    MoreauEnv,
     NegativeBaseError,
     NegLog,
     NormPow,
+    NotDifferentiableHere,
     NotScaledOrthogonal,
     NotTwiceDifferentiable,
     Point,
@@ -30,7 +33,9 @@ from subproj import (
     Scale,
     SqDist,
     SqrtShift,
+    SumPair,
     UnsupportedAtom,
+    as_vector,
     evaluate,
     fd_jacobian,
     hessian,
@@ -108,6 +113,144 @@ def test_selection_is_deterministic():
         a = subgradient(f, x, strat)
         b = subgradient(f, x, strat)
         assert np.array_equal(a, b)
+
+
+# -- gradient and subgradient at smooth points and kinks -------------------------
+
+PUBLIC_STRATEGIES = (LEAST_INDEX, CENTROID, EndpointK(1))
+
+BOUNDARY = (NotDifferentiableHere, "distance is not differentiable on the set boundary")
+NORM_AT_0 = (NotDifferentiableHere, "the norm is not differentiable at 0")
+DISTINCT_SLOPES = (NotDifferentiableHere, "several pieces are active with distinct slopes")
+FRACTIONAL = (NotDifferentiableHere, "fractional power is not differentiable on the zero set")
+NO_FRACTIONAL_SUBGRADIENT = (EmptySubdifferential,
+                             "fractional power has no subgradient on the zero set")
+INDICATOR = (UnsupportedAtom, "indicator atoms only support projection through a Moreau envelope")
+
+UNIT_BALL = Ball([0.0, 0.0], 1.0)
+ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+KINKED_1D = AffineMax([([1.0], 1.0), ([3.0], 1.0)])          # kink at 0
+KINKED_2D = AffineMax([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], 0.0)])
+TWIN_SLOPES = AffineMax([([1.0, 2.0], 0.0), ([1.0, 2.0], 0.0), ([0.0, -1.0], -5.0)])
+DOUBLE = (lambda t: 2.0 * t, lambda t: 2.0)
+
+
+def _radial(x):
+    return x / np.linalg.norm(x)
+
+
+# (spec, x, gradient outcome, subgradient outcome).  An outcome is a list of
+# coordinates or an (exception type, message) pair; the subgradient outcome is
+# one outcome shared by LEAST_INDEX, CENTROID and EndpointK(1), or a triple in
+# that order where the strategies disagree.
+ORACLE_TABLE = [
+    (Linear([3.0, -4.0]), [1.0, 2.0], [3.0, -4.0], [3.0, -4.0]),
+    # distance: smooth outside, zero inside, kinked on the boundary
+    (Dist(UNIT_BALL), [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
+    (Dist(UNIT_BALL), [1.0, 0.0], BOUNDARY, [0.0, 0.0]),
+    (Dist(UNIT_BALL), [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (Dist(Halfspace([1.0, 0.0], 1.0)), [3.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
+    (Dist(Halfspace([1.0, 0.0], 1.0)), [1.0, 5.0], BOUNDARY, [0.0, 0.0]),
+    (Dist(Halfspace([1.0, 0.0], 1.0)), [0.0, 5.0], [0.0, 0.0], [0.0, 0.0]),
+    (Dist(Box([0.0, 0.0], [1.0, 1.0])), [2.0, 0.5], [1.0, 0.0], [1.0, 0.0]),
+    (Dist(Box([0.0, 0.0], [1.0, 1.0])), [1.0, 0.5], BOUNDARY, [0.0, 0.0]),
+    (Dist(Box([0.0, 0.0], [1.0, 1.0])), [0.0, 0.0], BOUNDARY, [0.0, 0.0]),
+    (Dist(Box([0.0, 0.0], [1.0, 1.0])), [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]),
+    (SqDist(UNIT_BALL), [3.0, 0.0], [4.0, 0.0], [4.0, 0.0]),
+    (SqDist(UNIT_BALL), [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    # ||x||^p: p = 1 is kinked at 0, p > 1 is not
+    (NormPow(2.0, dim=2), [3.0, 4.0], [6.0, 8.0], [6.0, 8.0]),
+    (NormPow(2.0, dim=2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (NormPow(1.0, dim=2), [3.0, 4.0], [0.6, 0.8], [0.6, 0.8]),
+    (NormPow(1.0, dim=2), [0.0, 0.0], NORM_AT_0, [0.0, 0.0]),
+    (NormPow(3.0, dim=1), [2.0], [12.0], [12.0]),
+    (NegLog(), [2.0], [-0.5], [-0.5]),
+    (NegLog(), [-1.0], (DomainError, "-ln(x) is +inf at x <= 0"),
+     (DomainError, "-ln(x) is +inf at x <= 0")),
+    (SqrtShift(2.0), [4.0], [-0.25], [-0.25]),
+    (SqrtShift(2.0), [0.0], (DomainError, "eta - sqrt(x) is +inf at x <= 0"),
+     (DomainError, "eta - sqrt(x) is +inf at x <= 0")),
+    (Hyperbolic(2.0), [0.0], [0.0], [0.0]),
+    (Hyperbolic(2.0), [1.0], [math.sqrt(0.5)], [math.sqrt(0.5)]),
+    # affine max: distinct active slopes are a kink, equal ones are not
+    (KINKED_1D, [1.0], [3.0], [3.0]),
+    (KINKED_1D, [0.0], DISTINCT_SLOPES, ([1.0], [2.0], [3.0])),
+    (KINKED_2D, [0.0, 0.0], DISTINCT_SLOPES, ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0])),
+    (KINKED_2D, [2.0, 1.0], [1.0, 0.0], [1.0, 0.0]),
+    (TWIN_SLOPES, [1.0, 1.0], [1.0, 2.0], [1.0, 2.0]),
+    (Indicator(UNIT_BALL), [0.5, 0.0], INDICATOR, INDICATOR),
+    (Indicator(UNIT_BALL), [2.0, 0.0], INDICATOR, INDICATOR),
+    # lam * f
+    (Scale(2.0, Dist(UNIT_BALL)), [2.0, 0.0], [2.0, 0.0], [2.0, 0.0]),
+    (Scale(2.0, Dist(UNIT_BALL)), [1.0, 0.0], BOUNDARY, [0.0, 0.0]),
+    (Scale(0.5, KINKED_1D), [0.0], DISTINCT_SLOPES, ([0.5], [1.0], [1.5])),
+    (Scale(2.0, NormPow(1.0, dim=2)), [0.0, 0.0], NORM_AT_0, [0.0, 0.0]),
+    # f^(1/alpha) on and off the zero set, for 1/alpha > 1, = 1 and < 1
+    (PowerComp(0.5, Dist(UNIT_BALL)), [3.0, 0.0], [4.0, 0.0], [4.0, 0.0]),
+    (PowerComp(0.5, Dist(UNIT_BALL)), [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (PowerComp(0.5, Dist(UNIT_BALL)), [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (PowerComp(0.5, NormPow(1.0, dim=2)), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (PowerComp(1.0, Dist(UNIT_BALL)), [3.0, 0.0], [1.0, 0.0], [1.0, 0.0]),
+    (PowerComp(1.0, Dist(UNIT_BALL)), [1.0, 0.0], BOUNDARY, [0.0, 0.0]),
+    (PowerComp(1.0, Dist(UNIT_BALL)), [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (PowerComp(1.0, NormPow(1.0, dim=2)), [0.0, 0.0], NORM_AT_0, [0.0, 0.0]),
+    (PowerComp(1.0, KINKED_1D), [0.0], DISTINCT_SLOPES, ([1.0], [2.0], [3.0])),
+    (PowerComp(1.0, Indicator(UNIT_BALL)), [0.5, 0.0], INDICATOR, INDICATOR),
+    (PowerComp(2.0, Dist(UNIT_BALL)), [5.0, 0.0], [0.25, 0.0], [0.25, 0.0]),
+    (PowerComp(2.0, Dist(UNIT_BALL)), [1.0, 0.0], FRACTIONAL, NO_FRACTIONAL_SUBGRADIENT),
+    (PowerComp(2.0, Dist(UNIT_BALL)), [0.5, 0.0], FRACTIONAL, NO_FRACTIONAL_SUBGRADIENT),
+    (PowerComp(2.0, Indicator(UNIT_BALL)), [0.5, 0.0], FRACTIONAL, INDICATOR),
+    (PowerComp(2.0, Indicator(UNIT_BALL)), [2.0, 0.0],
+     (DomainError, "base function is +inf here"), (DomainError, "base function is +inf here")),
+    (PowerComp(2.0, Linear([1.0])), [-1.0],
+     (NegativeBaseError, "base function is negative (-1.0) at this point"),
+     (NegativeBaseError, "base function is negative (-1.0) at this point")),
+    # phi o f
+    (LeftCompose(*DOUBLE, Dist(UNIT_BALL)), [3.0, 0.0], [2.0, 0.0], [2.0, 0.0]),
+    (LeftCompose(*DOUBLE, Dist(UNIT_BALL)), [1.0, 0.0], BOUNDARY, [0.0, 0.0]),
+    (LeftCompose(*DOUBLE, KINKED_1D), [0.0], DISTINCT_SLOPES, ([2.0], [4.0], [6.0])),
+    (LeftCompose(*DOUBLE, NegLog()), [-1.0], (DomainError, "inner function is +inf here"),
+     (DomainError, "inner function is +inf here")),
+    # f o L with L a rotation: L [0, -2] = [2, 0]
+    (RightLinear(ROT, Dist(UNIT_BALL)), [0.0, -2.0], [0.0, -1.0], [0.0, -1.0]),
+    (RightLinear(ROT, Dist(UNIT_BALL)), [0.0, -1.0], BOUNDARY, [0.0, 0.0]),
+    (RightLinear(ROT, KINKED_2D), [0.0, 0.0], DISTINCT_SLOPES,
+     ([0.0, -1.0], [0.0, 0.0], [1.0, 0.0])),
+    (RightLinear(ROT, NormPow(1.0, dim=2)), [0.0, 0.0], NORM_AT_0, [0.0, 0.0]),
+    # Moreau envelopes are differentiable everywhere
+    (MoreauEnv(1.0, Indicator(UNIT_BALL)), [3.0, 0.0], [2.0, 0.0], [2.0, 0.0]),
+    (MoreauEnv(1.0, Indicator(UNIT_BALL)), [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    (MoreauEnv(1.0, NormPow(1.0, dim=2)), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    # the sum's selection is twice the joint selection whatever the strategy
+    (SumPair(Dist(UNIT_BALL), Dist(UNIT_BALL), _radial), [0.0, 3.0],
+     [0.0, 2.0], [0.0, 2.0]),
+]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 -- the table pins the exact error
+        return type(exc), str(exc)
+
+
+def _assert_outcome(actual, expected):
+    if isinstance(expected, tuple):
+        assert isinstance(actual, tuple) and actual == expected, actual
+    else:
+        assert isinstance(actual, np.ndarray), actual
+        assert actual.shape == (len(expected),)
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("f, x, grad, sub", ORACLE_TABLE,
+                         ids=[f"{row[0]!r}@{row[1]}" for row in ORACLE_TABLE])
+def test_gradient_and_subgradient_table(f, x, grad, sub):
+    x = as_vector(x, dim=f.dim)
+    _assert_outcome(_outcome(lambda: f.gradient(x)), grad)
+    subs = sub if isinstance(sub, tuple) and len(sub) == 3 else (sub,) * 3
+    for strategy, expected in zip(PUBLIC_STRATEGIES, subs):
+        _assert_outcome(_outcome(lambda: f.subgradient(x, strategy)), expected)
 
 
 # -- subdifferential sampling --------------------------------------------------
