@@ -66,15 +66,28 @@ ACTIVE_TOL = 1e-12
 class SelectionStrategy:
     """Deterministic rule for picking one subgradient at multivalued points."""
 
+    def pick(self, verts: list[np.ndarray]) -> np.ndarray:
+        """One subgradient from the gradients of the active pieces."""
+        raise NotImplementedError
+
+    def at_kink(self, message: str) -> None:
+        """Called where the subdifferential is not a singleton; a selecting rule passes."""
+
 
 @dataclass(frozen=True)
 class LeastIndexActive(SelectionStrategy):
     """Gradient of the active piece with the smallest index."""
 
+    def pick(self, verts):
+        return np.array(verts[0])
+
 
 @dataclass(frozen=True)
 class CentroidActive(SelectionStrategy):
     """Mean of the active-piece gradients."""
+
+    def pick(self, verts):
+        return np.mean(verts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -83,9 +96,26 @@ class EndpointK(SelectionStrategy):
 
     k: int
 
+    def pick(self, verts):
+        return np.array(verts[self.k % len(verts)])
+
+
+@dataclass(frozen=True)
+class _Gradient(SelectionStrategy):
+    """The unique subgradient: refuses to choose, raising NotDifferentiableHere at a kink."""
+
+    def pick(self, verts):
+        if any(norm(g - verts[0]) > 0.0 for g in verts[1:]):
+            self.at_kink("several pieces are active with distinct slopes")
+        return np.array(verts[0])
+
+    def at_kink(self, message):
+        raise NotDifferentiableHere(message)
+
 
 LEAST_INDEX = LeastIndexActive()
 CENTROID = CentroidActive()
+_GRADIENT = _Gradient()
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +143,7 @@ class FunctionSpec:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Unique subgradient; raises NotDifferentiableHere at kinks."""
-        return self.subgradient(x)
+        return self.subgradient(x, _GRADIENT)
 
     def subdifferential_sample(self, x: np.ndarray, k: int) -> list[np.ndarray]:
         """k members of the subdifferential; a singleton is repeated."""
@@ -186,12 +216,9 @@ class Dist(_SetAtom):
         if d > 0.0:
             return (x - self.set.project(x)) / d
         # 0 is a subgradient everywhere on the set since the distance is >= 0.
+        if not self.set.interior_contains(x):
+            strategy.at_kink("distance is not differentiable on the set boundary")
         return np.zeros(self.dim)
-
-    def gradient(self, x):
-        if self.set.distance(x) == 0.0 and not self.set.interior_contains(x):
-            raise NotDifferentiableHere("distance is not differentiable on the set boundary")
-        return self.subgradient(x)
 
     def hessian(self, x):
         if self.set.distance(x) == 0.0:
@@ -239,15 +266,9 @@ class NormPow(FunctionSpec):
         n = norm(x)
         if n == 0.0:
             # 0 belongs to the subdifferential at the minimizer for every p >= 1.
+            if self.p == 1.0:
+                strategy.at_kink("the norm is not differentiable at 0")
             return np.zeros(self.dim)
-        return self.p * n ** (self.p - 2.0) * x
-
-    def gradient(self, x):
-        n = norm(x)
-        if n == 0.0:
-            if self.p > 1.0:
-                return np.zeros(self.dim)
-            raise NotDifferentiableHere("the norm is not differentiable at 0")
         return self.p * n ** (self.p - 2.0) * x
 
     def hessian(self, x):
@@ -390,20 +411,7 @@ class AffineMax(FunctionSpec):
         return [i for i, v in enumerate(vals) if v >= cut]
 
     def subgradient(self, x, strategy=LEAST_INDEX):
-        active = self.active_indices(x)
-        if isinstance(strategy, EndpointK):
-            return np.array(self.slopes[active[strategy.k % len(active)]])
-        if isinstance(strategy, CentroidActive):
-            return np.mean([self.slopes[i] for i in active], axis=0)
-        return np.array(self.slopes[active[0]])
-
-    def gradient(self, x):
-        active = self.active_indices(x)
-        if len(active) > 1:
-            grads = [self.slopes[i] for i in active]
-            if any(norm(g - grads[0]) > 0.0 for g in grads[1:]):
-                raise NotDifferentiableHere("several pieces are active with distinct slopes")
-        return np.array(self.slopes[active[0]])
+        return strategy.pick([self.slopes[i] for i in self.active_indices(x)])
 
     def subdifferential_sample(self, x, k):
         active = self.active_indices(x)
@@ -468,9 +476,6 @@ class Scale(FunctionSpec):
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.lam * self.inner.subgradient(x, strategy)
 
-    def gradient(self, x):
-        return self.lam * self.inner.gradient(x)
-
     def subdifferential_sample(self, x, k):
         return [self.lam * u for u in self.inner.subdifferential_sample(x, k)]
 
@@ -520,26 +525,21 @@ class PowerComp(FunctionSpec):
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         v = self._base(x)
+        e = 1.0 / self.alpha
+        if v == 0.0:
+            # The zero set minimizes f^e >= 0, so 0 is a subgradient there.  For
+            # e > 1 it is returned without asking the inner oracle, which may
+            # refuse a kink that f^e smooths out (d^2 on a ball's boundary).
+            if e > 1.0:
+                return np.zeros(self.dim)
+            if e < 1.0:
+                strategy.at_kink("fractional power is not differentiable on the zero set")
         u = self.inner.subgradient(x, strategy)
-        e = 1.0 / self.alpha
-        if v == 0.0:
-            if e > 1.0:
-                return np.zeros(self.dim)
-            if e == 1.0:
-                return u
-            raise EmptySubdifferential("fractional power has no subgradient on the zero set")
-        return e * v ** (e - 1.0) * u
-
-    def gradient(self, x):
-        v = self._base(x)
-        e = 1.0 / self.alpha
-        if v == 0.0:
-            if e > 1.0:
-                return np.zeros(self.dim)
-            if e == 1.0:
-                return self.inner.gradient(x)
-            raise NotDifferentiableHere("fractional power is not differentiable on the zero set")
-        return e * v ** (e - 1.0) * self.inner.gradient(x)
+        if v != 0.0:
+            return e * v ** (e - 1.0) * u
+        if e == 1.0:
+            return u
+        raise EmptySubdifferential("fractional power has no subgradient on the zero set")
 
     def level_set_project(self, x):
         # f^(1/alpha) <= 0 exactly where f <= 0.
@@ -570,12 +570,6 @@ class LeftCompose(FunctionSpec):
         if v == INF:
             raise DomainError("inner function is +inf here")
         return float(self.dphi(v)) * self.inner.subgradient(x, strategy)
-
-    def gradient(self, x):
-        v = self.inner.value(x)
-        if v == INF:
-            raise DomainError("inner function is +inf here")
-        return float(self.dphi(v)) * self.inner.gradient(x)
 
     def level_set_project(self, x):
         # phi(0) = 0 and monotonicity leave the zero sublevel set unchanged.
@@ -620,9 +614,6 @@ class RightLinear(FunctionSpec):
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.L.T @ self.inner.subgradient(self.L @ x, strategy)
-
-    def gradient(self, x):
-        return self.L.T @ self.inner.gradient(self.L @ x)
 
     def hessian(self, x):
         return self.L.T @ self.inner.hessian(self.L @ x) @ self.L

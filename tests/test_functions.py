@@ -415,6 +415,16 @@ def test_indicator_raw_subgradient_unsupported():
         subgradient(ind, [0.5, 0.0])
 
 
+def test_power_above_one_of_indicator_is_zero_on_the_set():
+    # f = 0 on the set and f >= 0, so the set minimizes f^2 and 0 is a
+    # subgradient there; the indicator's own oracle is not consulted.
+    f = PowerComp(0.5, Indicator(Ball([0.0, 0.0], 1.0)))
+    for x in ([0.5, 0.0], [1.0, 0.0]):
+        for strategy in STRATEGIES:
+            assert np.array_equal(subgradient(f, x, strategy), [0.0, 0.0])
+        assert np.array_equal(f.gradient(as_vector(x)), [0.0, 0.0])
+
+
 def test_scale_requires_positive_factor():
     with pytest.raises(InvalidSpec):
         Scale(0.0, NegLog())
