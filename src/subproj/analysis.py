@@ -23,7 +23,7 @@ from .errors import (
     ZeroFunctionValue,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import _value, sproj
+from .projector import _cut_norm2, _value, sproj
 
 
 def _positive_value(f: FunctionSpec, x: np.ndarray, message: str) -> float:
@@ -252,6 +252,6 @@ def dist_bound_check(f: FunctionSpec, x,
     x = as_vector(x, dim=f.dim)
     fx = _positive_value(f, x, "the bound is defined where f(x) > 0")
     u = f.subgradient(x, strategy)
-    lhs = fx / norm(u)
+    lhs = fx / float(np.sqrt(_cut_norm2(u)))
     rhs = norm(x - f.level_set_project(x))
     return lhs, rhs

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector, norm
+from .core import as_vector
 from .errors import (
     NegativeBaseError,
     NonMonotonePhi,
@@ -33,7 +33,7 @@ from .functions import (
     SelectionStrategy,
     scaled_orthogonal_factor,
 )
-from .projector import ProjOutcome, _cut_norm2, _value, halfspace_project, sproj
+from .projector import ProjOutcome, _checked, _cut_norm2, _value, halfspace_project, sproj
 
 
 def sproj_scale(lam: float, f: FunctionSpec, x,
@@ -147,9 +147,10 @@ def sproj_infconv(f: FunctionSpec, g: FunctionSpec, minimizer, joint_u, x) -> np
     spec = InfConv(f, g, minimizer, joint_u)
     x = as_vector(x, dim=f.dim)
     _, fy, gxy = spec.split_at(x)
+    fx = _checked(spec, fy + gxy)
     if fy <= 0.0 and gxy <= 0.0:
         return np.array(x)
-    return halfspace_project(x, joint_u(x), fy + gxy)
+    return halfspace_project(x, joint_u(x), fx)
 
 
 def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
@@ -166,7 +167,7 @@ def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
     if fx <= 0.0:
         raise NotPositiveHere("the gap is defined where f(x) > 0")
     grad = f.gradient(x)
-    return fx / norm(grad) * (1.0 - 1.0 / alpha)
+    return fx / float(np.sqrt(_cut_norm2(grad))) * (1.0 - 1.0 / alpha)
 
 
 __all__ = [

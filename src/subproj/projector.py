@@ -83,7 +83,11 @@ def _cut_norm2(u: np.ndarray) -> float:
 
 def _value(f: FunctionSpec, x: np.ndarray) -> float:
     """f(x), raising where it is +inf or NaN and no projection is defined."""
-    fx = f.value(x)
+    return _checked(f, f.value(x))
+
+
+def _checked(f: FunctionSpec, fx: float) -> float:
+    """A value fx of f, raising where it is +inf or NaN and no projection is defined."""
     if fx == INF:
         raise DomainError("cannot project from outside the effective domain")
     if fx != fx:
@@ -134,11 +138,13 @@ def class_t_witness(f: FunctionSpec, x, y,
                     strategy: SelectionStrategy = LEAST_INDEX) -> float:
     """<y - Gx, x - Gx> for a feasible witness y; nonpositive for this operator class.
 
-    Raises InfeasibleWitness when f(y) > 0.
+    Raises InfeasibleWitness when f(y) > 0 and NonFiniteValue when f(y) is NaN.
     """
     y = as_vector(y, dim=f.dim)
-    if f.value(y) > 0.0:
+    fy = f.value(y)
+    if fy > 0.0:
         raise InfeasibleWitness("witness must satisfy f(y) <= 0")
+    _checked(f, fy)  # only NaN is left to reject
     out = sproj(f, x, strategy)
     g = out.point
     return float(np.dot(y - g, as_vector(x, dim=f.dim) - g))

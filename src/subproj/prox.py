@@ -140,10 +140,10 @@ class MoreauEnv(FunctionSpec):
         return (x - prox(self.inner, self.gamma, x)) / self.gamma
 
     def level_set_project(self, x):
-        # For an indicator the envelope is d^2 / (2 gamma), whose zero
-        # sublevel set is the underlying set itself.
-        if isinstance(self.inner, Indicator):
-            return self.inner.set.project(x)
+        # For f >= 0 the envelope is >= 0 and vanishes exactly where f does,
+        # so both share the zero sublevel set.
+        if self.inner.nonnegative:
+            return self.inner.level_set_project(x)
         return super().level_set_project(x)
 
     def __repr__(self):

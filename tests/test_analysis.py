@@ -22,6 +22,7 @@ from subproj import (
     SqDist,
     SqrtShift,
     ZeroFunctionValue,
+    ZeroSubgradient,
     dist_bound_check,
     evaluate,
     fd_jacobian,
@@ -287,6 +288,12 @@ def test_dist_bound_requires_oracle_and_positive_value():
         dist_bound_check(f, [1.0, 1.0])
     with pytest.raises(NotPositiveHere):
         dist_bound_check(NegLog(), 2.0)
+
+
+def test_dist_bound_zero_subgradient_at_positive_value_raises():
+    constant = AffineMax([([0.0, 0.0], 1.0)])  # f = 1 everywhere, subgradient 0
+    with pytest.raises(ZeroSubgradient, match="zero subgradient with positive function value"):
+        dist_bound_check(constant, [1.0, 2.0])
 
 
 # -- broken oracles end as named errors ------------------------------------------------

@@ -8,6 +8,7 @@ from subproj import (
     Ball,
     ConvexComb,
     Dist,
+    DomainError,
     FunctionSpec,
     InconsistentMinimizer,
     Indicator,
@@ -16,6 +17,7 @@ from subproj import (
     LeftCompose,
     Linear,
     NegLog,
+    Point,
     NonFiniteValue,
     NonMonotonePhi,
     NormPow,
@@ -451,10 +453,18 @@ def zero(x):
     pytest.param(lambda: sproj_sum(CONSTANT, CONSTANT, zero, X), id="sum"),
     pytest.param(lambda: sproj_infconv(CONSTANT, CONSTANT, lambda x: 0.5 * x, zero, X),
                  id="infconv"),
+    pytest.param(lambda: acceleration_gap(CONSTANT, 0.5, [1.0, 2.0]), id="acceleration-gap"),
 ])
 def test_zero_normal_at_positive_value_raises(call):
     with pytest.raises(ZeroSubgradient, match="zero subgradient with positive function value"):
         call()
+
+
+def test_infconv_outside_the_domain_raises():
+    # The supplied split puts y = 2x outside the ball, so f(y) + g(x - y) = +inf.
+    with pytest.raises(DomainError, match="cannot project from outside the effective domain"):
+        sproj_infconv(Indicator(Ball([0.0, 0.0], 1.0)), SqDist(Point([0.0, 0.0])),
+                      lambda x: 2.0 * x, lambda x: np.array([1.0, 0.0]), [3.0, 0.0])
 
 
 def test_power_rule_evaluates_f_once():

@@ -12,8 +12,10 @@ from subproj import (
     Halfspace,
     Hyperbolic,
     InfeasibleWitness,
+    LeftCompose,
     Linear,
     NegLog,
+    NonFiniteValue,
     NormPow,
     ProjStatus,
     RelaxationOutOfRange,
@@ -199,6 +201,16 @@ def test_class_t_witness_examples():
 def test_class_t_witness_rejects_infeasible():
     with pytest.raises(InfeasibleWitness):
         class_t_witness(NegLog(), 0.5, 0.9)
+
+
+def test_class_t_witness_rejects_non_finite_witness_values():
+    # phi(t) is NaN for t > 0.5, so the value is NaN at distance > 0.5 from the ball.
+    f = LeftCompose(lambda t: math.nan if t > 0.5 else t, lambda t: 1.0,
+                    Dist(Ball([0.0, 0.0], 1.0)))
+    with pytest.raises(NonFiniteValue, match="LeftCompose value is NaN"):
+        class_t_witness(f, [1.2, 0.0], [5.0, 0.0])
+    with pytest.raises(InfeasibleWitness):
+        class_t_witness(NegLog(), 2.0, -1.0)  # f(y) = +inf
 
 
 def test_class_t_witness_nonpositive_over_catalog():

@@ -9,6 +9,7 @@ from subproj import (
     Linear,
     MoreauEnv,
     NegLog,
+    NoLevelSetOracle,
     NormPow,
     ProxAuditFailed,
     Scale,
@@ -146,6 +147,21 @@ def test_moreau_env_spec_matches_direct_operator():
 def test_moreau_env_requires_prox_friendly():
     with pytest.raises(UnsupportedAtom):
         MoreauEnv(1.0, NegLog())
+
+
+@pytest.mark.parametrize("inner, x, expected", [
+    (Indicator(Ball([0.0, 0.0], 1.0)), [3.0, 0.0], [1.0, 0.0]),
+    (NormPow(1.0, dim=2), [3.0, 4.0], [0.0, 0.0]),
+    (Scale(2.0, Indicator(Box([-1.0, -1.0], [1.0, 1.0]))), [3.0, 0.5], [1.0, 0.5]),
+], ids=["indicator", "normpow", "scaled-indicator"])
+def test_moreau_env_level_set_of_nonnegative_inner(inner, x, expected):
+    # For f >= 0 the envelope vanishes exactly where f does.
+    assert np.array_equal(MoreauEnv(0.5, inner).level_set_project(np.array(x)), expected)
+
+
+def test_moreau_env_level_set_needs_nonnegative_inner():
+    with pytest.raises(NoLevelSetOracle, match="MoreauEnv has no level-set projection"):
+        MoreauEnv(1.0, Linear([1.0, 0.0])).level_set_project(np.array([1.0, 0.0]))
 
 
 class _FlippedLinear(Linear):

@@ -15,3 +15,15 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_gradient_is_defined_only_on_the_base_class():
+    # A gradient is the subgradient under the rule that refuses to choose at a
+    # kink; an override would be a second oracle that can drift from the first.
+    found = [f"{path.name}:{item.lineno} {cls.name}.gradient"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(cls, ast.ClassDef) and cls.name != "FunctionSpec"
+             for item in cls.body
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "gradient"]
+    assert found == []
