@@ -12,6 +12,7 @@ from subproj import (
     FunctionSpec,
     InconsistentMinimizer,
     Indicator,
+    InfConv,
     JointSelectionUnavailable,
     LEAST_INDEX,
     LeftCompose,
@@ -302,6 +303,29 @@ def test_convexcomb_mixed_sign_row():
     assert np.allclose(got - comb, -alpha * (-1.0) * u, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha, lo, hi, combination_positive", [
+    pytest.param(0.2, -2.0, 1.2, False, id="combination-nonpositive"),
+    pytest.param(0.75, -1.0, 2.0, True, id="combination-positive"),
+])
+def test_convexcomb_rows_with_f_positive_and_g_not(alpha, lo, hi, combination_positive):
+    # f = x1 + 2 > 0 >= x1 - 2 = g on (-2, 2]; the combination is x1 + 4 alpha - 2.
+    u = np.array([1.0, 0.0])
+    f = AffineMax([(u, 2.0)])
+    g = AffineMax([(u, -2.0)])
+    joint = lambda x: u
+    spec = ConvexComb(alpha, f, g, joint)
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        x = np.array([rng.uniform(lo, hi), rng.standard_normal()])
+        hx = evaluate(spec, x)
+        assert evaluate(f, x) > 0.0 >= evaluate(g, x)
+        assert (hx > 0.0) == combination_positive
+        direct = sproj(spec, x)
+        assert direct.fixed != combination_positive
+        table = sproj_convexcomb(alpha, f, g, joint, x)
+        assert np.linalg.norm(table - direct.point) <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+
 def test_sum_concentric_balls():
     f, g, joint = concentric_ball_pair(1.0, 2.0)
     got = sproj_sum(f, g, joint, [4.0, 0.0])
@@ -367,6 +391,22 @@ def test_infconv_moreau_cross_check():
         got = sproj_infconv(ind, half_sq, minimizer, joint, x)
         want = sproj_moreau(ind, 1.0, x)
         assert np.linalg.norm(got - want) <= 1e-9
+
+
+def test_infconv_spec_projects_like_the_formula_bit_for_bit():
+    ball = Ball([0.0, 0.0], 1.0)
+    ind = Indicator(ball)
+    half_sq = Scale(0.5, NormPow(2.0, dim=2))
+    minimizer = lambda x: ball.project(x)
+    joint = lambda x: x - ball.project(x)
+    spec = InfConv(ind, half_sq, minimizer, joint)
+    rng = np.random.default_rng(48)
+    for _ in range(60):
+        x = rng.standard_normal(2) * 3.0
+        if np.linalg.norm(x) <= 1.0:
+            continue
+        assert np.array_equal(sproj(spec, x).point,
+                              sproj_infconv(ind, half_sq, minimizer, joint, x))
 
 
 def test_infconv_audits_minimizer():

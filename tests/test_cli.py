@@ -130,6 +130,34 @@ def test_project_requires_single_function(tmp_path, capsys):
     assert main(["project", "--file", path, "--point", "1.0", "2.0"]) == 2
 
 
+KINK = {"type": "affinemax", "pieces": [{"a": [1.0, 0.0], "b": 0.0},
+                                        {"a": [0.0, 1.0], "b": 0.0}]}
+
+
+@pytest.mark.parametrize("strategy, subgradient, point", [
+    ("least-index", "[1, 0]", "[0, 1]"),
+    ("centroid", "[0.5, 0.5]", "[0, 0]"),
+    ("endpoint:1", "[0, 1]", "[1, 0]"),
+])
+def test_project_strategy_picks_the_subgradient_at_a_kink(tmp_path, capsys, strategy,
+                                                          subgradient, point):
+    # Both pieces are active at (1, 1), with f = 1.
+    path = write(tmp_path, "p.json", neglog_record(functions=[KINK], dimension=2, x0=[1.0, 1.0]))
+    assert main(["project", "--file", path, "--strategy", strategy]) == 0
+    assert capsys.readouterr().out == (f"point: {point}\nstatus: projected\nf_value: 1\n"
+                                       f"subgradient: {subgradient}\n")
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("endpoint:x", "bad strategy 'endpoint:x'"),
+    ("bogus", "unknown strategy 'bogus'"),
+])
+def test_project_bad_strategy_exits_2(tmp_path, capsys, strategy, message):
+    path = write(tmp_path, "p.json", neglog_record(functions=[KINK], dimension=2, x0=[1.0, 1.0]))
+    assert main(["project", "--file", path, "--strategy", strategy]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: {message}\n"
+
+
 # -- solve command --------------------------------------------------------------------
 
 def test_solve_two_balls_writes_trace(tmp_path, capsys):

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from subproj import (
+    DegenerateMoreau,
     DimensionMismatch,
+    Halfspace,
+    Linear,
+    ZeroSubgradient,
     ZeroVector,
     as_vector,
     fd_gradient,
     fd_jacobian,
+    halfspace_project,
     inv,
     inv_jacobian,
+    sproj_moreau,
 )
 
 
@@ -24,6 +30,25 @@ def test_inv_rejects_zero_vector():
         inv([0.0, 0.0])
     with pytest.raises(ZeroVector):
         inv([1e-15, 0.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: inv([0.0, 0.0]), ZeroVector,
+                 "inv is undefined at (numerically) zero vectors", id="inv"),
+    pytest.param(lambda: inv_jacobian([0.0, 0.0]), ZeroVector,
+                 "inv_jacobian is undefined at (numerically) zero vectors", id="inv-jacobian"),
+    pytest.param(lambda: halfspace_project([1.0, 2.0], [0.0, 0.0], 1.0), ZeroSubgradient,
+                 "zero subgradient with positive function value", id="halfspace-project"),
+    # prox moves 1e10 by 1e-20, which rounds away: a zero displacement at envelope 1e-10.
+    pytest.param(lambda: sproj_moreau(Linear([1e-20]), 1.0, [1e10]), DegenerateMoreau,
+                 "positive envelope with a vanishing proximal displacement", id="moreau"),
+    pytest.param(lambda: Halfspace([0.0, 0.0], 1.0), ValueError,
+                 "halfspace normal must be nonzero", id="halfspace"),
+])
+def test_zero_length_guards_name_their_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_inv_involution_across_scales():
