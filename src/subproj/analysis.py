@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EPS_NORM, as_vector, norm
+from .core import as_vector, norm, norm2
 from .errors import (
     DomainError,
     EmptySample,
@@ -51,9 +51,7 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     fx = _positive_value(f, x, "the Jacobian formula applies where f(x) > 0")
     u = f.gradient(x)
     h = f.hessian(x)
-    n2 = float(np.dot(u, u))
-    if np.sqrt(n2) <= EPS_NORM:
-        raise ZeroFunctionValue("vanishing gradient with positive value")
+    n2 = _cut_norm2(u)
     eye = np.eye(f.dim)
     hu = h @ u
     return (eye
@@ -96,12 +94,11 @@ def lipschitz_bound(f: FunctionSpec, samples: Sequence, beta: float) -> float:
     for p in pts:
         vals.append(_positive_value(f, p, "every sample must satisfy 0 < f(x) < +inf"))
         grads.append(f.gradient(p))
+    inf_g2 = min(_cut_norm2(g) for g in grads)
     if f.dim == 1:
         sup_f = max(vals)
-        inf_g2 = min(float(g[0]) ** 2 for g in grads)
         return max(1.0, sup_f / inf_g2 * beta)
     sup_f = max(abs(v) for v in vals)
-    inf_g2 = min(float(np.dot(g, g)) for g in grads)
     return 2.0 + 3.0 * sup_f / inf_g2 * beta
 
 
@@ -139,8 +136,7 @@ def monotonicity_probe(f: FunctionSpec, pairs: Sequence[tuple],
             ua, ub = out_a.subgradient_used, out_b.subgradient_used
             lhs = float(np.dot(
                 a - b,
-                out_a.f_value * ua / float(np.dot(ua, ua))
-                - out_b.f_value * ub / float(np.dot(ub, ub))))
+                out_a.f_value * ua / norm2(ua) - out_b.f_value * ub / norm2(ub)))
             worst_margin = min(worst_margin, norm(a - b) ** 2 - lhs)
             n_pos += 1
     if count == 0:

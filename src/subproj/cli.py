@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .core import as_vector, fd_jacobian
+from .core import as_vector, fd_jacobian, norm
 from .errors import EmptySample, SchemaError, SubprojError
 from .feasibility import Problem, SolveTrace, solve
 from .functions import EndpointK, LEAST_INDEX, CENTROID, SelectionStrategy
@@ -161,7 +161,7 @@ def cmd_analyze(args) -> int:
                 continue
             ga = sproj(f, a, strategy).point
             gb = sproj(f, b, strategy).point
-            quotients.append(float(np.linalg.norm(ga - gb) / np.linalg.norm(a - b)))
+            quotients.append(norm(ga - gb) / norm(a - b))
         print(f"bound: {_fmt(bound)}")
         print(f"max_sampled_quotient: {_fmt(max(quotients) if quotients else 0.0)}")
         return 0

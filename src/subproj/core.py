@@ -50,9 +50,21 @@ def finite_float(v, what: str, error: type[Exception] = ValueError) -> float:
     return v
 
 
+def norm2(x: np.ndarray) -> float:
+    """Squared Euclidean norm as a plain float; +inf, with no warning, where it overflows."""
+    return float(np.vdot(x, x))
+
+
 def norm(x: np.ndarray) -> float:
     """Euclidean norm as a plain float."""
-    return float(np.sqrt(np.dot(x, x)))
+    return math.sqrt(norm2(x))
+
+
+def nonzero_norm2(n2: float, error: type[Exception], message: str) -> float:
+    """A squared norm ``n2``, raising ``error(message)`` where the norm is at most EPS_NORM."""
+    if math.sqrt(n2) <= EPS_NORM:
+        raise error(message)
+    return n2
 
 
 def inv(x) -> np.ndarray:
@@ -61,18 +73,15 @@ def inv(x) -> np.ndarray:
     Raises :class:`ZeroVector` when ``||x|| <= EPS_NORM``.
     """
     x = as_vector(x)
-    n2 = float(np.dot(x, x))
-    if np.sqrt(n2) <= EPS_NORM:
-        raise ZeroVector("inv is undefined at (numerically) zero vectors")
+    n2 = nonzero_norm2(norm2(x), ZeroVector, "inv is undefined at (numerically) zero vectors")
     return x / n2
 
 
 def inv_jacobian(x) -> np.ndarray:
     """Jacobian of :func:`inv`:  ||x||^-2 I - 2 (inv x)(inv x)^T."""
     x = as_vector(x)
-    n2 = float(np.dot(x, x))
-    if np.sqrt(n2) <= EPS_NORM:
-        raise ZeroVector("inv_jacobian is undefined at (numerically) zero vectors")
+    n2 = nonzero_norm2(norm2(x), ZeroVector,
+                       "inv_jacobian is undefined at (numerically) zero vectors")
     ix = x / n2
     return np.eye(x.size) / n2 - 2.0 * np.outer(ix, ix)
 

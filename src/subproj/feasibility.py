@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm
+from .core import as_vector, finite_float, norm, norm2
 from .errors import (
     DomainError,
     InvalidControl,
@@ -324,8 +324,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         f = p.functions[i]
         out = sproj(f, x, p.selections[i])
         if out.status is ProjStatus.PROJECTED:
-            u = out.subgradient_used
-            step_scale = out.f_value / float(np.dot(u, u))
+            step_scale = out.f_value / norm2(out.subgradient_used)
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm
+from .core import as_vector, finite_float, norm, norm2
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -168,8 +168,7 @@ class Linear(FunctionSpec):
     def __init__(self, u):
         self.u = as_vector(u)
         self.dim = self.u.size
-        self._n2 = float(np.dot(self.u, self.u))
-        self._level = Halfspace(self.u, 0.0) if self._n2 > 0.0 else None
+        self._level = Halfspace(self.u, 0.0) if norm2(self.u) > 0.0 else None
 
     def value(self, x):
         return float(np.dot(x, self.u))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EPS_NORM, as_vector, norm
+from .core import as_vector, nonzero_norm2, norm, norm2
 from .errors import (
     DomainError,
     InfeasibleWitness,
@@ -75,10 +75,8 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
 
 def _cut_norm2(u: np.ndarray) -> float:
     """||u||^2 of a cut normal, raising ZeroSubgradient where u is numerically zero."""
-    n2 = float(np.dot(u, u))
-    if np.sqrt(n2) <= EPS_NORM:
-        raise ZeroSubgradient("zero subgradient with positive function value")
-    return n2
+    return nonzero_norm2(norm2(u), ZeroSubgradient,
+                         "zero subgradient with positive function value")
 
 
 def _value(f: FunctionSpec, x: np.ndarray) -> float:

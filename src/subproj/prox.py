@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EPS_NORM, as_vector, finite_float, norm
+from .core import as_vector, finite_float, nonzero_norm2, norm, norm2
 from .errors import DegenerateMoreau, ProxAuditFailed, UnsupportedAtom
 from .functions import (
     LEAST_INDEX,
@@ -88,7 +88,7 @@ def moreau_value(f: FunctionSpec, gamma: float, x) -> float:
     x = as_vector(x, dim=f.dim)
     p = prox(f, gamma, x)
     d = x - p
-    return f.value(p) + float(np.dot(d, d)) / (2.0 * gamma)
+    return f.value(p) + norm2(d) / (2.0 * gamma)
 
 
 def sproj_moreau(f: FunctionSpec, gamma: float, x) -> np.ndarray:
@@ -106,12 +106,11 @@ def sproj_moreau(f: FunctionSpec, gamma: float, x) -> np.ndarray:
     x = as_vector(x, dim=f.dim)
     p = prox(f, gamma, x)
     d = x - p
-    n2 = float(np.dot(d, d))
+    n2 = norm2(d)
     env = f.value(p) + n2 / (2.0 * gamma)
     if env <= 0.0:
         return np.array(x)
-    if np.sqrt(n2) <= EPS_NORM:
-        raise DegenerateMoreau("positive envelope with a vanishing proximal displacement")
+    nonzero_norm2(n2, DegenerateMoreau, "positive envelope with a vanishing proximal displacement")
     return x - (gamma * env / n2) * d
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm
+from .core import as_vector, finite_float, norm, norm2
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -99,10 +99,9 @@ class Halfspace(ConvexSet):
         self.normal = as_vector(normal)
         self.offset = finite_float(offset, "halfspace offset")
         self.dim = self.normal.size
-        n2 = float(np.dot(self.normal, self.normal))
-        if n2 == 0.0:
+        self._n2 = norm2(self.normal)
+        if self._n2 == 0.0:
             raise ValueError("halfspace normal must be nonzero")
-        self._n2 = n2
 
     def project(self, x):
         excess = float(np.dot(x, self.normal)) - self.offset
@@ -132,8 +131,7 @@ class Halfspace(ConvexSet):
         return np.zeros((self.dim, self.dim))
 
     def sqdist_hessian(self, x):
-        a = self.normal
-        return 2.0 * np.outer(a, a) / float(np.dot(a, a))
+        return 2.0 * np.outer(self.normal, self.normal) / self._n2
 
     def __repr__(self):
         return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"

@@ -8,6 +8,7 @@ from subproj import (
     Ball,
     Dist,
     EmptySample,
+    FunctionSpec,
     Halfspace,
     Hyperbolic,
     LeftCompose,
@@ -99,6 +100,34 @@ def test_jacobian_requires_positive_value():
         sproj_jacobian(NegLog(), [2.0])
 
 
+class FlatOne(FunctionSpec):
+    """f = 1 with zero gradient and zero Hessian: C^2 data no convex f has where f > 0."""
+
+    dim = 2
+
+    def value(self, x):
+        return 1.0
+
+    def subgradient(self, x, strategy=None):
+        return np.zeros(2)
+
+    def hessian(self, x):
+        return np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sproj_jacobian(FlatOne(), [1.0, 2.0]), id="jacobian"),
+    # f = 1 everywhere with gradient 0, so inf ||grad f||^2 is zero.
+    pytest.param(lambda: lipschitz_bound(AffineMax([([0.0, 0.0], 1.0)]), [[1.0, 2.0]], 1.0),
+                 id="lipschitz-2d"),
+    pytest.param(lambda: lipschitz_bound(AffineMax([([0.0], 1.0)]), [[1.0]], 1.0),
+                 id="lipschitz-1d"),
+])
+def test_zero_gradient_at_positive_value_raises(call):
+    with pytest.raises(ZeroSubgradient, match="zero subgradient with positive function value"):
+        call()
+
+
 # -- one-dimensional derivative -----------------------------------------------------
 
 def test_deriv_1d_identity_region():
@@ -183,6 +212,11 @@ def test_lipschitz_bound_validation():
         lipschitz_bound(NegLog(), [], beta=1.0)
     with pytest.raises(NotPositiveHere):
         lipschitz_bound(NegLog(), [np.array([2.0])], beta=1.0)
+
+
+def test_lipschitz_bound_overflowing_squared_slope_leaves_the_floor():
+    # f'^2 = 1e320 is +inf, so sup f / inf f'^2 * beta is 0 and the 1-D bound is its floor.
+    assert lipschitz_bound(Linear([1e160]), [[1e-300]], beta=1.0) == 1.0
 
 
 # -- monotonicity ----------------------------------------------------------------------

@@ -267,6 +267,16 @@ def test_analyze_lipschitz_gives_up_without_positive_samples(tmp_path, capsys):
                                        " have 0 < f(x) < +inf; 5 are needed\n")
 
 
+def test_analyze_lipschitz_zero_gradient_exits_3(tmp_path, capsys):
+    # f = 1 everywhere with gradient 0: every draw qualifies, and none has a cut.
+    constant = {"type": "affinemax", "pieces": [{"a": [0.0, 0.0], "b": 1.0}]}
+    record = neglog_record(functions=[constant], dimension=2, x0=[0.0, 0.0])
+    path = write(tmp_path, "p.json", record)
+    assert main(["analyze", "lipschitz", "--file", path, "--count", "5"]) == 3
+    assert capsys.readouterr().err == ("error: ZeroSubgradient: zero subgradient"
+                                       " with positive function value\n")
+
+
 # -- every tag survives a record round trip ---------------------------------------------
 
 BALL = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
