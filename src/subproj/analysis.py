@@ -129,12 +129,12 @@ def monotonicity_probe(f: FunctionSpec, pairs: Sequence[tuple],
         b = as_vector(b, dim=f.dim)
         out_a = sproj(f, a, strategy)
         out_b = sproj(f, b, strategy)
-        inner = float(np.dot(out_a.point - out_b.point, a - b))
+        inner = float(np.vdot(out_a.point - out_b.point, a - b))
         worst_inner = min(worst_inner, inner)
         count += 1
         if out_a.f_value > 0.0 and out_b.f_value > 0.0:
             ua, ub = out_a.subgradient_used, out_b.subgradient_used
-            lhs = float(np.dot(
+            lhs = float(np.vdot(
                 a - b,
                 out_a.f_value * ua / norm2(ua) - out_b.f_value * ub / norm2(ub)))
             worst_margin = min(worst_margin, norm(a - b) ** 2 - lhs)

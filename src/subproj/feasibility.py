@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm, norm2
+from .core import as_vector, finite_float, norm
 from .errors import (
     DomainError,
     InvalidControl,
@@ -35,7 +35,7 @@ from .errors import (
     StalledStep,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import ProjStatus, sproj
+from .projector import _project
 
 # Below this step scale a positive residual can no longer move the iterate.
 STALL_FLOOR = 1e-300
@@ -285,8 +285,13 @@ class SolveTrace:
 
 def residual(p: Problem, x) -> float:
     """Infeasibility measure max_i [f_i(x)]_+ (zero exactly on the target set)."""
-    x = as_vector(x, dim=p.dimension)
+    return _values(p, as_vector(x, dim=p.dimension))[0]
+
+
+def _values(p: Problem, x: np.ndarray) -> tuple[float, list[float]]:
+    """The residual at a checked vector x, with the value f_i(x) of every constraint."""
     worst = 0.0
+    values = []
     for f in p.functions:
         v = f.value(x)
         if v > worst:
@@ -295,15 +300,17 @@ def residual(p: Problem, x) -> float:
             worst = v
         elif v != v:
             raise NonFiniteValue(f"{type(f).__name__} value is NaN")
-    return worst
+        values.append(v)
+    return worst, values
 
 
 def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     """Run the relaxed quasi-cyclic projection iteration until residual <= tol.
 
     Raises InvalidControl when the control sequence misses its coverage
-    windows over the horizon, and StalledStep when a positive residual can no
-    longer move the iterate (step size underflow).
+    windows over the horizon, StalledStep when a positive residual can no
+    longer move the iterate (step size underflow), and NonFiniteValue when an
+    iterate overflows.
     """
     m = len(p.functions)
     declared = [w for w in p.control.windows(m) if w is not None]
@@ -317,20 +324,27 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     rows: list[TraceRow] = []
     status = "MaxIterReached"
 
-    if residual(p, x) <= p.tol:
+    res, values = _values(p, x)
+    if res <= p.tol:
         return x, SolveTrace([], "Converged", x)
 
+    # Oracles are pure, so the values at x hold until the iterate moves: a step
+    # on a satisfied constraint (G x = x) evaluates nothing.
     for n, i in zip(range(p.max_iter), idx):
-        f = p.functions[i]
-        out = sproj(f, x, p.selections[i])
-        if out.status is ProjStatus.PROJECTED:
-            step_scale = out.f_value / norm2(out.subgradient_used)
+        lam = lams[n % len(lams)]
+        fx = values[i]
+        if fx <= 0.0:
+            x_next = x + lam * (x - x)  # x itself, with any -0.0 entry made +0.0
+        else:
+            out, n2 = _project(p.functions[i], x, fx, p.selections[i])
+            step_scale = fx / n2
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")
-        lam = lams[n % len(lams)]
-        x_next = x + lam * (out.point - x)
-        res = residual(p, x_next)
+            x_next = x + lam * (out.point - x)
+            if not np.all(np.isfinite(x_next)):
+                raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
+            res, values = _values(p, x_next)
         rows.append(TraceRow(
             n=n,
             index=i,

@@ -171,7 +171,7 @@ class Linear(FunctionSpec):
         self._level = Halfspace(self.u, 0.0) if norm2(self.u) > 0.0 else None
 
     def value(self, x):
-        return float(np.dot(x, self.u))
+        return float(np.vdot(x, self.u))
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return np.array(self.u)
@@ -397,7 +397,7 @@ class AffineMax(FunctionSpec):
         return list(zip(self.slopes, self.offsets))
 
     def _piece_values(self, x):
-        return [float(np.dot(a, x)) + b for a, b in zip(self.slopes, self.offsets)]
+        return [float(np.vdot(a, x)) + b for a, b in zip(self.slopes, self.offsets)]
 
     def value(self, x):
         return max(self._piece_values(x))

@@ -69,8 +69,14 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
     x = as_vector(x)
     if fx <= 0.0:
         return np.array(x)
+    return _cut(x, u, fx)[0]
+
+
+def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
+    """x - (fx / ||u||^2) u for fx > 0, with the ||u||^2 it divided by."""
     u = as_vector(u, dim=x.size)
-    return x - (fx / _cut_norm2(u)) * u
+    n2 = _cut_norm2(u)
+    return x - (fx / n2) * u, n2
 
 
 def _cut_norm2(u: np.ndarray) -> float:
@@ -101,12 +107,20 @@ def sproj(f: FunctionSpec, x, strategy: SelectionStrategy = LEAST_INDEX) -> Proj
     raises ZeroSubgradient rather than being patched over.
     """
     x = as_vector(x, dim=f.dim)
-    fx = _value(f, x)
+    return _project(f, x, _value(f, x), strategy)[0]
+
+
+def _project(f: FunctionSpec, x: np.ndarray, fx: float,
+             strategy: SelectionStrategy) -> tuple[ProjOutcome, float]:
+    """sproj at a checked x whose value fx = f(x) is known, with ||u||^2 of the cut.
+
+    The squared norm is 0.0 when the outcome is FIXED.
+    """
     if fx <= 0.0:
-        return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None)
+        return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None), 0.0
     u = f.subgradient(x, strategy)
-    point = halfspace_project(x, u, fx)
-    return ProjOutcome(point, ProjStatus.PROJECTED, fx, u)
+    point, n2 = _cut(x, u, fx)
+    return ProjOutcome(point, ProjStatus.PROJECTED, fx, u), n2
 
 
 def sproj_set(f: FunctionSpec, x, k: int) -> list[np.ndarray]:
@@ -145,7 +159,7 @@ def class_t_witness(f: FunctionSpec, x, y,
     _checked(f, fy)  # only NaN is left to reject
     out = sproj(f, x, strategy)
     g = out.point
-    return float(np.dot(y - g, as_vector(x, dim=f.dim) - g))
+    return float(np.vdot(y - g, as_vector(x, dim=f.dim) - g))
 
 
 def fejer_gap(x, p, y) -> float:

@@ -104,7 +104,7 @@ class Halfspace(ConvexSet):
             raise ValueError("halfspace normal must be nonzero")
 
     def project(self, x):
-        excess = float(np.dot(x, self.normal)) - self.offset
+        excess = float(np.vdot(x, self.normal)) - self.offset
         if excess <= 0.0:
             return np.array(x, dtype=float)
         t = excess / self._n2
@@ -112,20 +112,20 @@ class Halfspace(ConvexSet):
         # As for the ball: keep the result inside despite rounding, padding
         # the step by an escalating few ulps of the operating scale.
         pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * np.sqrt(self._n2)) / self._n2
-        while float(np.dot(p, self.normal)) > self.offset:
+        while float(np.vdot(p, self.normal)) > self.offset:
             p = x - (t + pad) * self.normal
             pad *= 2.0
         return p
 
     def distance(self, x):
-        excess = float(np.dot(x, self.normal)) - self.offset
+        excess = float(np.vdot(x, self.normal)) - self.offset
         return max(excess, 0.0) / np.sqrt(self._n2)
 
     def contains(self, x):
-        return float(np.dot(x, self.normal)) <= self.offset
+        return float(np.vdot(x, self.normal)) <= self.offset
 
     def interior_contains(self, x):
-        return float(np.dot(x, self.normal)) < self.offset
+        return float(np.vdot(x, self.normal)) < self.offset
 
     def dist_hessian(self, x):
         return np.zeros((self.dim, self.dim))

@@ -629,3 +629,11 @@ def test_nan_oracle_value_exits_3_naming_the_error(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(Dist, "value", lambda self, x: float("nan"))
     assert main(["solve", "--file", path]) == 3
     assert capsys.readouterr().err == "error: NonFiniteValue: Dist value is NaN\n"
+
+
+def test_overflowing_iterate_exits_3_naming_the_iteration(tmp_path, capsys):
+    path = write(tmp_path, "p.json", neglog_record(functions=[{"type": "linear", "u": [1e-10]}],
+                                                   x0=[1e300]))
+    assert main(["solve", "--file", path]) == 3
+    assert capsys.readouterr().err == \
+        "error: NonFiniteValue: iteration 0 produced a non-finite iterate\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,3 +277,17 @@ def test_distance_lower_bound_over_catalog():
             u = subgradient(f, x)
             d = np.linalg.norm(x - f.level_set_project(x))
             assert fx / np.linalg.norm(u) <= d + 1e-9
+
+
+@pytest.mark.parametrize("f, x", [
+    (Linear([1e160]), [1e160]),
+    (Dist(Halfspace([1e100], 0.0)), [1e250]),
+    (AffineMax([([1.0], 0.0), ([1e160], 0.0)]), [1e160]),
+], ids=["linear", "dist-halfspace", "affinemax"])
+def test_overflowing_inner_product_is_out_of_domain_without_a_warning(f, x):
+    # <x, u> overflows to +inf; the value is then outside the effective domain,
+    # and the inner product itself must not warn on the way there.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the effective domain"):
+            sproj(f, x)

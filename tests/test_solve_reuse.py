@@ -1,0 +1,237 @@
+"""The solver evaluates each constraint once per distinct iterate.
+
+A step on a satisfied constraint is the identity, so ``solve`` reuses the
+values it already has instead of calling the oracles again.  The reference
+loop below is the iteration written plainly: the public ``sproj`` on every
+step, then ``residual`` at every new iterate.  ``solve`` must reproduce it
+bit for bit while calling ``value`` only where the iterate has moved.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subproj import (
+    AffineMax,
+    Ball,
+    Box,
+    Cyclic,
+    Dist,
+    Explicit,
+    Halfspace,
+    Indicator,
+    InvalidControl,
+    LEAST_INDEX,
+    Linear,
+    MoreauEnv,
+    NonFiniteValue,
+    PowerComp,
+    Problem,
+    ProjStatus,
+    QuasiCyclic,
+    RightLinear,
+    Scale,
+    SqDist,
+    StalledStep,
+    TraceRow,
+    residual,
+    solve,
+    sproj,
+    validate_control,
+)
+from subproj.core import norm, norm2
+from subproj.feasibility import STALL_FLOOR
+
+
+def reference_solve(p):
+    """(x, rows, status, statuses): sproj on every step, residual at every iterate."""
+    m = len(p.functions)
+    declared = [w for w in p.control.windows(m) if w is not None]
+    horizon = max([p.max_iter] + declared)
+    violations = validate_control(p.control, m, horizon)
+    if violations:
+        raise InvalidControl("; ".join(str(v) for v in violations[:5]))
+    idx = p.control.indices(m, horizon)
+    lams = p.relaxation_schedule(p.max_iter)
+    witness = p.feasible_witness
+    x = np.array(p.x0)
+    if residual(p, x) <= p.tol:
+        return x, [], "Converged", []
+    rows, statuses, status = [], [], "MaxIterReached"
+    for n, i in zip(range(p.max_iter), idx):
+        out = sproj(p.functions[i], x, p.selections[i])
+        statuses.append(out.status)
+        if out.status is ProjStatus.PROJECTED:
+            step_scale = out.f_value / norm2(out.subgradient_used)
+            if step_scale < STALL_FLOOR:
+                raise StalledStep(f"step size {step_scale:.3e} underflowed at iteration {n}")
+        lam = lams[n]
+        x_next = x + lam * (out.point - x)
+        res = residual(p, x_next)
+        rows.append(TraceRow(
+            n=n, index=i, lam=lam, residual=res, step_norm=norm(x_next - x),
+            dist_to_witness=None if witness is None else norm(x_next - witness)))
+        x = x_next
+        if res <= p.tol:
+            status = "Converged"
+            break
+    return x, rows, status, statuses
+
+
+def outcome(run, p):
+    """What a solve leaves behind: its result, or the type and message of its error."""
+    try:
+        return run(p)
+    except Exception as exc:  # noqa: BLE001 -- the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def assert_same_solve(p):
+    """solve(p) matches the reference loop row for row and bit for bit; returns the statuses."""
+    ref = outcome(reference_solve, p)
+    got = outcome(solve, p)
+    if isinstance(ref[0], type):
+        assert got == ref
+        return []
+    x_ref, rows_ref, status_ref, statuses = ref
+    x, trace = got
+    assert trace.status == status_ref
+    assert len(trace.rows) == len(rows_ref)
+    for row, row_ref in zip(trace.rows, rows_ref):
+        assert row == row_ref
+    assert x.tobytes() == x_ref.tobytes()
+    assert trace.x_final.tobytes() == x_ref.tobytes()
+    return statuses
+
+
+def halfspaces(seed, m, n, witness=True, **kwargs):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    b = rng.uniform(1.0, 2.0, m)
+    fs = [Dist(Halfspace(A[i], b[i])) for i in range(m)]
+    defaults = dict(dimension=n, functions=fs, x0=10.0 * np.ones(n), relaxation=1.5,
+                    tol=1e-6, max_iter=3000,
+                    feasible_witness=np.zeros(n) if witness else None)
+    defaults.update(kwargs)
+    return Problem(**defaults)
+
+
+def mixed(seed, **kwargs):
+    rng = np.random.default_rng(seed)
+    n = 5
+    w = rng.normal(0.0, 0.3, n)
+    S = rng.standard_normal((12, n))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    # Two unit balls touch at w, so the run ends in the slow tangent regime.
+    fs = [
+        MoreauEnv(1.0, Indicator(Ball(w + 0.3, 1.0))),
+        Dist(Box(w - 1.0, w + 1.0)),
+        SqDist(Ball(w - 0.2, 0.8)),
+        AffineMax(list(zip(S, -S @ w - rng.uniform(0.5, 1.0, 12)))),
+        Scale(2.0, Dist(Ball(w + d, 1.0))),
+        PowerComp(0.5, Dist(Halfspace(a, float(a @ w) + 0.5))),
+        RightLinear(2.0 * Q, Dist(Ball(2.0 * Q @ (w - d), 2.0))),
+    ]
+    defaults = dict(dimension=n, functions=fs, x0=w + 5.0 * rng.standard_normal(n),
+                    control=Explicit([0, 5, 1, 6, 2, 3, 4]), relaxation=[1.0, 1.5, 1.2],
+                    tol=1e-3, max_iter=3000, feasible_witness=w)
+    defaults.update(kwargs)
+    return Problem(**defaults)
+
+
+def two_balls(**kwargs):
+    defaults = dict(dimension=2, functions=[Dist(Ball([0.0, 0.0], 1.0)),
+                                            Dist(Ball([1.5, 0.0], 1.0))],
+                    x0=[5.0, 5.0], feasible_witness=[0.75, 0.0])
+    defaults.update(kwargs)
+    return Problem(**defaults)
+
+
+CASES = {
+    "halfspaces-cyclic": lambda: halfspaces(0, 24, 12),
+    "halfspaces-cyclic-no-witness": lambda: halfspaces(1, 24, 12, witness=False),
+    "halfspaces-quasicyclic": lambda: halfspaces(2, 16, 8, control=QuasiCyclic(list(range(16, 32)))),
+    "halfspaces-explicit-schedule": lambda: halfspaces(
+        3, 8, 4, control=Explicit([7, 0, 6, 1, 5, 2, 4, 3, 0]), relaxation=[1.0, 1.9, 0.3]),
+    "halfspaces-negative-zero-start": lambda: halfspaces(4, 10, 3, x0=[-0.0, 10.0, -0.0]),
+    "halfspaces-max-iter": lambda: halfspaces(5, 24, 12, max_iter=40),
+    "mixed-explicit": lambda: mixed(0),
+    "mixed-cyclic-max-iter": lambda: mixed(1, control=Cyclic(), relaxation=1.0, max_iter=500),
+    "mixed-quasicyclic": lambda: mixed(2, control=QuasiCyclic([7, 8, 9, 7, 8, 9, 10])),
+    "two-balls-schedule": lambda: two_balls(relaxation=[1.0, 1.5, 0.7], tol=1e-6),
+    "two-balls-feasible-start": lambda: two_balls(x0=[0.75, 0.0]),
+    "affinemax-linear-1d": lambda: Problem(
+        dimension=1, functions=[AffineMax([([1.0], -1.0), ([2.0], -3.0)]), Linear([-1.0])],
+        x0=[40.0], control=Explicit([1, 0, 0]), relaxation=[0.5, 1.0]),
+    "stalled-step": lambda: Problem(dimension=1, functions=[Linear([1e160])], x0=[1e-300],
+                                    tol=1e-310),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_matches_the_reference_loop(name):
+    assert_same_solve(CASES[name]())
+
+
+def test_the_table_exercises_fixed_steps():
+    # Without fixed steps the reuse would never be taken and the table would prove nothing.
+    for name in ("halfspaces-cyclic", "halfspaces-quasicyclic", "mixed-explicit"):
+        statuses = assert_same_solve(CASES[name]())
+        fixed = statuses.count(ProjStatus.FIXED)
+        assert fixed > len(statuses) // 2, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5),
+       balls=st.integers(0, 3), lam=st.sampled_from([1.0, 1.5, 0.5, [1.0, 1.8, 0.6]]))
+def test_random_halfspace_and_ball_problems_match_the_reference_loop(seed, m, n, balls, lam):
+    rng = np.random.default_rng(seed)
+    fs = [Dist(Halfspace(rng.standard_normal(n), rng.uniform(0.0, 2.0))) for _ in range(m)]
+    fs += [Dist(Ball(rng.normal(0.0, 0.5, n), rng.uniform(1.0, 2.0))) for _ in range(balls)]
+    p = Problem(dimension=n, functions=fs, x0=rng.normal(0.0, 5.0, n), relaxation=lam,
+                tol=1e-6, max_iter=400, feasible_witness=np.zeros(n))
+    assert_same_solve(p)
+
+
+class CountingDist(Dist):
+    def __init__(self, s, counts):
+        super().__init__(s)
+        self.counts = counts
+
+    def value(self, x):
+        self.counts["value"] += 1
+        return super().value(x)
+
+    def subgradient(self, x, strategy=LEAST_INDEX):
+        self.counts["subgradient"] += 1
+        return super().subgradient(x, strategy)
+
+
+def test_each_constraint_is_evaluated_once_per_distinct_iterate():
+    m, n = 16, 8
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((m, n))
+    b = rng.uniform(1.0, 2.0, m)
+    counts = {"value": 0, "subgradient": 0}
+
+    def problem(make):
+        return Problem(dimension=n, functions=[make(Halfspace(A[i], b[i])) for i in range(m)],
+                       x0=10.0 * np.ones(n), relaxation=1.5, tol=1e-6)
+
+    _x, _rows, _status, statuses = reference_solve(problem(Dist))
+    big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
+    assert 0 < big_p < big_n
+    _x, trace = solve(problem(lambda s: CountingDist(s, counts)))
+    assert trace.iterations == big_n
+    assert counts == {"value": m * (1 + big_p), "subgradient": big_p}
+
+
+def test_overflowing_iterate_raises_naming_the_iteration():
+    # f(x) = 1e290 over ||u||^2 = 1e-20 sends the iterate to -inf.
+    p = Problem(dimension=1, functions=[Linear([1e-10])], x0=[1e300])
+    with pytest.raises(NonFiniteValue, match="iteration 0 produced a non-finite iterate"):
+        solve(p)

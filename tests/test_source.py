@@ -45,6 +45,14 @@ def _self_products(tree):
             yield node
 
 
+def _dot_calls(tree):
+    """Calls of np.dot or of an array's .dot method; 1-D inner products use np.vdot."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dot"):
+            yield node
+
+
 def _eps_norm_uses(tree):
     for node in ast.walk(tree):
         if (isinstance(node, ast.Name) and node.id == "EPS_NORM"
@@ -70,4 +78,22 @@ def test_squared_lengths_and_the_zero_length_test_live_in_core():
         found += [f"{path.name}:{node.lineno} self-product" for node in _self_products(tree)]
         if path.name != "__init__.py":  # the package re-exports the constant
             found += [f"{path.name}:{node.lineno} EPS_NORM" for node in _eps_norm_uses(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.dot(x, u)", 1), ("numpy.dot(a, b)", 1), ("x.dot(u)", 1), ("float(np.dot(x, u)) - b", 1),
+    ("np.vdot(x, u)", 0), ("A @ x", 0), ("dot(x, u)", 0),
+])
+def test_dot_rule_sees_every_dot_call(source, found):
+    assert len(list(_dot_calls(ast.parse(source)))) == found
+
+
+def test_inner_products_use_vdot():
+    # np.dot warns "overflow encountered in dot" where np.vdot returns the same
+    # +-inf silently, and both give the same bits on 1-D operands; matrix
+    # products are written with @.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _dot_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
