@@ -189,10 +189,8 @@ def seq_lab(family: Callable[[int], FunctionSpec], f: FunctionSpec, x,
     sel_devs = np.zeros(n_steps)
     u_lim = out.subgradient_used
     for j in range(n_steps):
-        fn = family(j + 1)
-        xn = as_vector(x, dim=fn.dim)
-        fn_vals[j] = fn.value(xn)
-        out_n = sproj(fn, xn, strategy)
+        out_n = sproj(family(j + 1), x, strategy)
+        fn_vals[j] = out_n.f_value
         devs[j] = norm(out_n.point - gx)
         if u_lim is not None and out_n.subgradient_used is not None:
             sel_devs[j] = norm(out_n.subgradient_used - u_lim)

@@ -3,7 +3,7 @@
 Usage
 -----
     subproj project --file problem.json [--point 0.5] [--strategy least-index]
-    subproj solve   --file problem.json [--trace trace.csv]
+    subproj solve   --file problem.json [--trace trace.csv] [--strategy least-index]
     subproj analyze {jacobian|lipschitz|monotone|seqlab|distbound}
                     --file problem.json --point ... [--seed 0] [options]
 
@@ -25,7 +25,7 @@ from . import analysis
 from .core import as_vector, fd_jacobian, norm
 from .errors import EmptySample, SchemaError, SubprojError
 from .feasibility import Problem, SolveTrace, solve
-from .functions import EndpointK, LEAST_INDEX, CENTROID, SelectionStrategy
+from .functions import EndpointK, LEAST_INDEX, CENTROID, FunctionSpec, SelectionStrategy
 from .projector import sproj
 from .serialize import parse_problem_file, problem_from_record
 
@@ -87,7 +87,7 @@ def write_trace(path: str, trace: SolveTrace) -> None:
                 row.append(_fmt(r.dist_to_witness))
             writer.writerow(row)
         fh.write(f"# status={trace.status} iterations={trace.iterations}"
-                 f" residual={_fmt(trace.final_residual) if trace.rows else 'NA'}"
+                 f" residual={_fmt(trace.final_residual)}"
                  f" assumes={trace.assumption}\n")
 
 
@@ -95,12 +95,17 @@ def write_trace(path: str, trace: SolveTrace) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_project(args) -> int:
+def _target(args) -> tuple[FunctionSpec, np.ndarray]:
+    """The file's one function and the point to examine: --point, else x0."""
     parts = load_parts(args.file)
     if len(parts["functions"]) != 1:
-        raise SchemaError("project needs a problem file with exactly one function")
+        raise SchemaError(f"{args.command} needs a problem file with exactly one function")
     f = parts["functions"][0]
-    point = as_vector(args.point if args.point is not None else parts["x0"], dim=f.dim)
+    return f, as_vector(args.point if args.point is not None else parts["x0"], dim=f.dim)
+
+
+def cmd_project(args) -> int:
+    f, point = _target(args)
     out = sproj(f, point, parse_strategy(args.strategy))
     print(f"point: {_vec_str(out.point)}")
     print(f"status: {out.status.value}")
@@ -114,21 +119,20 @@ def cmd_project(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
+    problem.selections = [parse_strategy(args.strategy)] * len(problem.functions)
     x, trace = solve(problem)
     if args.trace:
         write_trace(args.trace, trace)
     print(f"status: {trace.status}")
     print(f"iterations: {trace.iterations}")
-    print(f"residual: {_fmt(trace.final_residual) if trace.rows else _fmt(0.0)}")
+    print(f"residual: {_fmt(trace.final_residual)}")
     print(f"x_final: {_vec_str(x)}")
     return 0 if trace.status == "Converged" else 1
 
 
 def cmd_analyze(args) -> int:
-    parts = load_parts(args.file)
-    f = parts["functions"][0]
+    f, point = _target(args)
     strategy = parse_strategy(args.strategy)
-    point = as_vector(args.point if args.point is not None else parts["x0"], dim=f.dim)
     rng = np.random.default_rng(args.seed)
 
     if args.what == "jacobian":
@@ -184,15 +188,13 @@ def cmd_analyze(args) -> int:
         print(f"gap_floor: {_fmt(report.gap_floor)}")
         return 0
 
-    if args.what == "distbound":
-        lhs, rhs = analysis.dist_bound_check(f, point, strategy)
-        ok = lhs <= rhs + 1e-9
-        print(f"lhs: {_fmt(lhs)}")
-        print(f"rhs: {_fmt(rhs)}")
-        print(f"verdict: {'OK' if ok else 'VIOLATION'}")
-        return 0
-
-    raise SchemaError(f"unknown analyze subcommand {args.what!r}")
+    # distbound, the last of the parser's choices
+    lhs, rhs = analysis.dist_bound_check(f, point, strategy)
+    ok = lhs <= rhs + 1e-9
+    print(f"lhs: {_fmt(lhs)}")
+    print(f"rhs: {_fmt(rhs)}")
+    print(f"verdict: {'OK' if ok else 'VIOLATION'}")
+    return 0
 
 
 def _vec_str(v: np.ndarray) -> str:
@@ -246,16 +248,13 @@ def main(argv=None) -> int:
             return cmd_project(args)
         if args.command == "solve":
             return cmd_solve(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_analyze(args)
     except SchemaError as exc:
         print(f"error: SchemaError: {exc}", file=sys.stderr)
         return 2
     except SubprojError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

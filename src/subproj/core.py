@@ -108,13 +108,8 @@ def fd_jacobian(g: Callable[[np.ndarray], np.ndarray], x, h: float = FD_STEP) ->
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar map."""
-    x = as_vector(x)
-    if h <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    out = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        out[i] = (float(f(x + e)) - float(f(x - e))) / (2.0 * h)
-    return out
+    """Central-difference gradient of a scalar map: the one row of its fd_jacobian.
+
+    A probe value of +-inf or NaN raises ``ValueError``.
+    """
+    return fd_jacobian(lambda z: [float(f(z))], x, h)[0]

@@ -104,7 +104,7 @@ class QuasiCyclic(ControlSequence):
         out = []
         for n in range(horizon):
             best = max(range(m),
-                       key=lambda i: ((n - last[i]) / windows[i], n - last[i], -i))
+                       key=lambda i: ((n - last[i]) / windows[i], n - last[i]))
             out.append(best)
             last[best] = n
         return out
@@ -268,15 +268,12 @@ class SolveTrace:
     rows: list[TraceRow]
     status: str  # "Converged" or "MaxIterReached"
     x_final: np.ndarray
+    final_residual: float  # the residual at x_final, x0's when no step ran
     assumption: str = TRACE_ASSUMPTION
 
     @property
     def iterations(self) -> int:
         return len(self.rows)
-
-    @property
-    def final_residual(self) -> float:
-        return self.rows[-1].residual if self.rows else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +323,19 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
 
     res, values = _values(p, x)
     if res <= p.tol:
-        return x, SolveTrace([], "Converged", x)
+        return x, SolveTrace([], "Converged", x, res)
+    x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
+    dist = None if witness is None else norm(x - witness)
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
-    # on a satisfied constraint (G x = x) evaluates nothing.
+    # on a satisfied constraint (G x = x) leaves x, and everything measured at
+    # it, as it is.
     for n, i in zip(range(p.max_iter), idx):
         lam = lams[n % len(lams)]
         fx = values[i]
-        if fx <= 0.0:
-            x_next = x + lam * (x - x)  # x itself, with any -0.0 entry made +0.0
-        else:
-            out, n2 = _project(p.functions[i], x, fx, p.selections[i])
-            step_scale = fx / n2
+        step = 0.0
+        if fx > 0.0:
+            out, step_scale = _project(p.functions[i], x, fx, p.selections[i])
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")
@@ -345,17 +343,20 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             if not np.all(np.isfinite(x_next)):
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
             res, values = _values(p, x_next)
+            step = norm(x_next - x)
+            if witness is not None:
+                dist = norm(x_next - witness)
+            x = x_next
         rows.append(TraceRow(
             n=n,
             index=i,
             lam=lam,
             residual=res,
-            step_norm=norm(x_next - x),
-            dist_to_witness=None if witness is None else norm(x_next - witness),
+            step_norm=step,
+            dist_to_witness=dist,
         ))
-        x = x_next
         if res <= p.tol:
             status = "Converged"
             break
 
-    return x, SolveTrace(rows, status, x)
+    return x, SolveTrace(rows, status, x, res)

@@ -73,10 +73,10 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
 
 
 def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
-    """x - (fx / ||u||^2) u for fx > 0, with the ||u||^2 it divided by."""
+    """x - t u for fx > 0, with its step scale t = fx / ||u||^2."""
     u = as_vector(u, dim=x.size)
-    n2 = _cut_norm2(u)
-    return x - (fx / n2) * u, n2
+    t = fx / _cut_norm2(u)
+    return x - t * u, t
 
 
 def _cut_norm2(u: np.ndarray) -> float:
@@ -112,15 +112,15 @@ def sproj(f: FunctionSpec, x, strategy: SelectionStrategy = LEAST_INDEX) -> Proj
 
 def _project(f: FunctionSpec, x: np.ndarray, fx: float,
              strategy: SelectionStrategy) -> tuple[ProjOutcome, float]:
-    """sproj at a checked x whose value fx = f(x) is known, with ||u||^2 of the cut.
+    """sproj at a checked x whose value fx = f(x) is known, with the cut's step scale.
 
-    The squared norm is 0.0 when the outcome is FIXED.
+    The step scale fx / ||u||^2 is 0.0 when the outcome is FIXED.
     """
     if fx <= 0.0:
         return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None), 0.0
     u = f.subgradient(x, strategy)
-    point, n2 = _cut(x, u, fx)
-    return ProjOutcome(point, ProjStatus.PROJECTED, fx, u), n2
+    point, t = _cut(x, u, fx)
+    return ProjOutcome(point, ProjStatus.PROJECTED, fx, u), t
 
 
 def sproj_set(f: FunctionSpec, x, k: int) -> list[np.ndarray]:

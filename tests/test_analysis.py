@@ -280,6 +280,19 @@ def test_seq_lab_alternating_family_keeps_a_gap():
     assert report.recurrent_deviation >= 0.9 * report.gap_floor
 
 
+def test_seq_lab_evaluates_each_member_once_per_step():
+    calls = []
+
+    class CountingDist(Dist):
+        def value(self, x):
+            calls.append(x)
+            return super().value(x)
+
+    f = Dist(Ball([0.0, 0.0], 1.0))
+    seq_lab(lambda n: CountingDist(Ball([0.0, 0.0], 1.0 + 1.0 / n)), f, [3.0, 4.0], n_steps=50)
+    assert len(calls) == 50
+
+
 # -- distance lower bound -------------------------------------------------------------------
 
 def test_dist_bound_examples():

@@ -203,6 +203,44 @@ def test_solve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# The centroid of the two active slopes at (3, 3) cuts straight to (1, 1).
+CORNER = {"type": "affinemax", "pieces": [{"a": [1.0, 0.0], "b": -1.0},
+                                          {"a": [0.0, 1.0], "b": -1.0}]}
+
+
+@pytest.mark.parametrize("strategy, iterations", [("least-index", 2), ("centroid", 1)])
+def test_solve_strategy_selects_the_subgradient(tmp_path, capsys, strategy, iterations):
+    path = write(tmp_path, "p.json", neglog_record(functions=[CORNER], dimension=2, x0=[3.0, 3.0]))
+    assert main(["solve", "--file", path, "--strategy", strategy]) == 0
+    assert capsys.readouterr().out == (f"status: Converged\niterations: {iterations}\n"
+                                       "residual: 0\nx_final: [1, 1]\n")
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("endpoint:x", "bad strategy 'endpoint:x'"),
+    ("bogus", "unknown strategy 'bogus'"),
+])
+def test_solve_bad_strategy_exits_2(tmp_path, capsys, strategy, message):
+    path = write(tmp_path, "p.json", neglog_record(functions=[CORNER], dimension=2, x0=[3.0, 3.0]))
+    assert main(["solve", "--file", path, "--strategy", strategy]) == 2
+    assert capsys.readouterr() == ("", f"error: SchemaError: {message}\n")
+
+
+def test_solve_without_steps_prints_the_residual_at_x0(tmp_path, capsys):
+    # 0 < residual <= tol: the start is accepted as it is, and its residual reported.
+    record = neglog_record(functions=[{"type": "dist", "set": {
+        "type": "ball", "center": [0.0], "radius": 1.0}}], x0=[1.000000001])
+    path = write(tmp_path, "p.json", record)
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", "--file", path, "--trace", str(trace_path)]) == 0
+    assert capsys.readouterr().out == ("status: Converged\niterations: 0\n"
+                                       "residual: 1.000000082740371e-09\n"
+                                       "x_final: [1.0000000010000001]\n")
+    assert trace_path.read_text().splitlines()[-1] == (
+        "# status=Converged iterations=0 residual=1.000000082740371e-09"
+        " assumes=subdifferentials-bounded-on-bounded-sets")
+
+
 # -- analyze command ---------------------------------------------------------------------
 
 def test_analyze_jacobian(tmp_path, capsys):
@@ -265,6 +303,17 @@ def test_analyze_lipschitz_gives_up_without_positive_samples(tmp_path, capsys):
                  "--count", "5"]) == 3
     assert capsys.readouterr().err == ("error: EmptySample: 0 of 500 draws around the point"
                                        " have 0 < f(x) < +inf; 5 are needed\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["project"], ["analyze", "jacobian"], ["analyze", "lipschitz"], ["analyze", "monotone"],
+    ["analyze", "seqlab"], ["analyze", "distbound"],
+])
+def test_projection_commands_refuse_a_file_with_two_functions(tmp_path, capsys, command):
+    path = write(tmp_path, "p.json", two_ball_record())
+    assert main(command + ["--file", path]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: SchemaError: {command[0]} needs a problem file with exactly one function\n")
 
 
 def test_analyze_lipschitz_zero_gradient_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Property test: the one-pass control scan agrees with a per-index occurrence-list scan."""
+"""Property tests: the one-pass control scan agrees with a per-index occurrence-list scan,
+and QuasiCyclic breaks ties by the smallest index."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +77,22 @@ def test_scan_matches_occurrence_list_reference(case):
     control, m, horizon = case
     assert outcome(validate_control, control, m, horizon) == \
         outcome(reference_validate, control, m, horizon)
+
+
+def reference_quasicyclic(windows, horizon):
+    """QuasiCyclic's schedule with the smallest-index tie-break written into the key."""
+    m = len(windows)
+    last = [-1] * m
+    out = []
+    for n in range(horizon):
+        best = max(range(m), key=lambda i: ((n - last[i]) / windows[i], n - last[i], -i))
+        out.append(best)
+        last[best] = n
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=st.lists(st.integers(1, 12), min_size=1, max_size=8), horizon=st.integers(0, 200))
+def test_quasicyclic_breaks_ties_by_smallest_index(windows, horizon):
+    assert QuasiCyclic(windows).indices(len(windows), horizon) == \
+        reference_quasicyclic(windows, horizon)

@@ -100,6 +100,11 @@ def test_fd_gradient_quadratic():
     assert np.allclose(fd_gradient(f, x), 2 * x, atol=1e-9)
 
 
+def test_fd_gradient_rejects_a_non_finite_probe():
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        fd_gradient(lambda z: float("inf") if z[0] > 0.0 else 0.0, [0.0])
+
+
 def test_as_vector_validation():
     assert as_vector(2.0).shape == (1,)
     with pytest.raises(ValueError):

@@ -45,7 +45,10 @@ from subproj.feasibility import STALL_FLOOR
 
 
 def reference_solve(p):
-    """(x, rows, status, statuses): sproj on every step, residual at every iterate."""
+    """(x, rows, status, final residual, statuses).
+
+    sproj on every step, then residual at every iterate.
+    """
     m = len(p.functions)
     declared = [w for w in p.control.windows(m) if w is not None]
     horizon = max([p.max_iter] + declared)
@@ -56,8 +59,9 @@ def reference_solve(p):
     lams = p.relaxation_schedule(p.max_iter)
     witness = p.feasible_witness
     x = np.array(p.x0)
-    if residual(p, x) <= p.tol:
-        return x, [], "Converged", []
+    res = residual(p, x)
+    if res <= p.tol:
+        return x, [], "Converged", res, []
     rows, statuses, status = [], [], "MaxIterReached"
     for n, i in zip(range(p.max_iter), idx):
         out = sproj(p.functions[i], x, p.selections[i])
@@ -76,7 +80,7 @@ def reference_solve(p):
         if res <= p.tol:
             status = "Converged"
             break
-    return x, rows, status, statuses
+    return x, rows, status, res, statuses
 
 
 def outcome(run, p):
@@ -94,9 +98,10 @@ def assert_same_solve(p):
     if isinstance(ref[0], type):
         assert got == ref
         return []
-    x_ref, rows_ref, status_ref, statuses = ref
+    x_ref, rows_ref, status_ref, res_ref, statuses = ref
     x, trace = got
     assert trace.status == status_ref
+    assert trace.final_residual.hex() == res_ref.hex()
     assert len(trace.rows) == len(rows_ref)
     for row, row_ref in zip(trace.rows, rows_ref):
         assert row == row_ref
@@ -187,12 +192,16 @@ def test_the_table_exercises_fixed_steps():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5),
-       balls=st.integers(0, 3), lam=st.sampled_from([1.0, 1.5, 0.5, [1.0, 1.8, 0.6]]))
-def test_random_halfspace_and_ball_problems_match_the_reference_loop(seed, m, n, balls, lam):
+       balls=st.integers(0, 3), lam=st.sampled_from([1.0, 1.5, 0.5, [1.0, 1.8, 0.6]]),
+       negative_zeros=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_random_halfspace_and_ball_problems_match_the_reference_loop(seed, m, n, balls, lam,
+                                                                     negative_zeros):
     rng = np.random.default_rng(seed)
     fs = [Dist(Halfspace(rng.standard_normal(n), rng.uniform(0.0, 2.0))) for _ in range(m)]
     fs += [Dist(Ball(rng.normal(0.0, 0.5, n), rng.uniform(1.0, 2.0))) for _ in range(balls)]
-    p = Problem(dimension=n, functions=fs, x0=rng.normal(0.0, 5.0, n), relaxation=lam,
+    x0 = rng.normal(0.0, 5.0, n)
+    x0[negative_zeros[:n]] = -0.0
+    p = Problem(dimension=n, functions=fs, x0=x0, relaxation=lam,
                 tol=1e-6, max_iter=400, feasible_witness=np.zeros(n))
     assert_same_solve(p)
 
@@ -222,7 +231,7 @@ def test_each_constraint_is_evaluated_once_per_distinct_iterate():
         return Problem(dimension=n, functions=[make(Halfspace(A[i], b[i])) for i in range(m)],
                        x0=10.0 * np.ones(n), relaxation=1.5, tol=1e-6)
 
-    _x, _rows, _status, statuses = reference_solve(problem(Dist))
+    _x, _rows, _status, _res, statuses = reference_solve(problem(Dist))
     big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
     assert 0 < big_p < big_n
     _x, trace = solve(problem(lambda s: CountingDist(s, counts)))
@@ -235,3 +244,32 @@ def test_overflowing_iterate_raises_naming_the_iteration():
     p = Problem(dimension=1, functions=[Linear([1e-10])], x0=[1e300])
     with pytest.raises(NonFiniteValue, match="iteration 0 produced a non-finite iterate"):
         solve(p)
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_only_a_projected_step_measures_its_iterate(monkeypatch, witness):
+    # A fixed step leaves x as it is: its step norm is 0 and its witness
+    # distance the one measured when x last moved, or at the start.
+    p = halfspaces(6, 16, 8, witness=witness)
+    _x, _rows, _status, _res, statuses = reference_solve(p)
+    big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
+    assert 0 < big_p < big_n
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return norm(v)
+
+    monkeypatch.setattr("subproj.feasibility.norm", counted)
+    _x, trace = solve(p)
+    assert trace.iterations == big_n
+    assert len(calls) == (1 + 2 * big_p if witness else big_p)
+
+
+def test_a_solve_without_steps_reports_the_residual_at_x0():
+    # 0 < residual <= tol, so the start is accepted as it is.
+    p = Problem(dimension=1, functions=[Dist(Ball([0.0], 1.0))], x0=[1.000000001])
+    x, trace = solve(p)
+    assert trace.iterations == 0
+    assert trace.final_residual == residual(p, p.x0) == 1.000000082740371e-09
+    assert x.tobytes() == p.x0.tobytes()
