@@ -26,6 +26,7 @@ from .errors import (
     NotPositiveHere,
 )
 from .functions import (
+    _BASE_SLACK,
     LEAST_INDEX,
     FunctionSpec,
     InfConv,
@@ -69,7 +70,7 @@ def sproj_power(alpha: float, f: FunctionSpec, x,
         raise ValueError("alpha must be positive")
     x = as_vector(x, dim=f.dim)
     out = sproj(f, x, strategy)
-    if out.f_value < -1e-12:
+    if out.f_value < -_BASE_SLACK:
         raise NegativeBaseError(f"the power rule needs f >= 0, got f(x) = {out.f_value}")
     return (1.0 - alpha) * x + alpha * out.point
 

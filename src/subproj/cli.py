@@ -25,7 +25,7 @@ from . import analysis
 from .core import as_vector, fd_jacobian, norm
 from .errors import EmptySample, SchemaError, SubprojError
 from .feasibility import Problem, SolveTrace, solve
-from .functions import EndpointK, LEAST_INDEX, CENTROID, FunctionSpec, SelectionStrategy
+from .functions import EndpointK, LEAST_INDEX, CENTROID, FunctionSpec, Scale, SelectionStrategy
 from .projector import sproj
 from .serialize import parse_problem_file, problem_from_record
 
@@ -180,7 +180,6 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.what == "seqlab":
-        from .functions import Scale
         report = analysis.seq_lab(lambda n: Scale(1.0 + 1.0 / n, f), f, point,
                                   n_steps=args.horizon, strategy=strategy)
         print(f"verdict: {report.verdict.value}")

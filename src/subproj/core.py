@@ -1,4 +1,5 @@
-"""Dense vector arithmetic, the generalized inverse map, and finite-difference oracles.
+"""Dense vector arithmetic, the generalized inverse map, finite-difference oracles
+and the seeded optimality audit of a claimed minimizer.
 
 Vectors are 1-D float64 numpy arrays.  All operations treat their inputs as
 immutable values and return fresh arrays; nothing in this package mutates a
@@ -22,6 +23,9 @@ EPS_NORM = 1e-14
 # Default central-difference step, balancing truncation against rounding at
 # double precision.
 FD_STEP = 1e-5
+
+# Margin by which a competitor may beat an audited minimizer (see _audit).
+_AUDIT_TOL = 1e-8
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -65,6 +69,25 @@ def nonzero_norm2(n2: float, error: type[Exception], message: str) -> float:
     if math.sqrt(n2) <= EPS_NORM:
         raise error(message)
     return n2
+
+
+def _audit(objective: Callable[[np.ndarray], float], y: np.ndarray, best: float, x,
+           seed: int, error: type[Exception], message: str) -> None:
+    """Probe a claimed minimizer ``y`` of ``objective`` (value ``best``) with 8 competitors.
+
+    Competitor k is ``y + scale * d_k``, where ``d`` is one seeded standard-normal
+    (8, dim) block and ``scale`` is ``1 + ||x||``, measured through the largest
+    entry of x where the plain norm overflows.  A competitor below ``best - 1e-8``,
+    or one whose value is NaN, raises ``error(f"{message} by {best - value:.3e}")``.
+    """
+    scale = 1.0 + norm(x)
+    if scale == math.inf:
+        m = float(np.max(np.abs(x)))
+        scale = 1.0 + m * norm(np.divide(x, m))
+    for d in np.random.default_rng(seed).standard_normal((8, y.size)):
+        cand = objective(y + scale * d)
+        if not cand >= best - _AUDIT_TOL:
+            raise error(f"{message} by {best - cand:.3e}")
 
 
 def inv(x) -> np.ndarray:

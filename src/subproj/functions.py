@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm, norm2
+from .core import _audit, as_vector, finite_float, norm, norm2
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -57,6 +57,9 @@ INF = math.inf
 
 # Relative tolerance deciding which affine pieces count as active at a point.
 ACTIVE_TOL = 1e-12
+
+# Rounding below zero that the base of a power may show and still count as 0.
+_BASE_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,14 @@ class NormPow(FunctionSpec):
         return f"NormPow(p={self.p}, dim={self.dim})"
 
 
+def _positive(x, formula: str) -> float:
+    """The one entry of x inside the domain (0, inf) of ``formula``; DomainError outside."""
+    t = float(x[0])
+    if t <= 0.0:
+        raise DomainError(f"{formula} is +inf at x <= 0")
+    return t
+
+
 class NegLog(FunctionSpec):
     """-ln(x) for x > 0, +inf otherwise; its zero sublevel set is [1, inf)."""
 
@@ -297,15 +308,10 @@ class NegLog(FunctionSpec):
         return -math.log(t) if t > 0.0 else INF
 
     def subgradient(self, x, strategy=LEAST_INDEX):
-        t = float(x[0])
-        if t <= 0.0:
-            raise DomainError("-ln(x) is +inf at x <= 0")
-        return np.array([-1.0 / t])
+        return np.array([-1.0 / _positive(x, "-ln(x)")])
 
     def hessian(self, x):
-        t = float(x[0])
-        if t <= 0.0:
-            raise DomainError("-ln(x) is +inf at x <= 0")
+        t = _positive(x, "-ln(x)")
         return np.array([[1.0 / (t * t)]])
 
     def level_set_project(self, x):
@@ -331,16 +337,10 @@ class SqrtShift(FunctionSpec):
         return self.eta - math.sqrt(t) if t > 0.0 else INF
 
     def subgradient(self, x, strategy=LEAST_INDEX):
-        t = float(x[0])
-        if t <= 0.0:
-            raise DomainError("eta - sqrt(x) is +inf at x <= 0")
-        return np.array([-0.5 / math.sqrt(t)])
+        return np.array([-0.5 / math.sqrt(_positive(x, "eta - sqrt(x)"))])
 
     def hessian(self, x):
-        t = float(x[0])
-        if t <= 0.0:
-            raise DomainError("eta - sqrt(x) is +inf at x <= 0")
-        return np.array([[0.25 * t ** (-1.5)]])
+        return np.array([[0.25 * _positive(x, "eta - sqrt(x)") ** (-1.5)]])
 
     def level_set_project(self, x):
         return np.array([max(float(x[0]), self.eta * self.eta)])
@@ -505,25 +505,19 @@ class PowerComp(FunctionSpec):
         self._certified = f.nonnegative
 
     def _base(self, x):
+        """f(x) with rounding below zero cut to 0; NegativeBaseError past the slack."""
         v = self.inner.value(x)
-        if v == INF:
-            raise DomainError("base function is +inf here")
-        if v < 0.0:
-            if self._certified or v >= -1e-12:
-                return 0.0
+        if v < -_BASE_SLACK and not self._certified:
             raise NegativeBaseError(f"base function is negative ({v}) at this point")
-        return v
+        return max(v, 0.0)
 
     def value(self, x):
-        v = self.inner.value(x)
-        if v == INF:
-            return INF
-        if v < -1e-12 and not self._certified:
-            raise NegativeBaseError(f"base function is negative ({v}) at this point")
-        return max(v, 0.0) ** (1.0 / self.alpha)
+        return self._base(x) ** (1.0 / self.alpha)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         v = self._base(x)
+        if v == INF:
+            raise DomainError("base function is +inf here")
         e = 1.0 / self.alpha
         if v == 0.0:
             # The zero set minimizes f^e >= 0, so 0 is a subgradient there.  For
@@ -677,10 +671,8 @@ class InfConv(FunctionSpec):
 
     ``minimizer(x)`` must return y attaining inf_y f(y) + g(x - y); each call is
     probed against 8 pseudo-random competitors and InconsistentMinimizer is
-    raised when a competitor beats it by more than 1e-8.
+    raised when a competitor beats it by more than 1e-8 or has a NaN value.
     """
-
-    AUDIT_TOL = 1e-8
 
     def __init__(self, f: FunctionSpec, g: FunctionSpec, minimizer, joint_u=None):
         if f.dim != g.dim:
@@ -703,15 +695,8 @@ class InfConv(FunctionSpec):
         for h, v in ((self.f, fy), (self.g, gxy)):
             if v != v:
                 raise NonFiniteValue(f"{type(h).__name__} value is NaN")
-        best = fy + gxy
-        rng = np.random.default_rng(271828)
-        scale = 1.0 + norm(x)
-        for _ in range(8):
-            z = y + scale * rng.standard_normal(self.dim)
-            cand = self.f.value(z) + self.g.value(x - z)
-            if cand < best - self.AUDIT_TOL:
-                raise InconsistentMinimizer(
-                    f"competitor improves the supplied argmin by {best - cand:.3e}")
+        _audit(lambda z: self.f.value(z) + self.g.value(x - z), y, fy + gxy, x, 271828,
+               InconsistentMinimizer, "competitor improves the supplied argmin")
         return y, fy, gxy
 
     def value(self, x):

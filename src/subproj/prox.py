@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_vector, finite_float, nonzero_norm2, norm, norm2
+from .core import _audit, as_vector, finite_float, nonzero_norm2, norm, norm2
 from .errors import DegenerateMoreau, ProxAuditFailed, UnsupportedAtom
 from .functions import (
     LEAST_INDEX,
@@ -22,8 +22,6 @@ from .functions import (
     NormPow,
     Scale,
 )
-
-PROX_AUDIT_TOL = 1e-8
 
 
 def _closed_form(f: FunctionSpec) -> Callable[[float, np.ndarray], np.ndarray] | None:
@@ -71,15 +69,9 @@ def prox(f: FunctionSpec, gamma: float, x) -> np.ndarray:
     if closed_form is None:
         raise UnsupportedAtom(f"no closed-form prox for {type(f).__name__}")
     p = closed_form(gamma, x)
-    rng = np.random.default_rng(314159)
-    best = f.value(p) + norm(x - p) ** 2 / (2.0 * gamma)
-    scale = 1.0 + norm(x)
-    for _ in range(8):
-        z = p + scale * rng.standard_normal(f.dim)
-        cand = f.value(z) + norm(x - z) ** 2 / (2.0 * gamma)
-        if not cand >= best - PROX_AUDIT_TOL:
-            raise ProxAuditFailed(
-                f"prox optimality audit failed: a competitor improves it by {best - cand:.3e}")
+    objective = lambda z: f.value(z) + norm(x - z) ** 2 / (2.0 * gamma)
+    _audit(objective, p, objective(p), x, 314159, ProxAuditFailed,
+           "prox optimality audit failed: a competitor improves it")
     return p
 
 

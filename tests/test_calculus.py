@@ -414,8 +414,38 @@ def test_infconv_audits_minimizer():
     g = Scale(0.5, NormPow(2.0, dim=2))
     bad_minimizer = lambda x: np.array(x)  # true argmin is x/2
     joint = lambda x: 0.5 * x
-    with pytest.raises(InconsistentMinimizer):
+    with pytest.raises(InconsistentMinimizer) as exc:
         sproj_infconv(f, g, bad_minimizer, joint, [4.0, 0.0])
+    # The margin names the first winning competitor, so it pins the audit's probes.
+    assert str(exc.value) == "competitor improves the supplied argmin by 3.073e-01"
+
+
+ABS_1D = AffineMax([([1.0], 0.0), ([-1.0], 0.0)])
+
+
+@pytest.mark.parametrize("s", [1e150, 1e160, 1e300])
+def test_infconv_audit_keeps_probing_where_the_norm_overflows(s):
+    # |.| inf-convolved with itself is |.|, attained at y = x/2.  Past ~1.34e154
+    # ||x||^2 overflows; the probe scale must stay finite to catch y = 3x there.
+    assert InfConv(ABS_1D, ABS_1D, lambda x: 0.5 * x).value(np.array([s])) == s
+    with pytest.raises(InconsistentMinimizer, match="competitor improves the supplied argmin"):
+        InfConv(ABS_1D, ABS_1D, lambda x: 3.0 * x).value(np.array([s]))
+
+
+class _NaNOffOrigin(FunctionSpec):
+    """0 at the origin and NaN everywhere else: every audit competitor is NaN."""
+
+    dim = 2
+
+    def value(self, x):
+        return 0.0 if not np.any(x) else math.nan
+
+
+def test_infconv_audit_fails_a_nan_competitor():
+    spec = InfConv(_NaNOffOrigin(), Scale(0.5, NormPow(2.0, dim=2)), lambda x: np.zeros(2))
+    with pytest.raises(InconsistentMinimizer) as exc:
+        spec.value(np.array([1.0, 0.0]))
+    assert str(exc.value) == "competitor improves the supplied argmin by nan"
 
 
 # -- acceleration ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from subproj import (
     inv_jacobian,
     sproj_moreau,
 )
+from subproj.core import _audit
 
 
 def test_inv_simple_values():
@@ -115,3 +118,42 @@ def test_as_vector_validation():
         as_vector([1.0, 2.0], dim=3)
     with pytest.raises(DimensionMismatch):
         as_vector(np.zeros((2, 2)))
+
+
+def _probes(x, seed, dim):
+    """The points the audit probes around y = 0, recorded through an objective that never wins."""
+    seen = []
+    _audit(lambda z: seen.append(z) or 1.0, np.zeros(dim), 0.0, x, seed, ZeroVector, "")
+    return seen
+
+
+@pytest.mark.parametrize("seed", [314159, 271828])
+@pytest.mark.parametrize("dim", [1, 2, 20, 64])
+def test_audit_probes_the_points_of_eight_separate_draws(seed, dim):
+    # One (8, dim) block from the seed gives the numbers that eight draws of
+    # dim values gave, so the audit probes what it always probed.
+    x = np.linspace(-1.0, 2.0, dim)
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + np.sqrt(np.vdot(x, x))
+    expected = [0.0 + scale * rng.standard_normal(dim) for _ in range(8)]
+    assert all(np.array_equal(p, q) for p, q in zip(_probes(x, seed, dim), expected, strict=True))
+
+
+@pytest.mark.parametrize("x", [[1e160], [3e200, -4e200], [1e300, 1e300]])
+def test_audit_scale_stays_finite_where_the_norm_overflows(x):
+    probes = _probes(np.array(x), 314159, len(x))
+    scale = 1.0 + math.hypot(*x)  # overflow-free
+    first = np.random.default_rng(314159).standard_normal(len(x))
+    assert np.allclose(probes[0], scale * first, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("value, message", [(-1.0, "audit by 1.000e+00"),
+                                            (math.nan, "audit by nan")])
+def test_audit_fails_a_winning_or_nan_competitor(value, message):
+    with pytest.raises(ZeroVector) as exc:
+        _audit(lambda z: value, np.zeros(2), 0.0, np.zeros(2), 1, ZeroVector, "audit")
+    assert str(exc.value) == message
+
+
+def test_audit_tolerates_a_competitor_within_its_margin():
+    _audit(lambda z: -0.9e-8, np.zeros(2), 0.0, np.zeros(2), 1, ZeroVector, "audit")

@@ -172,8 +172,17 @@ class _FlippedLinear(Linear):
 
 
 def test_prox_audit_failure_is_a_named_error():
-    with pytest.raises(ProxAuditFailed):
+    with pytest.raises(ProxAuditFailed) as exc:
         prox(_FlippedLinear([100.0, 0.0]), 1.0, [0.0, 0.0])
+    # The margin names the first winning competitor, so it pins the audit's probes.
+    assert str(exc.value) == "prox optimality audit failed: a competitor improves it by 3.467e+02"
+
+
+@pytest.mark.parametrize("s", [1e150, 1e160, 1e300])
+def test_prox_audit_passes_a_true_prox_where_the_norm_overflows(s):
+    # Past ~1.34e154 ||x|| is +inf; under an infinite probe scale every
+    # competitor's objective is NaN, which fails the audit.
+    assert np.array_equal(prox(Linear([1.0]), 1.0, [s]), [s - 1.0])
 
 
 def test_prox_audit_survives_optimized_mode():
