@@ -1,5 +1,6 @@
-"""Dense vector arithmetic, the generalized inverse map, finite-difference oracles
-and the seeded optimality audit of a claimed minimizer.
+"""Dense vector arithmetic, the generalized inverse map, finite-difference oracles,
+the seeded optimality audit of a claimed minimizer and the rounding screen of a
+block of affine rows.
 
 Vectors are 1-D float64 numpy arrays.  All operations treat their inputs as
 immutable values and return fresh arrays; nothing in this package mutates a
@@ -9,7 +10,8 @@ vector in place.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,6 +28,18 @@ FD_STEP = 1e-5
 
 # Margin by which a competitor may beat an audited minimizer (see _audit).
 _AUDIT_TOL = 1e-8
+
+# Lengths and offsets below which AffineRows trusts a row and an iterate: there
+# no dot product of the two, and no offset added to it, comes near overflow.
+SCREEN_MAX = 2.0 ** 500
+# Fewer rows than this cost less one by one than as one product with bounds: on
+# a 2-vCPU EPYC host, 4 halfspaces took 5.0 us per row loop and 9.8 us screened,
+# 8 took 10.4 and 10.1 us.
+SCREEN_MIN_ROWS = 8
+# Underflow allowance of one term of a screened dot product.  A subnormal
+# product is off by at most 2**-1075, and a row may stand for an oracle that
+# divides by its length of at least 2**-450 (Halfspace.affine_row).
+_SCREEN_TINY = 2.0 ** -600
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -84,10 +98,18 @@ def _audit(objective: Callable[[np.ndarray], float], y: np.ndarray, best: float,
     if scale == math.inf:
         m = float(np.max(np.abs(x)))
         scale = 1.0 + m * norm(np.divide(x, m))
-    for d in np.random.default_rng(seed).standard_normal((8, y.size)):
+    for d in _probe_block(seed, y.size):
         cand = objective(y + scale * d)
         if not cand >= best - _AUDIT_TOL:
             raise error(f"{message} by {best - cand:.3e}")
+
+
+@lru_cache(maxsize=64)
+def _probe_block(seed: int, dim: int) -> np.ndarray:
+    """The audit's (8, dim) standard-normal block from ``seed``, drawn once and read-only."""
+    block = np.random.default_rng(seed).standard_normal((8, dim))
+    block.flags.writeable = False
+    return block
 
 
 def inv(x) -> np.ndarray:
@@ -136,3 +158,50 @@ def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = FD_STEP) -> np.n
     A probe value of +-inf or NaN raises ``ValueError``.
     """
     return fd_jacobian(lambda z: [float(f(z))], x, h)[0]
+
+
+def screen_row(r: np.ndarray, c: float) -> Optional[tuple[np.ndarray, float]]:
+    """(r, c) where ||r|| and |c| lie below SCREEN_MAX, as AffineRows requires, else None."""
+    return (r, c) if norm2(r) < SCREEN_MAX ** 2 and abs(c) < SCREEN_MAX else None
+
+
+class AffineRows:
+    """Affine rows r_k . x - c_k evaluated by one matrix-vector product, with error bounds.
+
+    The product sums in another order than a per-row ``np.vdot``, so its values
+    may differ from the per-row ones in the last bits.  ``bounds`` brackets the
+    value w that an oracle computes for a row: one n-term dot product, an
+    offset and at most three more roundings.  Both w and the block value g
+    obey |fl(r . x) - r . x| <= gamma_n |r| . |x| <= gamma_n ||r|| ||x|| for any
+    summation order (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1), so |w - g| <= (2n + 5) u (||r|| ||x|| + |c|) to first
+    order, with u = 2**-53.  The slack is 8 (n + 4) u times the same, more than
+    twice that, plus the underflow allowance.
+    """
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.offsets = offsets
+        n = rows.shape[1]
+        row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        size = np.abs(offsets)
+        # Enough rows, each as screen_row asks of one.
+        self.used = bool(len(rows) >= SCREEN_MIN_ROWS and row_norms.max() < SCREEN_MAX
+                         and size.max() < SCREEN_MAX)
+        rel = 8.0 * (n + 4) * 2.0 ** -53
+        self._per_norm = rel * row_norms
+        self._fixed = rel * size + (n + 4) * _SCREEN_TINY
+
+    def bounds(self, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(value, lower, upper) per row at x; None where the rows are not ``used``
+        or x is as long as SCREEN_MAX."""
+        if not self.used:
+            return None
+        n2 = norm2(x)
+        if not n2 < SCREEN_MAX ** 2:
+            return None
+        g = self.rows @ x
+        g -= self.offsets
+        slack = self._per_norm * math.sqrt(n2)
+        slack += self._fixed
+        return g, g - slack, g + slack

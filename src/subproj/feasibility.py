@@ -20,12 +20,13 @@ trace, since it cannot be verified numerically for user-supplied oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, cycle, islice
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm
+from .core import AffineRows, as_vector, finite_float, norm
 from .errors import (
     DomainError,
     InvalidControl,
@@ -52,8 +53,13 @@ class ControlSequence:
 
     window_bounds: Optional[list[int]] = None  # None: every index need only appear
 
-    def indices(self, m: int, horizon: int) -> list[int]:
+    def _stream(self, m: int) -> Iterator[int]:
+        """The endless index sequence for m functions, checked before the first index."""
         raise NotImplementedError
+
+    def indices(self, m: int, horizon: int) -> list[int]:
+        """The first ``horizon`` indices."""
+        return list(islice(self._stream(m), horizon))
 
     def windows(self, m: int) -> list[Optional[int]]:
         """Declared window bound per index (None when only presence is required)."""
@@ -76,8 +82,8 @@ def _window_bounds(window_bounds: Sequence[int]) -> list[int]:
 class Cyclic(ControlSequence):
     """0, 1, ..., m-1, 0, 1, ...; every index recurs within a window of m."""
 
-    def indices(self, m, horizon):
-        return [n % m for n in range(horizon)]
+    def _stream(self, m):
+        return cycle(range(m))
 
     def windows(self, m):
         return [m] * m
@@ -98,16 +104,17 @@ class QuasiCyclic(ControlSequence):
     def __init__(self, window_bounds: Sequence[int]):
         self.window_bounds = _window_bounds(window_bounds)
 
-    def indices(self, m, horizon):
-        windows = self.windows(m)
+    def _stream(self, m):
+        return self._schedule(m, self.windows(m))
+
+    @staticmethod
+    def _schedule(m, windows):
         last = [-1] * m
-        out = []
-        for n in range(horizon):
+        for n in count():
             best = max(range(m),
                        key=lambda i: ((n - last[i]) / windows[i], n - last[i]))
-            out.append(best)
+            yield best
             last[best] = n
-        return out
 
     def __repr__(self):
         return f"QuasiCyclic(window_bounds={self.window_bounds})"
@@ -126,11 +133,10 @@ class Explicit(ControlSequence):
             raise InvalidControl("the index list must be nonempty")
         self.window_bounds = None if window_bounds is None else _window_bounds(window_bounds)
 
-    def indices(self, m, horizon):
+    def _stream(self, m):
         if any(i < 0 or i >= m for i in self.index_list):
             raise InvalidControl("explicit index out of range")
-        reps = -(-horizon // len(self.index_list))
-        return (self.index_list * reps)[:horizon]
+        return cycle(self.index_list)
 
     def __repr__(self):
         return f"Explicit(index_list={self.index_list}, window_bounds={self.window_bounds})"
@@ -150,13 +156,11 @@ class ControlViolation:
 
 
 def validate_control(control: ControlSequence, m: int, horizon: int) -> list[ControlViolation]:
-    """Scan every admissible window over the horizon; violations are data, not errors."""
-    return _scan(control, m, horizon)[1]
+    """Scan every admissible window over the horizon; violations are data, not errors.
 
-
-def _scan(control: ControlSequence, m: int,
-          horizon: int) -> tuple[list[int], list[ControlViolation]]:
-    """The control's first ``horizon`` indices and the windows they miss, by index and start."""
+    The scan walks the control's first ``horizon`` indices once and keeps only
+    each index's last visit; the violations come sorted by index and start.
+    """
     if m < 1:
         raise InvalidControl("need at least one function")
     windows = control.windows(m)
@@ -164,10 +168,9 @@ def _scan(control: ControlSequence, m: int,
         raise ValueError("horizon must cover the largest declared window")
     # A presence-only index has the whole horizon as its window, missed only if it never appears.
     bound = [horizon if w is None else w for w in windows]
-    seq = control.indices(m, horizon)
     last = [-1] * m
     violations = []
-    for n, i in enumerate(seq):
+    for n, i in enumerate(islice(control._stream(m), horizon)):
         if 0 <= i < m:
             if n - last[i] > bound[i]:
                 violations.append(ControlViolation(i, last[i] + 1, bound[i]))
@@ -176,7 +179,7 @@ def _scan(control: ControlSequence, m: int,
         if horizon - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
     violations.sort(key=lambda v: v.index)
-    return seq, violations
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +290,15 @@ def residual(p: Problem, x) -> float:
 
 def _values(p: Problem, x: np.ndarray) -> tuple[float, list[float]]:
     """The residual at a checked vector x, with the value f_i(x) of every constraint."""
+    values = [0.0] * len(p.functions)
+    return _evaluate(enumerate(p.functions), x, values), values
+
+
+def _evaluate(rows, x: np.ndarray, values: list[float]) -> float:
+    """Store f(x) at values[i] for each (i, f) of rows, in order, and return the largest
+    positive one (0.0 if none), raising where a value is +inf or NaN."""
     worst = 0.0
-    values = []
-    for f in p.functions:
+    for i, f in rows:
         v = f.value(x)
         if v > worst:
             if v == INF:
@@ -297,8 +306,64 @@ def _values(p: Problem, x: np.ndarray) -> tuple[float, list[float]]:
             worst = v
         elif v != v:
             raise NonFiniteValue(f"{type(f).__name__} value is NaN")
-        values.append(v)
-    return worst, values
+        values[i] = v
+    return worst
+
+
+class _AffineBlock:
+    """The constraints of a problem that expose an affine row, screened together.
+
+    ``values(x)`` gives the residual of ``_values``, bit for bit, and the values
+    the solve uses, from one matrix-vector product and its rounding bounds
+    (``core.AffineRows``).  An affine constraint is computed by its own oracle
+    only where the bounds cannot settle it: where it could be the largest
+    value.  Of the others, one proved <= 0 holds its negative block value, and
+    one of unsettled sign holds NaN, to be computed when the solve visits it.
+    Oracles are pure, so each computed value is the plain loop's.  The other
+    constraints are computed as in ``_values``, in order; an affine oracle
+    cannot raise within the screen's range, so any error is the plain loop's.
+    Where the screen is not used (too few affine rows, or an iterate as long as
+    ``core.SCREEN_MAX``), the plain loop runs instead.
+    """
+
+    def __init__(self, p: Problem):
+        self.p = p
+        # Filled in place, so no second copy of the rows exists; at most m x n
+        # doubles, as when every constraint is affine.
+        rows = np.empty((len(p.functions), p.dimension))
+        offsets = np.empty(len(p.functions))
+        self.index: list[int] = []
+        self.others = []
+        for i, f in enumerate(p.functions):
+            row = f.affine_row()
+            if row is None:
+                self.others.append((i, f))
+            else:
+                k = len(self.index)
+                rows[k], offsets[k] = row
+                self.index.append(i)
+        k = len(self.index)
+        self.rows = AffineRows(rows[:k], offsets[:k])
+        self._scatter = np.array(self.index) if self.others else slice(None)
+
+    def values(self, x: np.ndarray) -> tuple[float, list[float]]:
+        bounds = self.rows.bounds(x)
+        if bounds is None:
+            return _values(self.p, x)
+        g, lo, hi = bounds
+        g[hi > 0.0] = np.nan
+        full = np.empty(len(self.p.functions))
+        full[self._scatter] = g
+        values = full.tolist()
+        worst = _evaluate(self.others, x, values)
+        # A row whose upper bound is below a known lower bound on the residual
+        # is not the largest; every other row is computed.
+        for k in (hi >= max(worst, lo.max(), 0.0)).nonzero()[0].tolist():
+            i = self.index[k]
+            v = values[i] = self.p.functions[i].value(x)
+            if v > worst:
+                worst = v
+        return worst, values
 
 
 def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
@@ -311,7 +376,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     """
     m = len(p.functions)
     declared = [w for w in p.control.windows(m) if w is not None]
-    idx, violations = _scan(p.control, m, max([p.max_iter] + declared))
+    violations = validate_control(p.control, m, max([p.max_iter] + declared))
     if violations:
         raise InvalidControl("; ".join(str(v) for v in violations[:5]))
     lams = p._relaxation_base()
@@ -326,13 +391,16 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         return x, SolveTrace([], "Converged", x, res)
     x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
     dist = None if witness is None else norm(x - witness)
+    block = None  # built at the first projected step, so a solve that never moves builds none
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
     # on a satisfied constraint (G x = x) leaves x, and everything measured at
     # it, as it is.
-    for n, i in zip(range(p.max_iter), idx):
+    for n, i in zip(range(p.max_iter), p.control._stream(m)):
         lam = lams[n % len(lams)]
         fx = values[i]
+        if fx != fx:  # a value the block left to the visit
+            fx = values[i] = p.functions[i].value(x)
         step = 0.0
         if fx > 0.0:
             out, step_scale = _project(p.functions[i], x, fx, p.selections[i])
@@ -342,7 +410,9 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             x_next = x + lam * (out.point - x)
             if not np.all(np.isfinite(x_next)):
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
-            res, values = _values(p, x_next)
+            if block is None:
+                block = _AffineBlock(p)
+            res, values = block.values(x_next)
             step = norm(x_next - x)
             if witness is not None:
                 dist = norm(x_next - witness)

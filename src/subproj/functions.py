@@ -31,11 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
+from typing import Optional
 
 import numpy as np
 
-from .core import _audit, as_vector, finite_float, norm, norm2
+from .core import AffineRows, _audit, as_vector, finite_float, norm, norm2, screen_row
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -160,6 +162,17 @@ class FunctionSpec:
         """Exact projection onto {f <= 0} where a closed form exists."""
         raise NoLevelSetOracle(f"{type(self).__name__} has no level-set projection")
 
+    def affine_row(self) -> Optional[tuple[np.ndarray, float]]:
+        """A row (r, c) that settles the sign of f(x) without calling ``value``, or None.
+
+        The contract: ||r|| and |c| lie below ``core.SCREEN_MAX``, and at any x
+        with ||x|| below it, ``value`` computes one rounding w of r . x - c
+        (one n-term dot product of x with r or a multiple of r, then at most
+        three more roundings) and returns w where w > 0 and a value <= 0
+        elsewhere.  ``core.AffineRows`` then brackets w.
+        """
+        return None
+
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -175,6 +188,9 @@ class Linear(FunctionSpec):
 
     def value(self, x):
         return float(np.vdot(x, self.u))
+
+    def affine_row(self):
+        return screen_row(self.u, 0.0)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return np.array(self.u)
@@ -212,6 +228,9 @@ class Dist(_SetAtom):
 
     def value(self, x):
         return self.set.distance(x)
+
+    def affine_row(self):
+        return self.set.affine_row()
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         d = self.set.distance(x)
@@ -380,34 +399,61 @@ class Hyperbolic(FunctionSpec):
 
 
 class AffineMax(FunctionSpec):
-    """x -> max_i <a_i, x> + b_i over finitely many affine pieces."""
+    """x -> max_i <a_i, x> + b_i over finitely many affine pieces.
+
+    A piece's value is ``float(np.vdot(a_i, x)) + b_i``.  Where ``core.AffineRows``
+    takes the pieces (enough of them, each within its range), ``value`` and
+    ``active_indices`` screen them with one matrix-vector product and compute
+    only those its rounding bound cannot settle, so they return what the
+    per-piece values give, bit for bit.
+    """
 
     def __init__(self, pieces):
         if not pieces:
             raise InvalidSpec("AffineMax needs at least one piece")
-        self.slopes = [as_vector(a) for a, _ in pieces]
+        slopes = [as_vector(a) for a, _ in pieces]
         self.offsets = [float(b) for _, b in pieces]
-        self.dim = self.slopes[0].size
-        for a in self.slopes:
-            if a.size != self.dim:
-                raise DimensionMismatch("all pieces must share one dimension")
+        self.dim = slopes[0].size
+        if any(a.size != self.dim for a in slopes):
+            raise DimensionMismatch("all pieces must share one dimension")
+        self.slopes = np.array(slopes)
 
     @property
     def pieces(self) -> list[tuple[np.ndarray, float]]:
         return list(zip(self.slopes, self.offsets))
 
-    def _piece_values(self, x):
-        return [float(np.vdot(a, x)) + b for a, b in zip(self.slopes, self.offsets)]
+    @cached_property
+    def _rows(self) -> AffineRows:
+        # Built at the first evaluation, so that constructing a spec stays cheap.
+        return AffineRows(self.slopes, -np.array(self.offsets))
+
+    def _piece(self, i, x) -> float:
+        return float(np.vdot(self.slopes[i], x)) + self.offsets[i]
+
+    def _top(self, x) -> tuple[float, dict[int, float], Optional[np.ndarray]]:
+        """The largest piece value, the piece values computed for it, and the
+        screen's upper bounds (None where the screen is not used: then every
+        piece is computed)."""
+        bounds = self._rows.bounds(x)
+        if bounds is None:
+            vals = dict(enumerate([float(np.vdot(a, x)) + b
+                                   for a, b in zip(self.slopes, self.offsets)]))
+            return max(vals.values()), vals, None
+        _g, lo, hi = bounds
+        # A piece whose upper bound is below another's lower bound is not the largest.
+        vals = {i: self._piece(i, x) for i in (hi >= lo.max()).nonzero()[0].tolist()}
+        return max(vals.values()), vals, hi
 
     def value(self, x):
-        return max(self._piece_values(x))
+        return self._top(x)[0]
 
     def active_indices(self, x) -> list[int]:
         """Indices of pieces within a relative tolerance of the maximum."""
-        vals = self._piece_values(x)
-        top = max(vals)
+        top, vals, hi = self._top(x)
         cut = top - ACTIVE_TOL * (1.0 + abs(top))
-        return [i for i, v in enumerate(vals) if v >= cut]
+        # A piece whose upper bound is below the cut is inactive; every other one is computed.
+        rows = vals if hi is None else (hi >= cut).nonzero()[0].tolist()
+        return [i for i in rows if (vals[i] if i in vals else self._piece(i, x)) >= cut]
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return strategy.pick([self.slopes[i] for i in self.active_indices(x)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector, finite_float, norm, norm2
+from .core import SCREEN_MAX, as_vector, finite_float, norm, norm2, screen_row
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -34,6 +34,13 @@ class ConvexSet:
     def interior_contains(self, x: np.ndarray) -> bool:
         """True when x lies in the set but not on its boundary (conservative)."""
         return False
+
+    def affine_row(self):
+        """The row (r, c) whose value r . x - c has the distance as its positive part.
+
+        Only a halfspace has one; see FunctionSpec.affine_row for the contract.
+        """
+        return None
 
     def dist_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the distance at a point outside the set."""
@@ -120,6 +127,14 @@ class Halfspace(ConvexSet):
     def distance(self, x):
         excess = float(np.vdot(x, self.normal)) - self.offset
         return max(excess, 0.0) / np.sqrt(self._n2)
+
+    def affine_row(self):
+        # distance divides by the length s, so its underflow grows by 1/s: the
+        # screen allows for s >= 2**-450.
+        if not 2.0 ** -900 <= self._n2 < SCREEN_MAX ** 2:
+            return None
+        s = np.sqrt(self._n2)
+        return screen_row(self.normal / s, self.offset / s)
 
     def contains(self, x):
         return float(np.vdot(x, self.normal)) <= self.offset

@@ -18,7 +18,7 @@ from subproj import (
     inv_jacobian,
     sproj_moreau,
 )
-from subproj.core import _audit
+from subproj.core import _audit, _probe_block
 
 
 def test_inv_simple_values():
@@ -137,6 +137,17 @@ def test_audit_probes_the_points_of_eight_separate_draws(seed, dim):
     scale = 1.0 + np.sqrt(np.vdot(x, x))
     expected = [0.0 + scale * rng.standard_normal(dim) for _ in range(8)]
     assert all(np.array_equal(p, q) for p, q in zip(_probes(x, seed, dim), expected, strict=True))
+
+
+@pytest.mark.parametrize("seed", [314159, 271828])
+@pytest.mark.parametrize("dim", [1, 20])
+def test_audit_draws_each_probe_block_once_and_read_only(seed, dim):
+    block = _probe_block(seed, dim)
+    assert _probe_block(seed, dim) is block
+    assert np.array_equal(block, np.random.default_rng(seed).standard_normal((8, dim)))
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("x", [[1e160], [3e200, -4e200], [1e300, 1e300]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,16 +241,46 @@ def test_invalid_control_messages_through_solve(control, max_iter, message):
 
 
 def test_solve_builds_the_index_sequence_once():
-    calls = []
+    # The sequence is a stream, never a list: validation walks the whole
+    # horizon of one stream and the run a fresh one as far as it goes.
+    streams, listed = [], []
 
     class CountingQuasiCyclic(QuasiCyclic):
+        def _stream(self, m):
+            pulled = [0]
+            streams.append(pulled)
+            for i in super()._stream(m):
+                pulled[0] += 1
+                yield i
+
         def indices(self, m, horizon):
-            calls.append(horizon)
+            listed.append(horizon)
             return super().indices(m, horizon)
 
     _x, trace = solve(two_ball_problem(control=CountingQuasiCyclic([2, 3]), max_iter=500))
     assert trace.status == "Converged"
-    assert calls == [500]
+    assert streams == [[500], [trace.iterations]]
+    assert listed == []
+
+
+@pytest.mark.parametrize("control", [Cyclic(), QuasiCyclic([2, 3]), Explicit([1, 0, 1])], ids=repr)
+def test_solve_memory_does_not_grow_with_max_iter(control):
+    # x0 is two steps from feasible, so the solve stops long before either
+    # budget; only validation walks the horizon, and it keeps nothing.
+    def peak(max_iter):
+        p = two_ball_problem(control=control, x0=[0.75, 0.5], max_iter=max_iter)
+        solve(p)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            _x, trace = solve(p)
+            return tracemalloc.get_traced_memory()[1], trace.iterations
+        finally:
+            tracemalloc.stop()
+
+    small, iters_small = peak(10**3)
+    big, iters_big = peak(10**5)
+    assert iters_small == iters_big < 10
+    assert big <= small + 1024
 
 
 # -- non-finite input and oracle values --------------------------------------------------

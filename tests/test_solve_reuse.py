@@ -148,6 +148,13 @@ def mixed(seed, **kwargs):
     return Problem(**defaults)
 
 
+def linear_and_halfspaces(seed, m, n):
+    """A Linear constraint (a halfspace through 0) among halfspaces, affine rows of both kinds."""
+    p = halfspaces(seed, m, n)
+    u = np.random.default_rng(seed + 100).standard_normal(n)
+    return halfspaces(seed, m, n, functions=p.functions[:2] + [Linear(u)] + p.functions[2:])
+
+
 def two_balls(**kwargs):
     defaults = dict(dimension=2, functions=[Dist(Ball([0.0, 0.0], 1.0)),
                                             Dist(Ball([1.5, 0.0], 1.0))],
@@ -164,6 +171,8 @@ CASES = {
         3, 8, 4, control=Explicit([7, 0, 6, 1, 5, 2, 4, 3, 0]), relaxation=[1.0, 1.9, 0.3]),
     "halfspaces-negative-zero-start": lambda: halfspaces(4, 10, 3, x0=[-0.0, 10.0, -0.0]),
     "halfspaces-max-iter": lambda: halfspaces(5, 24, 12, max_iter=40),
+    "halfspaces-64x64": lambda: halfspaces(7, 64, 64),
+    "linear-and-halfspaces": lambda: linear_and_halfspaces(8, 20, 10),
     "mixed-explicit": lambda: mixed(0),
     "mixed-cyclic-max-iter": lambda: mixed(1, control=Cyclic(), relaxation=1.0, max_iter=500),
     "mixed-quasicyclic": lambda: mixed(2, control=QuasiCyclic([7, 8, 9, 7, 8, 9, 10])),
@@ -190,29 +199,47 @@ def test_the_table_exercises_fixed_steps():
         assert fixed > len(statuses) // 2, name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5),
        balls=st.integers(0, 3), lam=st.sampled_from([1.0, 1.5, 0.5, [1.0, 1.8, 0.6]]),
-       negative_zeros=st.lists(st.booleans(), min_size=5, max_size=5))
+       negative_zeros=st.lists(st.booleans(), min_size=5, max_size=5),
+       scale=st.integers(-150, 150).map(lambda k: 10.0 ** k), linear=st.booleans())
 def test_random_halfspace_and_ball_problems_match_the_reference_loop(seed, m, n, balls, lam,
-                                                                     negative_zeros):
+                                                                     negative_zeros, scale,
+                                                                     linear):
+    # The problem at unit scale, times ``scale``: its values all scale alike.
     rng = np.random.default_rng(seed)
-    fs = [Dist(Halfspace(rng.standard_normal(n), rng.uniform(0.0, 2.0))) for _ in range(m)]
-    fs += [Dist(Ball(rng.normal(0.0, 0.5, n), rng.uniform(1.0, 2.0))) for _ in range(balls)]
-    x0 = rng.normal(0.0, 5.0, n)
+    fs = [Dist(Halfspace(rng.standard_normal(n), scale * rng.uniform(0.0, 2.0)))
+          for _ in range(m)]
+    fs += [Dist(Ball(scale * rng.normal(0.0, 0.5, n), scale * rng.uniform(1.0, 2.0)))
+           for _ in range(balls)]
+    if linear:
+        fs.insert(int(rng.integers(0, len(fs) + 1)), Linear(rng.standard_normal(n)))
+    x0 = scale * rng.normal(0.0, 5.0, n)
     x0[negative_zeros[:n]] = -0.0
     p = Problem(dimension=n, functions=fs, x0=x0, relaxation=lam,
-                tol=1e-6, max_iter=400, feasible_witness=np.zeros(n))
+                tol=1e-6 * scale, max_iter=400, feasible_witness=np.zeros(n))
     assert_same_solve(p)
 
 
 class CountingDist(Dist):
-    def __init__(self, s, counts):
+    """Dist with its oracle calls counted, and the iterates its value was computed at.
+
+    With ``screened`` false it exposes no affine row, so the solve computes it
+    at every moved iterate; with it true, the solve's affine block screens it.
+    """
+
+    def __init__(self, s, counts, screened=False):
         super().__init__(s)
         self.counts = counts
+        self.screened = screened
+
+    def affine_row(self):
+        return super().affine_row() if self.screened else None
 
     def value(self, x):
         self.counts["value"] += 1
+        self.counts.setdefault("at", []).append((id(self), x.tobytes()))
         return super().value(x)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
@@ -220,23 +247,41 @@ class CountingDist(Dist):
         return super().subgradient(x, strategy)
 
 
-def test_each_constraint_is_evaluated_once_per_distinct_iterate():
+def counting_problem(counts, screened):
     m, n = 16, 8
     rng = np.random.default_rng(7)
     A = rng.standard_normal((m, n))
     b = rng.uniform(1.0, 2.0, m)
+    make = Dist if counts is None else (lambda s: CountingDist(s, counts, screened))
+    return Problem(dimension=n, functions=[make(Halfspace(A[i], b[i])) for i in range(m)],
+                   x0=10.0 * np.ones(n), relaxation=1.5, tol=1e-6)
+
+
+def test_each_constraint_is_evaluated_once_per_distinct_iterate():
+    m = 16
     counts = {"value": 0, "subgradient": 0}
-
-    def problem(make):
-        return Problem(dimension=n, functions=[make(Halfspace(A[i], b[i])) for i in range(m)],
-                       x0=10.0 * np.ones(n), relaxation=1.5, tol=1e-6)
-
-    _x, _rows, _status, _res, statuses = reference_solve(problem(Dist))
+    _x, _rows, _status, _res, statuses = reference_solve(counting_problem(None, False))
     big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
     assert 0 < big_p < big_n
-    _x, trace = solve(problem(lambda s: CountingDist(s, counts)))
+    _x, trace = solve(counting_problem(counts, screened=False))
     assert trace.iterations == big_n
-    assert counts == {"value": m * (1 + big_p), "subgradient": big_p}
+    assert (counts["value"], counts["subgradient"]) == (m * (1 + big_p), big_p)
+
+
+def test_the_affine_block_computes_few_values_and_none_twice():
+    # Screened, a constraint is computed where the bound cannot settle it:
+    # where it could hold the residual, or when a step visits it.
+    m = 16
+    counts = {"value": 0, "subgradient": 0}
+    _x, _rows, _status, _res, statuses = reference_solve(counting_problem(None, False))
+    big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
+    _x, trace = solve(counting_problem(counts, screened=True))
+    assert trace.iterations == big_n
+    assert counts["subgradient"] == big_p
+    assert len(set(counts["at"])) == len(counts["at"])
+    # m values at x0; every projected step but the first visits a new iterate,
+    # where its own value is computed, and about one more row holds the residual.
+    assert m + big_p - 1 <= counts["value"] <= m + 2 * big_p
 
 
 def test_overflowing_iterate_raises_naming_the_iteration():

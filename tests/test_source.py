@@ -123,3 +123,29 @@ def test_only_the_audit_and_the_cli_seed_draw_random_numbers():
              for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("core.py", "cli.py")
              for node in _rng_constructions(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _names(tree):
+    """Every name a module mentions: bare names, attributes and imported aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("Dist(s)", {"Dist"}), ("functions.Halfspace", {"Halfspace"}),
+    ("from .functions import Linear", {"Linear"}), ("f.affine_row()", set()),
+])
+def test_atom_rule_sees_every_spelling(source, found):
+    assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(ast.parse(source))) == found
+
+
+def test_the_solver_finds_affine_rows_only_through_the_spec():
+    # The affine block asks each constraint for its row (FunctionSpec.affine_row);
+    # naming an atom in the solver would be a second, type-based dispatch.
+    tree = ast.parse((PACKAGE / "feasibility.py").read_text(encoding="utf-8"))
+    assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
