@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,8 +119,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = load_problem(args.file)
-    problem.selections = [parse_strategy(args.strategy)] * len(problem.functions)
+    problem = replace(load_problem(args.file), selections=parse_strategy(args.strategy))
     x, trace = solve(problem)
     if args.trace:
         write_trace(args.trace, trace)

@@ -160,11 +160,6 @@ def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = FD_STEP) -> np.n
     return fd_jacobian(lambda z: [float(f(z))], x, h)[0]
 
 
-def screen_row(r: np.ndarray, c: float) -> Optional[tuple[np.ndarray, float]]:
-    """(r, c) where ||r|| and |c| lie below SCREEN_MAX, as AffineRows requires, else None."""
-    return (r, c) if norm2(r) < SCREEN_MAX ** 2 and abs(c) < SCREEN_MAX else None
-
-
 class AffineRows:
     """Affine rows r_k . x - c_k evaluated by one matrix-vector product, with error bounds.
 
@@ -185,7 +180,7 @@ class AffineRows:
         n = rows.shape[1]
         row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         size = np.abs(offsets)
-        # Enough rows, each as screen_row asks of one.
+        # The range rule: enough rows, and each row and offset shorter than SCREEN_MAX.
         self.used = bool(len(rows) >= SCREEN_MIN_ROWS and row_norms.max() < SCREEN_MAX
                          and size.max() < SCREEN_MAX)
         rel = 8.0 * (n + 4) * 2.0 ** -53
@@ -205,3 +200,14 @@ class AffineRows:
         slack = self._per_norm * math.sqrt(n2)
         slack += self._fixed
         return g, g - slack, g + slack
+
+    def screen(self, x: np.ndarray) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Callable]:
+        """(value, upper, contenders) per row at x, the first two None where ``bounds`` is.
+        The contender rule: ``contenders(known)`` lists the rows whose upper bound reaches
+        ``known``, a lower bound on the largest value, and every row's lower bound (all rows
+        where ``bounds`` is None).  No other row can hold the largest value."""
+        bounds = self.bounds(x)
+        if bounds is None:
+            return None, None, lambda known=-math.inf: range(len(self.offsets))
+        g, lo, hi = bounds
+        return g, hi, lambda known=-math.inf: (hi >= max(known, lo.max())).nonzero()[0].tolist()

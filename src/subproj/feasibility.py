@@ -49,13 +49,19 @@ TRACE_ASSUMPTION = "subdifferentials-bounded-on-bounded-sets"
 # ---------------------------------------------------------------------------
 
 class ControlSequence:
-    """Order in which constraint indices are visited."""
+    """Order in which constraint indices are visited.
+
+    A control defines one method, ``_stream(m)``: the endless index sequence
+    for m functions.  ``indices`` is a view of it, and the solver walks it.
+    """
 
     window_bounds: Optional[list[int]] = None  # None: every index need only appear
 
     def _stream(self, m: int) -> Iterator[int]:
         """The endless index sequence for m functions, checked before the first index."""
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no _stream(m); a control defines that one "
+            "method, and indices(m, horizon) is a view of it")
 
     def indices(self, m: int, horizon: int) -> list[int]:
         """The first ``horizon`` indices."""
@@ -159,7 +165,8 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     """Scan every admissible window over the horizon; violations are data, not errors.
 
     The scan walks the control's first ``horizon`` indices once and keeps only
-    each index's last visit; the violations come sorted by index and start.
+    each index's last visit; the violations come sorted by index and start.  An
+    index outside [0, m) raises InvalidControl, naming the index and its step.
     """
     if m < 1:
         raise InvalidControl("need at least one function")
@@ -171,10 +178,11 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     last = [-1] * m
     violations = []
     for n, i in enumerate(islice(control._stream(m), horizon)):
-        if 0 <= i < m:
-            if n - last[i] > bound[i]:
-                violations.append(ControlViolation(i, last[i] + 1, bound[i]))
-            last[i] = n
+        if not 0 <= i < m:
+            raise InvalidControl(f"control index {i} at step {n} is outside [0, {m})")
+        if n - last[i] > bound[i]:
+            violations.append(ControlViolation(i, last[i] + 1, bound[i]))
+        last[i] = n
     for i in range(m):
         if horizon - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
@@ -186,9 +194,12 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
 # problems and traces
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """A convex feasibility problem: find x with f_i(x) <= 0 for every i."""
+    """A convex feasibility problem: find x with f_i(x) <= 0 for every i.
+
+    Frozen, so that no field can be reassigned past the checks of its construction.
+    """
 
     dimension: int
     functions: list[FunctionSpec]
@@ -204,7 +215,7 @@ class Problem:
     def __post_init__(self):
         if not self.functions:
             raise InvalidSpec("a problem needs at least one function")
-        self.x0 = as_vector(self.x0, dim=self.dimension)
+        object.__setattr__(self, "x0", as_vector(self.x0, dim=self.dimension))
         for f in self.functions:
             if f.dim != self.dimension:
                 raise InvalidSpec("every function must match the problem dimension")
@@ -220,9 +231,9 @@ class Problem:
         if self.tol <= 0.0 or self.max_iter < 1:
             raise InvalidSpec("tol must be positive and max_iter >= 1")
         if isinstance(self.selections, SelectionStrategy):
-            self.selections = [self.selections] * len(self.functions)
+            object.__setattr__(self, "selections", [self.selections] * len(self.functions))
         else:
-            self.selections = list(self.selections)
+            object.__setattr__(self, "selections", list(self.selections))
             if len(self.selections) != len(self.functions):
                 raise InvalidSpec("one selection strategy per function is required")
         lo, hi = self.epsilon, 2.0 - self.epsilon
@@ -231,7 +242,8 @@ class Problem:
                 raise RelaxationOutOfRange(
                     f"lambda = {lam} outside [{lo}, {hi}] for epsilon = {self.epsilon}")
         if self.feasible_witness is not None:
-            self.feasible_witness = as_vector(self.feasible_witness, dim=self.dimension)
+            object.__setattr__(self, "feasible_witness",
+                               as_vector(self.feasible_witness, dim=self.dimension))
 
     def _relaxation_base(self) -> list[float]:
         if isinstance(self.relaxation, (int, float)):
@@ -322,8 +334,8 @@ class _AffineBlock:
     Oracles are pure, so each computed value is the plain loop's.  The other
     constraints are computed as in ``_values``, in order; an affine oracle
     cannot raise within the screen's range, so any error is the plain loop's.
-    Where the screen is not used (too few affine rows, or an iterate as long as
-    ``core.SCREEN_MAX``), the plain loop runs instead.
+    Where the screen is not used (too few affine rows, one row or offset, or
+    the iterate, as long as ``core.SCREEN_MAX``), the plain loop runs instead.
     """
 
     def __init__(self, p: Problem):
@@ -347,18 +359,15 @@ class _AffineBlock:
         self._scatter = np.array(self.index) if self.others else slice(None)
 
     def values(self, x: np.ndarray) -> tuple[float, list[float]]:
-        bounds = self.rows.bounds(x)
-        if bounds is None:
+        g, hi, contenders = self.rows.screen(x)
+        if g is None:
             return _values(self.p, x)
-        g, lo, hi = bounds
         g[hi > 0.0] = np.nan
         full = np.empty(len(self.p.functions))
         full[self._scatter] = g
         values = full.tolist()
         worst = _evaluate(self.others, x, values)
-        # A row whose upper bound is below a known lower bound on the residual
-        # is not the largest; every other row is computed.
-        for k in (hi >= max(worst, lo.max(), 0.0)).nonzero()[0].tolist():
+        for k in contenders(worst):
             i = self.index[k]
             v = values[i] = self.p.functions[i].value(x)
             if v > worst:

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AffineRows, _audit, as_vector, finite_float, norm, norm2, screen_row
+from .core import AffineRows, _audit, as_vector, finite_float, norm, norm2
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -165,11 +165,11 @@ class FunctionSpec:
     def affine_row(self) -> Optional[tuple[np.ndarray, float]]:
         """A row (r, c) that settles the sign of f(x) without calling ``value``, or None.
 
-        The contract: ||r|| and |c| lie below ``core.SCREEN_MAX``, and at any x
-        with ||x|| below it, ``value`` computes one rounding w of r . x - c
-        (one n-term dot product of x with r or a multiple of r, then at most
-        three more roundings) and returns w where w > 0 and a value <= 0
-        elsewhere.  ``core.AffineRows`` then brackets w.
+        The contract: at any x where ||x||, ||r|| and |c| lie below ``core.SCREEN_MAX``,
+        ``value`` computes one rounding w of r . x - c (one n-term dot product of x with r
+        or a multiple of r, then at most three more roundings) and returns w where w > 0
+        and a value <= 0 elsewhere.  ``core.AffineRows`` checks those lengths and brackets
+        w; an implementation checks only its own oracle's arithmetic limits.
         """
         return None
 
@@ -190,7 +190,7 @@ class Linear(FunctionSpec):
         return float(np.vdot(x, self.u))
 
     def affine_row(self):
-        return screen_row(self.u, 0.0)
+        return self.u, 0.0
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return np.array(self.u)
@@ -431,17 +431,10 @@ class AffineMax(FunctionSpec):
         return float(np.vdot(self.slopes[i], x)) + self.offsets[i]
 
     def _top(self, x) -> tuple[float, dict[int, float], Optional[np.ndarray]]:
-        """The largest piece value, the piece values computed for it, and the
-        screen's upper bounds (None where the screen is not used: then every
-        piece is computed)."""
-        bounds = self._rows.bounds(x)
-        if bounds is None:
-            vals = dict(enumerate([float(np.vdot(a, x)) + b
-                                   for a, b in zip(self.slopes, self.offsets)]))
-            return max(vals.values()), vals, None
-        _g, lo, hi = bounds
-        # A piece whose upper bound is below another's lower bound is not the largest.
-        vals = {i: self._piece(i, x) for i in (hi >= lo.max()).nonzero()[0].tolist()}
+        """The largest piece value, the values of the screen's contenders computed
+        for it, and the screen's upper bounds (None where it is not used)."""
+        _g, hi, contenders = self._rows.screen(x)
+        vals = {i: self._piece(i, x) for i in contenders()}
         return max(vals.values()), vals, hi
 
     def value(self, x):

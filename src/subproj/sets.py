@@ -8,9 +8,11 @@ strict-interior membership and the Hessians of d_S and d_S^2 off the set.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import SCREEN_MAX, as_vector, finite_float, norm, norm2, screen_row
+from .core import SCREEN_MAX, as_vector, finite_float, norm, norm2
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -38,7 +40,8 @@ class ConvexSet:
     def affine_row(self):
         """The row (r, c) whose value r . x - c has the distance as its positive part.
 
-        Only a halfspace has one; see FunctionSpec.affine_row for the contract.
+        Only a halfspace has one, and it checks only its own oracle's arithmetic limits
+        (FunctionSpec.affine_row has the contract; core.AffineRows checks the rest).
         """
         return None
 
@@ -109,6 +112,7 @@ class Halfspace(ConvexSet):
         self._n2 = norm2(self.normal)
         if self._n2 == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        self._length = math.sqrt(self._n2)
 
     def project(self, x):
         excess = float(np.vdot(x, self.normal)) - self.offset
@@ -118,7 +122,7 @@ class Halfspace(ConvexSet):
         p = x - t * self.normal
         # As for the ball: keep the result inside despite rounding, padding
         # the step by an escalating few ulps of the operating scale.
-        pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * np.sqrt(self._n2)) / self._n2
+        pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * self._length) / self._n2
         while float(np.vdot(p, self.normal)) > self.offset:
             p = x - (t + pad) * self.normal
             pad *= 2.0
@@ -126,15 +130,14 @@ class Halfspace(ConvexSet):
 
     def distance(self, x):
         excess = float(np.vdot(x, self.normal)) - self.offset
-        return max(excess, 0.0) / np.sqrt(self._n2)
+        return max(excess, 0.0) / self._length
 
     def affine_row(self):
-        # distance divides by the length s, so its underflow grows by 1/s: the
-        # screen allows for s >= 2**-450.
+        # distance forms normal . x, finite where ||x|| < SCREEN_MAX only if s is too,
+        # and divides it by s, growing its underflow by 1/s: the screen allows s >= 2**-450.
         if not 2.0 ** -900 <= self._n2 < SCREEN_MAX ** 2:
             return None
-        s = np.sqrt(self._n2)
-        return screen_row(self.normal / s, self.offset / s)
+        return self.normal / self._length, self.offset / self._length
 
     def contains(self, x):
         return float(np.vdot(x, self.normal)) <= self.offset

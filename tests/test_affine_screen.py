@@ -80,7 +80,10 @@ def test_bounds_bracket_each_row_as_its_oracle_computes_it(data, n, m, x_scale, 
         (linears, lambda f: float(np.vdot(x, f.u))),
     ]:
         rows = [(s, s.affine_row()) for s in specs]
-        rows = [(s, row) for s, row in rows if row is not None]
+        # Only rows within the screen's range: one longer row would leave the whole block
+        # unscreened (see the example test below), and this checks the bound.
+        rows = [(s, row) for s, row in rows
+                if row is not None and norm2(row[0]) < SCREEN_MAX ** 2 and abs(row[1]) < SCREEN_MAX]
         if not rows:
             continue
         block = AffineRows(np.array([r for _s, (r, _c) in rows]),
@@ -173,6 +176,23 @@ def test_block_settles_most_rows_by_the_bound():
     assert res == max(f.set.distance(x) for f in fs) > 0.0
     assert 1 <= len(calls) <= 3
     assert sum(v != v for v in values) > 0  # some rows of unsettled sign are left to the visit
+
+
+def test_one_row_out_of_range_leaves_the_whole_block_to_the_plain_loop():
+    # A Linear with ||u|| >= SCREEN_MAX joins the block's rows, so the block
+    # steps aside as a whole rather than keep that row as an "other".
+    rng = np.random.default_rng(5)
+    fs = [Dist(Halfspace(rng.standard_normal(6), 1.0)) for _ in range(SCREEN_MIN_ROWS + 2)]
+    fs.insert(3, Linear([2.0 ** 500] + [0.0] * 5))
+    p = Problem(dimension=6, functions=fs, x0=np.zeros(6))
+    block = _AffineBlock(p)
+    assert len(block.index) == len(fs) and block.others == []
+    assert not block.rows.used
+    for x in [rng.standard_normal(6), -rng.standard_normal(6) * 1e-3, np.zeros(6)]:
+        res, values = _values(p, x)
+        res_b, values_b = block.values(x)
+        assert res_b.hex() == res.hex()
+        assert [v.hex() for v in values_b] == [v.hex() for v in values]
 
 
 # -- AffineMax ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import tracemalloc
+from itertools import cycle
 
 import numpy as np
 import pytest
 
 from subproj import (
     Ball,
+    ControlSequence,
     Cyclic,
     Dist,
     Explicit,
@@ -219,6 +222,16 @@ def test_trace_columns_follow_control_and_relaxation(control):
     assert [r.lam for r in trace.rows] == p.relaxation_schedule(trace.iterations)
 
 
+class Streamed(ControlSequence):
+    """A control whose stream cycles a list with no range check of its own."""
+
+    def __init__(self, index_list):
+        self.index_list = index_list
+
+    def _stream(self, m):
+        return cycle(self.index_list)
+
+
 @pytest.mark.parametrize("control, max_iter, message", [
     # violations are reported by index, then by window start
     (Explicit([0, 0, 0, 1, 1, 1], [2, 2]), 12,
@@ -232,12 +245,38 @@ def test_trace_columns_follow_control_and_relaxation(control):
      "index 0 missing from window [1, 1]; index 0 missing from window [3, 3]; "
      "index 0 missing from window [5, 5]; index 0 missing from window [7, 7]; "
      "index 0 missing from window [9, 9]"),
+    # an index outside [0, m) is named with its step (unchecked, -1 would visit
+    # functions[-1]); Explicit checks its own list first
+    (Streamed([0, 1, -1]), 100, "control index -1 at step 2 is outside [0, 2)"),
+    (Explicit([0, 1, -1]), 100, "explicit index out of range"),
 ])
 def test_invalid_control_messages_through_solve(control, max_iter, message):
     p = two_ball_problem(control=control, max_iter=max_iter)
     with pytest.raises(InvalidControl) as info:
         solve(p)
     assert str(info.value) == message
+
+
+def test_a_control_without_a_stream_names_the_protocol():
+    class OnlyIndices(ControlSequence):
+        def indices(self, m, horizon):
+            return [k % m for k in range(horizon)]
+
+    with pytest.raises(NotImplementedError) as info:
+        solve(two_ball_problem(control=OnlyIndices()))
+    assert str(info.value) == ("OnlyIndices defines no _stream(m); a control defines that one "
+                               "method, and indices(m, horizon) is a view of it")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("relaxation", 5.0), ("tol", math.nan), ("x0", [1.0]), ("selections", []),
+])
+def test_problem_fields_cannot_be_reassigned_past_the_checks(name, value):
+    p = two_ball_problem()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(p, name, value)
+    _x, trace = solve(p)
+    assert trace.status == "Converged"
 
 
 def test_solve_builds_the_index_sequence_once():

@@ -149,3 +149,31 @@ def test_the_solver_finds_affine_rows_only_through_the_spec():
     # naming an atom in the solver would be a second, type-based dispatch.
     tree = ast.parse((PACKAGE / "feasibility.py").read_text(encoding="utf-8"))
     assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
+
+
+def _screen_decisions(tree):
+    """Calls of a ``.bounds(`` method and mentions of ``screen_row``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bounds"
+                or isinstance(node, ast.Name) and node.id == "screen_row"
+                or isinstance(node, ast.Attribute) and node.attr == "screen_row"
+                or isinstance(node, ast.alias) and node.name == "screen_row"):
+            yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("self.rows.bounds(x)", 1), ("AffineRows(r, c).bounds(x)", 1), ("bounds = rows.screen(x)", 0),
+    ("from .core import screen_row", 1), ("core.screen_row(r, c)", 1), ("screen_row(r, c)", 1),
+])
+def test_screen_rule_sees_every_spelling(source, found):
+    assert len(list(_screen_decisions(ast.parse(source)))) == found
+
+
+def test_the_affine_screen_decides_only_in_core():
+    # core.AffineRows holds the screen's range and contender rules; a caller that
+    # read the raw bounds, or checked a row itself, would be a second copy of them.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+             for node in _screen_decisions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
