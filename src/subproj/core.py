@@ -10,6 +10,7 @@ vector in place.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -91,17 +92,38 @@ def _audit(objective: Callable[[np.ndarray], float], y: np.ndarray, best: float,
 
     Competitor k is ``y + scale * d_k``, where ``d`` is one seeded standard-normal
     (8, dim) block and ``scale`` is ``1 + ||x||``, measured through the largest
-    entry of x where the plain norm overflows.  A competitor below ``best - 1e-8``,
-    or one whose value is NaN, raises ``error(f"{message} by {best - value:.3e}")``.
+    entry of x where the plain norm overflows, and the largest double where that
+    overflows too.  Where ``||y|| + scale * max|d|`` reaches half the largest
+    double, a competitor may have an entry beyond it, and each is built by
+    :func:`_finite_competitor`; below that bound none can, rounding included,
+    and none is checked (a check costs about as much as building the
+    competitor).  A competitor below ``best - 1e-8``, or one whose value
+    is NaN, raises ``error(f"{message} by {best - value:.3e}")``.
     """
     scale = 1.0 + norm(x)
     if scale == math.inf:
         m = float(np.max(np.abs(x)))
-        scale = 1.0 + m * norm(np.divide(x, m))
+        scale = min(1.0 + m * norm(np.divide(x, m)), sys.float_info.max)
+    check = not norm(y) + scale * _probe_reach(seed, y.size) < 0.5 * sys.float_info.max
     for d in _probe_block(seed, y.size):
-        cand = objective(y + scale * d)
+        cand = objective(_finite_competitor(y, scale, d) if check else y + scale * d)
         if not cand >= best - _AUDIT_TOL:
             raise error(f"{message} by {best - cand:.3e}")
+
+
+def _finite_competitor(y: np.ndarray, scale: float, d: np.ndarray) -> np.ndarray:
+    """``y + s * d`` for the first s of scale, scale / 2, scale / 4, ... that leaves it finite.
+
+    Where y is not finite, or scale is NaN, no s does, and ``y + scale * d`` is
+    returned as it is, so that its objective is NaN and fails the audit.
+    """
+    with np.errstate(over="ignore"):
+        z = y + scale * d
+        if np.isfinite(y).all():
+            while scale > 0 and not np.isfinite(z).all():  # scale > 0 is False for NaN
+                scale *= 0.5
+                z = y + scale * d
+    return z
 
 
 @lru_cache(maxsize=64)
@@ -110,6 +132,12 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
     block = np.random.default_rng(seed).standard_normal((8, dim))
     block.flags.writeable = False
     return block
+
+
+@lru_cache(maxsize=64)
+def _probe_reach(seed: int, dim: int) -> float:
+    """The largest absolute entry of ``_probe_block(seed, dim)``."""
+    return float(np.max(np.abs(_probe_block(seed, dim)), initial=0.0))
 
 
 def inv(x) -> np.ndarray:

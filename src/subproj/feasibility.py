@@ -53,6 +53,9 @@ class ControlSequence:
 
     A control defines one method, ``_stream(m)``: the endless index sequence
     for m functions.  ``indices`` is a view of it, and the solver walks it.
+    A control whose stream repeats may also say so in ``_period(m)``; the
+    class that defines ``_stream`` must define ``_period`` too, or it is not
+    believed (see ``validate_control``).
     """
 
     window_bounds: Optional[list[int]] = None  # None: every index need only appear
@@ -62,6 +65,12 @@ class ControlSequence:
         raise NotImplementedError(
             f"{type(self).__name__} defines no _stream(m); a control defines that one "
             "method, and indices(m, horizon) is a view of it")
+
+    def _period(self, m: int):
+        """How the stream repeats: ``(T, P)`` when index n + P equals index n for
+        every n >= T; ``_WAITS`` when the next index is a function of the waits
+        n - (last visit of i), so that a walk finds (T, P) itself; None if unknown."""
+        return None
 
     def indices(self, m: int, horizon: int) -> list[int]:
         """The first ``horizon`` indices."""
@@ -77,12 +86,43 @@ class ControlSequence:
         return list(self.window_bounds)
 
 
+# The ``_period`` of a stream whose next index depends only on the waits.
+_WAITS = "waits"
+
+
+def _integers(values: Sequence[int], what: str) -> list[int]:
+    """``values`` as a list of ints, raising InvalidControl on any that is not an integer."""
+    out = list(values)
+    # type(v) is int first: the ABC check alone costs ten times as much.
+    if not all(type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
+               for v in out):
+        raise InvalidControl(f"{what} must be integers")
+    return [int(v) for v in out]
+
+
 def _window_bounds(window_bounds: Sequence[int]) -> list[int]:
     """Declared window bounds as ints, raising InvalidControl on any below 1."""
-    bounds = [int(w) for w in window_bounds]
+    bounds = _integers(window_bounds, "window bounds")
     if any(w < 1 for w in bounds):
         raise InvalidControl("window bounds must be >= 1")
     return bounds
+
+
+def _turns(windows: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The order in which QuasiCyclic visits the indices of each distinct window.
+
+    ``heads[j]`` is the first index of the j-th distinct window ``bounds[j]``,
+    and ``after[i]`` the index of i's window visited after i: the next larger
+    one, or the smallest after the largest.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w, []).append(i)
+    after = [0] * len(windows)
+    for g in groups.values():
+        for a, b in zip(g, g[1:] + g[:1]):
+            after[a] = b
+    return [g[0] for g in groups.values()], list(groups), after
 
 
 class Cyclic(ControlSequence):
@@ -90,6 +130,9 @@ class Cyclic(ControlSequence):
 
     def _stream(self, m):
         return cycle(range(m))
+
+    def _period(self, m):
+        return 0, m
 
     def windows(self, m):
         return [m] * m
@@ -105,6 +148,15 @@ class QuasiCyclic(ControlSequence):
     (steps since last visit divided by its window) is chosen, ties broken by
     longest absolute wait and then by smallest index.  The produced sequence
     is validated against the declared windows before a solve runs.
+
+    Among indices that share a window, the largest key belongs to the one
+    that has waited longest, the smallest index first; once visited it has
+    waited least.  So the indices of one window are visited in turn, in
+    increasing order, and a step compares only the next index of each
+    distinct window.  The next index depends only on the waits, which take
+    finitely many values while every index recurs, so the stream is periodic
+    after a transient: ``validate_control`` finds the period from the waits
+    and stops at T + P + W, with W the largest window (see there).
     """
 
     def __init__(self, window_bounds: Sequence[int]):
@@ -113,14 +165,24 @@ class QuasiCyclic(ControlSequence):
     def _stream(self, m):
         return self._schedule(m, self.windows(m))
 
+    def _period(self, m):
+        return _WAITS
+
     @staticmethod
     def _schedule(m, windows):
+        heads, bounds, after = _turns(windows)
+        del windows  # the frame keeps only what a step reads
         last = [-1] * m
         for n in count():
-            best = max(range(m),
-                       key=lambda i: ((n - last[i]) / windows[i], n - last[i]))
+            best, ratio, wait, j = m, -1.0, 0, 0
+            for k, i in enumerate(heads):
+                w = n - last[i]
+                r = w / bounds[k]
+                if r > ratio or r == ratio and (w > wait or w == wait and i < best):
+                    best, ratio, wait, j = i, r, w, k
             yield best
             last[best] = n
+            heads[j] = after[best]
 
     def __repr__(self):
         return f"QuasiCyclic(window_bounds={self.window_bounds})"
@@ -134,7 +196,7 @@ class Explicit(ControlSequence):
     """
 
     def __init__(self, index_list: Sequence[int], window_bounds: Optional[Sequence[int]] = None):
-        self.index_list = [int(i) for i in index_list]
+        self.index_list = _integers(index_list, "explicit indices")
         if not self.index_list:
             raise InvalidControl("the index list must be nonempty")
         self.window_bounds = None if window_bounds is None else _window_bounds(window_bounds)
@@ -143,6 +205,9 @@ class Explicit(ControlSequence):
         if any(i < 0 or i >= m for i in self.index_list):
             raise InvalidControl("explicit index out of range")
         return cycle(self.index_list)
+
+    def _period(self, m):
+        return 0, len(self.index_list)
 
     def __repr__(self):
         return f"Explicit(index_list={self.index_list}, window_bounds={self.window_bounds})"
@@ -161,12 +226,40 @@ class ControlViolation:
                 f"[{self.window_start}, {self.window_start + self.window_len - 1}]")
 
 
+def _believed_period(control: ControlSequence, m: int):
+    """``control._period(m)`` if the class that defines its ``_stream`` defines it, else None.
+
+    A subclass that overrides ``_stream`` without restating its period gets
+    the full walk: its stream is not accepted on its parent's period.
+    """
+    for cls in type(control).__mro__:
+        if "_stream" in vars(cls):
+            return control._period(m) if "_period" in vars(cls) else None
+
+
 def validate_control(control: ControlSequence, m: int, horizon: int) -> list[ControlViolation]:
     """Scan every admissible window over the horizon; violations are data, not errors.
 
-    The scan walks the control's first ``horizon`` indices once and keeps only
-    each index's last visit; the violations come sorted by index and start.  An
-    index outside [0, m) raises InvalidControl, naming the index and its step.
+    The scan walks the control's indices once and keeps only each index's
+    last visit; the violations come sorted by index and start.  An index
+    outside [0, m) raises InvalidControl, naming the index and its step.
+
+    A stream that repeats with period P from step T on is walked only over
+    its first L = T + P + W indices, W the largest declared window, when
+    that prefix misses no window (a presence-only index: when it appears in
+    the prefix).  A window missed anywhere in the horizon is missed within
+    L: one that starts at or after T, shifted back by multiples of P to
+    start in [T, T + P), sees the same indices and ends before L; one that
+    starts before T ends before T + W.  Likewise an index present anywhere
+    appears before T + P.  Where the prefix misses a window, or the period
+    is unknown, the same walk goes on over the whole horizon, so the list
+    is always the full scan's.
+
+    (T, P) comes from ``control._period(m)``.  Where that says the next index
+    depends only on the waits n - last[i] (``_WAITS``), the walk finds it by
+    Brent's cycle detection on ``last``: it copies ``last`` after 1, 2, 4, ...
+    indices, and waits equal to the copy's, k - c indices later, give
+    T <= c and P = k - c.
     """
     if m < 1:
         raise InvalidControl("need at least one function")
@@ -175,14 +268,35 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
         raise ValueError("horizon must cover the largest declared window")
     # A presence-only index has the whole horizon as its window, missed only if it never appears.
     bound = [horizon if w is None else w for w in windows]
+    widest = max((w for w in windows if w is not None), default=0)
+    period = _believed_period(control, m)
+    stop = horizon  # where the walk ends, or takes stock of a clean prefix
+    if period is not None and period != _WAITS:
+        stop = min(horizon, period[0] + period[1] + widest)
+    # Brent's checkpoint: a copy of last after c indices, and the index visited
+    # last before it; waits equal to the copy's need that same index last.
+    saved, c, mark = None, 0, -1
+    check = 1 if period == _WAITS else stop  # the next step count to take stock at
     last = [-1] * m
     violations = []
-    for n, i in enumerate(islice(control._stream(m), horizon)):
+    k = 0
+    for i in islice(control._stream(m), horizon):
         if not 0 <= i < m:
-            raise InvalidControl(f"control index {i} at step {n} is outside [0, {m})")
-        if n - last[i] > bound[i]:
+            raise InvalidControl(f"control index {i} at step {k} is outside [0, {m})")
+        if k - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
-        last[i] = n
+        last[i] = k
+        k += 1
+        if i == mark and all(a - b == k - c for a, b in zip(last, saved)):
+            mark = -1
+            check = stop = min(horizon, k + widest)
+        if k == check:
+            if k < stop:  # a checkpoint
+                saved, c, mark, check = last[:], k, i, 2 * k
+            elif k < horizon:
+                if not violations and all(k - a <= min(b, k) for a, b in zip(last, bound)):
+                    return []
+                stop = check = horizon
     for i in range(m):
         if horizon - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
@@ -375,6 +489,16 @@ class _AffineBlock:
         return worst, values
 
 
+def _check_control(p: Problem, m: int) -> None:
+    """Raise InvalidControl, naming the first five missed windows, where the control
+    misses one within max(max_iter, largest declared window) steps.  A function of
+    its own, so that nothing of the check stays alive through the run."""
+    declared = [w for w in p.control.windows(m) if w is not None]
+    violations = validate_control(p.control, m, max([p.max_iter] + declared))
+    if violations:
+        raise InvalidControl("; ".join(str(v) for v in violations[:5]))
+
+
 def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     """Run the relaxed quasi-cyclic projection iteration until residual <= tol.
 
@@ -384,10 +508,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     iterate overflows.
     """
     m = len(p.functions)
-    declared = [w for w in p.control.windows(m) if w is not None]
-    violations = validate_control(p.control, m, max([p.max_iter] + declared))
-    if violations:
-        raise InvalidControl("; ".join(str(v) for v in violations[:5]))
+    _check_control(p, m)
     lams = p._relaxation_base()
 
     witness = p.feasible_witness

@@ -1,10 +1,27 @@
 """Property tests: the one-pass control scan agrees with a per-index occurrence-list scan,
-and QuasiCyclic breaks ties by the smallest index."""
+also where it stops at a repeating stream's prefix, and QuasiCyclic breaks ties by the
+smallest index."""
 
+import random
+from itertools import chain, cycle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subproj import ControlViolation, Cyclic, Explicit, InvalidControl, QuasiCyclic, validate_control
+from subproj import (
+    Ball,
+    ControlSequence,
+    ControlViolation,
+    Cyclic,
+    Dist,
+    Explicit,
+    InvalidControl,
+    Problem,
+    QuasiCyclic,
+    solve,
+    validate_control,
+)
 
 
 def reference_windows(control, m):
@@ -96,3 +113,124 @@ def reference_quasicyclic(windows, horizon):
 def test_quasicyclic_breaks_ties_by_smallest_index(windows, horizon):
     assert QuasiCyclic(windows).indices(len(windows), horizon) == \
         reference_quasicyclic(windows, horizon)
+
+
+def test_quasicyclic_matches_the_reference_over_long_runs():
+    # The stream compares only the next index of each distinct window; the
+    # reference compares every index.  Windows are drawn from 1 to 2m + 3, so
+    # some share a bound and some cannot be met.
+    rng = random.Random(16)
+    for m in [*range(1, 65), 200]:
+        windows = [rng.randint(1, 2 * m + 3) for _ in range(m)]
+        assert QuasiCyclic(windows).indices(m, 20_000) == \
+            reference_quasicyclic(windows, 20_000), windows
+
+
+def deviating(base):
+    """A subclass of ``base`` whose stream is base's up to step ``after`` and then
+    visits m - 1 in place of 0; it overrides ``_stream`` without restating a period."""
+
+    class Deviating(base):
+        after = 0
+
+        def _stream(self, m):
+            for n, i in enumerate(super()._stream(m)):
+                yield m - 1 if i == 0 and n >= self.after else i
+
+    return Deviating
+
+
+class Lasso(ControlSequence):
+    """A custom stream: a prefix, then a list repeated, with no period declared."""
+
+    def __init__(self, prefix, body, window_bounds=None):
+        self.prefix, self.body, self.window_bounds = prefix, body, window_bounds
+
+    def _stream(self, m):
+        return chain(self.prefix, cycle(self.body))
+
+
+@st.composite
+def long_cases(draw):
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["explicit", "explicit-windows", "quasicyclic", "custom",
+                                 "deviating-cyclic", "deviating-quasicyclic"]))
+    windows = st.lists(st.integers(1, 2 * m + 2), min_size=m, max_size=m)
+    indices = st.lists(st.integers(0, m - 1), min_size=1, max_size=3 * m)
+    if kind == "explicit":
+        control = Explicit(draw(indices))
+    elif kind == "explicit-windows":
+        control = Explicit(draw(indices), draw(windows))
+    elif kind == "quasicyclic":
+        control = QuasiCyclic(draw(windows))
+    elif kind == "custom":
+        control = Lasso(draw(indices), draw(indices), draw(st.none() | windows))
+    else:
+        control = deviating(Cyclic)() if kind == "deviating-cyclic" else \
+            deviating(QuasiCyclic)(draw(windows))
+        control.after = draw(st.integers(0, 10_000))
+    return control, m, draw(st.integers(0, 100) | st.integers(100, 10_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_cases())
+def test_scan_matches_the_full_reference_at_long_horizons(case):
+    control, m, horizon = case
+    assert outcome(validate_control, control, m, horizon) == \
+        outcome(reference_validate, control, m, horizon)
+
+
+@pytest.mark.parametrize("base, args", [(Cyclic, ()), (QuasiCyclic, ([3, 3, 3],))],
+                         ids=["Cyclic", "QuasiCyclic"])
+def test_a_stream_that_leaves_its_parents_period_is_walked_to_the_horizon(base, args):
+    # Index 0 stops recurring after step 1000, far past the parent's prefix;
+    # believing the parent's period would accept the control.
+    control = deviating(base)(*args)
+    control.after = 1000
+    violations = validate_control(control, 3, 5000)
+    assert violations and violations == reference_validate(control, 3, 5000)
+
+
+def test_a_window_across_the_period_end_is_missed_within_the_prefix():
+    # Index 0 is visited at step 1 of each period of 4.  Within the first
+    # period it waits 2 and then 3 to the period's end, within its window of 3;
+    # only the wait across the end, 4, misses it.  So the walk needs the W
+    # steps after T + P.
+    control = Explicit([1, 0, 1, 1], [3, 2])
+    violations = validate_control(control, 2, 100)
+    assert violations[0] == ControlViolation(0, 2, 3)
+    assert violations == reference_validate(control, 2, 100)
+
+
+def counted(base):
+    """A subclass of ``base`` that counts the indices its streams yield and
+    restates base's period, so that validation may stop at the prefix."""
+
+    class Counted(base):
+        pulled = 0
+
+        def _stream(self, m):
+            for i in super()._stream(m):
+                self.pulled += 1
+                yield i
+
+        def _period(self, m):
+            return super()._period(m)
+
+    return Counted
+
+
+@pytest.mark.parametrize("base, args", [(Cyclic, ()),
+                                        (QuasiCyclic, ([20 + i % 5 for i in range(20)],))],
+                         ids=["Cyclic", "QuasiCyclic"])
+def test_validation_pulls_do_not_grow_with_max_iter(base, args):
+    # x0 is feasible, so the solve pulls only what validation pulls.
+    def pulls(max_iter):
+        control = counted(base)(*args)
+        fs = [Dist(Ball([0.0], 1.0 + i)) for i in range(20)]
+        _x, trace = solve(Problem(dimension=1, functions=fs, x0=[0.0], control=control,
+                                  max_iter=max_iter))
+        assert trace.iterations == 0
+        return control.pulled
+
+    assert pulls(10**3) == pulls(10**7) < 10**3

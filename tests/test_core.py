@@ -158,6 +158,50 @@ def test_audit_scale_stays_finite_where_the_norm_overflows(x):
     assert np.allclose(probes[0], scale * first, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y", [[1e308, -1e308], [1.7976931348623157e308, 0.0], [1e160, 0.0]])
+def test_audit_halves_the_scale_of_a_competitor_that_overflows(y):
+    # Each competitor stays: where y + scale * d_k has an entry beyond the
+    # largest double, d_k's scale is halved until it has none.  At 1e160
+    # ||y|| overflows, so each competitor is checked, and none is halved.
+    y = np.array(y)
+    seen = []
+    _audit(lambda z: seen.append(z.copy()) or 1.0, y, 0.0, y, 314159, ZeroVector, "")
+    block = _probe_block(314159, 2)
+    scale = 1.0 + math.hypot(*y)
+    assert len(seen) == 8
+    for z, d in zip(seen, block):
+        assert np.all(np.isfinite(z))
+        with np.errstate(over="ignore"):
+            s = next(s for s in (scale * 0.5 ** k for k in range(2000))
+                     if np.all(np.isfinite(y + s * d)))
+            assert np.array_equal(z, y + s * d)
+
+
+@pytest.mark.parametrize("y, x", [([math.inf, 0.0], [0.0, 0.0]),
+                                  ([math.nan, 0.0], [0.0, 0.0]),
+                                  ([0.0, 0.0], [math.inf, 1.0])])  # a NaN scale
+def test_audit_leaves_a_competitor_that_no_scale_makes_finite(y, x):
+    # Halving such a competitor's scale would never end.
+    import signal
+
+    def stuck(signum, frame):
+        raise AssertionError("the audit did not return")
+
+    seen = []
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        with np.errstate(invalid="ignore"):
+            _audit(lambda z: seen.append(z.copy()) or 1.0, np.array(y), 0.0, np.array(x),
+                   314159, ZeroVector, "")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(seen) == 8
+    assert all(not np.all(np.isfinite(z)) for z in seen)
+
+
 @pytest.mark.parametrize("value, message", [(-1.0, "audit by 1.000e+00"),
                                             (math.nan, "audit by nan")])
 def test_audit_fails_a_winning_or_nan_competitor(value, message):

@@ -82,6 +82,30 @@ def test_window_bounds_below_one_rejected_at_construction(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuasiCyclic([2.7, 1.2]), "window bounds must be integers"),
+    (lambda: QuasiCyclic([math.nan]), "window bounds must be integers"),
+    (lambda: QuasiCyclic([math.inf]), "window bounds must be integers"),
+    (lambda: QuasiCyclic([True, 2]), "window bounds must be integers"),
+    (lambda: QuasiCyclic(["3"]), "window bounds must be integers"),
+    (lambda: Explicit([0.9, 1.5]), "explicit indices must be integers"),
+    (lambda: Explicit([0, False]), "explicit indices must be integers"),
+    (lambda: Explicit([0, 1], [2.0, 2]), "window bounds must be integers"),
+], ids=["fraction", "nan", "inf", "bool", "str", "explicit-fraction", "explicit-bool",
+        "explicit-window"])
+def test_non_integer_control_entries_rejected_at_construction(make, message):
+    # int() would truncate 2.7 to 2, and raise a bare ValueError or OverflowError on nan or inf.
+    with pytest.raises(InvalidControl) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_control_entries_accepted():
+    assert QuasiCyclic(np.array([2, 3])).window_bounds == [2, 3]
+    assert Explicit(np.arange(2), np.array([2, 2])).index_list == [0, 1]
+    assert type(QuasiCyclic(np.array([2])).window_bounds[0]) is int
+
+
 def test_validate_control_requires_covering_horizon():
     with pytest.raises(ValueError):
         validate_control(QuasiCyclic([50, 50]), 2, 10)

@@ -185,6 +185,38 @@ def test_prox_audit_passes_a_true_prox_where_the_norm_overflows(s):
     assert np.array_equal(prox(Linear([1.0]), 1.0, [s]), [s - 1.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [[1e308, 1e308], [-1.7e308, 1.7e308], [1.7976931348623157e308]])
+def test_prox_audit_passes_a_true_prox_next_to_the_largest_double(x):
+    # A probe scale of ~1.4e308 times a draw above ~1.3 overflows a competitor;
+    # its objective was then inf or NaN, and NaN failed the audit.
+    u = np.ones(len(x))
+    assert np.array_equal(prox(Linear(u), 1.0, x), np.array(x) - u)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f, gamma, x", [
+    (Linear([1e300]), 1e10, [0.0]),  # x - gamma * u is -inf
+    (Scale(1e300, Linear([1.0, 0.0])), 1e10, [0.0, 0.0]),  # inf * 0 is NaN
+])
+def test_prox_audit_fails_a_minimizer_that_is_not_finite(f, gamma, x):
+    # No scale makes y + scale * d finite here, so the audit must not halve it
+    # (that loop would never end) and fails on the NaN objective instead.
+    import signal
+
+    def stuck(signum, frame):
+        raise AssertionError("the audit did not return")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ProxAuditFailed, match="by nan"):
+            prox(f, gamma, x)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_prox_audit_survives_optimized_mode():
     import subprocess
     import sys

@@ -177,3 +177,62 @@ def test_the_affine_screen_decides_only_in_core():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
              for node in _screen_decisions(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _stream_calls(tree):
+    """``(scopes, call)`` for each call of a name or method ``_stream``, where scopes
+    are the class and function definitions that enclose the call, outermost first."""
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            inner = scopes
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scopes + [child]
+            elif isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Attribute) and child.func.attr == "_stream"
+                    or isinstance(child.func, ast.Name) and child.func.id == "_stream"):
+                yield scopes, child
+            yield from visit(child, inner)
+
+    yield from visit(tree, [])
+
+
+def _stray_stream_calls(tree):
+    """Where a call of ``_stream`` is not in validate_control, solve or a control class."""
+    controls = {"ControlSequence"}
+    for node in tree.body:  # a control class names ControlSequence or a control as a base
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in controls for b in node.bases):
+            controls.add(node.name)
+    for scopes, call in _stream_calls(tree):
+        top = scopes[0] if scopes else None
+        if not (isinstance(top, ast.FunctionDef) and top.name in ("validate_control", "solve")
+                or isinstance(top, ast.ClassDef) and top.name in controls):
+            yield ".".join(s.name for s in scopes) or "<module>", call.lineno
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(c, m):\n    return c._stream(m)", ["f"]),
+    ("def f(p, m):\n    for i in p.control._stream(m):\n        pass", ["f"]),
+    ("def f(m):\n    return list(_stream(m))", ["f"]),
+    ("class Walker:\n    def walk(self, c):\n        return [i for i in c._stream(2)]", ["Walker.walk"]),
+    ("first = next(c._stream(2))", ["<module>"]),
+    ("def solve(p):\n    return zip(range(9), p.control._stream(2))", []),
+    ("def validate_control(c, m, h):\n    return c._stream(m)", []),
+    ("class Q(ControlSequence):\n    def indices(self, m, h):\n        return self._stream(m)", []),
+    ("class Q(ControlSequence):\n    pass\nclass R(Q):\n    def f(self):\n        return self._stream(1)",
+     []),
+    ("def f(c):\n    return c._schedule(2, [1, 1])", []),
+])
+def test_stream_rule_sees_every_spelling(source, found):
+    assert [where for where, _line in _stray_stream_calls(ast.parse(source))] == found
+
+
+def test_one_walker_reads_the_control_stream():
+    # validate_control walks a stream once (and stops early only where the
+    # control's period says it may), solve walks a fresh one as far as it runs,
+    # and ControlSequence.indices is a view of it.  Any other walk would be a
+    # second code path that can drift from the checked one.
+    found = [f"{path.name}:{line} {where}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where, line in _stray_stream_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
