@@ -179,7 +179,11 @@ def seq_lab(family: Callable[[int], FunctionSpec], f: FunctionSpec, x,
     * f(x) > 0 while f_n(x) <= 0 keeps recurring: the deviation returns to
       f(x)/||Ux|| infinitely often and the run cannot converge.
     * f(x) > 0 with f_n(x) -> f(x) and U_n x -> U x: plain convergence.
+
+    A horizon ``n_steps`` below 1 raises EmptySample.
     """
+    if n_steps < 1:
+        raise EmptySample("need at least one step")
     x = as_vector(x, dim=f.dim)
     out = sproj(f, x, strategy)
     fx, gx = out.f_value, out.point

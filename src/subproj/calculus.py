@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, finite_float
 from .errors import (
     NegativeBaseError,
     NonMonotonePhi,
@@ -66,6 +66,7 @@ def sproj_leftcompose(phi_pair, f: FunctionSpec, x) -> np.ndarray:
 def sproj_power(alpha: float, f: FunctionSpec, x,
                 strategy: SelectionStrategy = LEAST_INDEX) -> np.ndarray:
     """Projection of f^(1/alpha) for f >= 0:  (1 - alpha) x + alpha G_f x."""
+    alpha = finite_float(alpha, "alpha")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     x = as_vector(x, dim=f.dim)

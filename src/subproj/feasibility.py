@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, cycle, islice
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -360,7 +360,7 @@ class Problem:
                                as_vector(self.feasible_witness, dim=self.dimension))
 
     def _relaxation_base(self) -> list[float]:
-        if isinstance(self.relaxation, (int, float)):
+        if isinstance(self.relaxation, Real):
             return [float(self.relaxation)]
         vals = [float(v) for v in self.relaxation]
         if not vals:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -173,6 +173,13 @@ class FunctionSpec:
         """
         return None
 
+    def _prox_map(self) -> Optional[Callable[[float, np.ndarray], np.ndarray]]:
+        """The map (gamma, x) -> prox_{gamma f} x in closed form, or None where there is none.
+
+        The specs that return a map are the prox-friendly atoms of ``prox.prox``.
+        """
+        return None
+
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -202,6 +209,9 @@ class Linear(FunctionSpec):
         if self._level is None:
             return np.array(x, dtype=float)
         return self._level.project(x)
+
+    def _prox_map(self):
+        return lambda gamma, x: x - gamma * self.u
 
     def __repr__(self):
         return f"Linear(u={self.u.tolist()})"
@@ -304,8 +314,19 @@ class NormPow(FunctionSpec):
     def level_set_project(self, x):
         return np.zeros(self.dim)
 
+    def _prox_map(self):
+        return {1.0: _shrink, 2.0: lambda gamma, x: x / (1.0 + 2.0 * gamma)}.get(self.p)
+
     def __repr__(self):
         return f"NormPow(p={self.p}, dim={self.dim})"
+
+
+def _shrink(gamma: float, x: np.ndarray) -> np.ndarray:
+    """Prox of gamma ||.||: block soft thresholding."""
+    n = norm(x)
+    if n <= gamma:
+        return np.zeros(x.size)
+    return (1.0 - gamma / n) * x
 
 
 def _positive(x, formula: str) -> float:
@@ -491,6 +512,9 @@ class Indicator(_SetAtom):
     def subgradient(self, x, strategy=LEAST_INDEX):
         raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")
 
+    def _prox_map(self):
+        return lambda gamma, x: self.set.project(x)
+
 
 # ---------------------------------------------------------------------------
 # combinators
@@ -522,6 +546,10 @@ class Scale(FunctionSpec):
 
     def level_set_project(self, x):
         return self.inner.level_set_project(x)
+
+    def _prox_map(self):
+        inner = self.inner._prox_map()
+        return None if inner is None else (lambda gamma, x: inner(gamma * self.lam, x))
 
     def __repr__(self):
         return f"Scale(lam={self.lam}, inner={self.inner!r})"

@@ -1,57 +1,25 @@
 """Proximity operators for prox-friendly atoms and the Moreau-envelope projector.
 
 Only atoms with a closed-form proximal map are admitted: indicators, ||.||,
-||.||^2, linear forms, and positive scalings of these.  No inner iterative
-solver is hidden behind the oracle, so every identity in the test suite stays
-oracle-exact.
+||.||^2, linear forms, and positive scalings of these.  Each atom states its own
+map (``FunctionSpec._prox_map``, None on the base class), so this module names
+no atom.  No inner iterative solver is hidden behind the oracle, so every
+identity in the test suite stays oracle-exact.  Every result is audited by
+``core._audit``, which builds its 8 competitors as one block.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from .core import _audit, as_vector, finite_float, nonzero_norm2, norm, norm2
 from .errors import DegenerateMoreau, ProxAuditFailed, UnsupportedAtom
-from .functions import (
-    LEAST_INDEX,
-    FunctionSpec,
-    Indicator,
-    Linear,
-    NormPow,
-    Scale,
-)
-
-
-def _closed_form(f: FunctionSpec) -> Callable[[float, np.ndarray], np.ndarray] | None:
-    """The map (gamma, x) -> prox_{gamma f} x in closed form, or None if there is none.
-
-    This is the one list of prox-friendly atoms.
-    """
-    if isinstance(f, Scale):
-        inner = _closed_form(f.inner)
-        return None if inner is None else (lambda gamma, x: inner(gamma * f.lam, x))
-    if isinstance(f, Indicator):
-        return lambda gamma, x: f.set.project(x)
-    if isinstance(f, Linear):
-        return lambda gamma, x: x - gamma * f.u
-    if isinstance(f, NormPow):
-        return {1.0: _shrink, 2.0: lambda gamma, x: x / (1.0 + 2.0 * gamma)}.get(f.p)
-    return None
-
-
-def _shrink(gamma: float, x: np.ndarray) -> np.ndarray:
-    """Prox of gamma ||.||: block soft thresholding."""
-    n = norm(x)
-    if n <= gamma:
-        return np.zeros(x.size)
-    return (1.0 - gamma / n) * x
+from .functions import LEAST_INDEX, FunctionSpec
 
 
 def is_prox_friendly(f: FunctionSpec) -> bool:
     """True when prox has a closed form for this spec."""
-    return _closed_form(f) is not None
+    return f._prox_map() is not None
 
 
 def prox(f: FunctionSpec, gamma: float, x) -> np.ndarray:
@@ -65,7 +33,7 @@ def prox(f: FunctionSpec, gamma: float, x) -> np.ndarray:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     x = as_vector(x, dim=f.dim)
-    closed_form = _closed_form(f)
+    closed_form = f._prox_map()
     if closed_form is None:
         raise UnsupportedAtom(f"no closed-form prox for {type(f).__name__}")
     p = closed_form(gamma, x)

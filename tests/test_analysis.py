@@ -269,6 +269,13 @@ def test_seq_lab_shifted_family_converges_pointwise():
     assert np.allclose(report.deviations[300:], (1.0 / n_tail), atol=1e-12)
 
 
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_seq_lab_refuses_an_empty_horizon(n_steps):
+    f = NegLog()
+    with pytest.raises(EmptySample, match="need at least one step"):
+        seq_lab(lambda n: Scale(1.0 + 1.0 / n, f), f, 2.0, n_steps=n_steps)
+
+
 def test_seq_lab_alternating_family_keeps_a_gap():
     u = np.array([0.0, 1.0])
     f = AffineMax([(u, 0.0)])

@@ -146,6 +146,12 @@ def test_power_rule_examples():
     assert got[0] == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_power_rule_refuses_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        sproj_power(alpha, Dist(Ball([0, 0], 1.0)), [3.0, 0.0])
+
+
 def test_power_rule_matches_composed_spec():
     rng = np.random.default_rng(42)
     ball = Dist(Ball([0, 0], 1.0))

@@ -11,6 +11,7 @@ from subproj.serialize import (
     control_to_record,
     function_from_record,
     function_to_record,
+    parse_problem_file,
     problem_from_record,
     problem_to_record,
     set_from_record,
@@ -283,6 +284,14 @@ def test_analyze_seqlab(tmp_path, capsys):
     assert "verdict: feasible-limit" in out
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_analyze_seqlab_refuses_an_empty_horizon(tmp_path, capsys, horizon):
+    path = write(tmp_path, "p.json", neglog_record(x0=[2.0]))
+    assert main(["analyze", "seqlab", "--file", path, "--point", "2.0",
+                 "--horizon", horizon]) == 3
+    assert capsys.readouterr() == ("", "error: EmptySample: need at least one step\n")
+
+
 def test_analyze_lipschitz(tmp_path, capsys):
     record = neglog_record(functions=[{"type": "hyperbolic", "eta": 2.0}], x0=[3.0])
     path = write(tmp_path, "p.json", record)
@@ -386,6 +395,17 @@ def test_problem_round_trip_keeps_relaxation_shape(relaxation):
     assert json.dumps(again) == json.dumps(record)
     assert problem_from_record(again).relaxation_schedule(4) == \
         problem_from_record(record).relaxation_schedule(4)
+
+
+@pytest.mark.parametrize("relaxation", [np.float32(1.5), np.int64(1)], ids=["float32", "int64"])
+def test_problem_round_trip_takes_a_numpy_scalar_relaxation(relaxation):
+    # Any real scalar is one constant relaxation, written as a JSON number.
+    parts = parse_problem_file(two_ball_record())
+    problem = Problem(**{**parts, "relaxation": relaxation})
+    record = problem_to_record(problem)
+    assert record == two_ball_record(relaxation=float(relaxation))
+    again = problem_from_record(json.loads(json.dumps(record)))
+    assert again.relaxation_schedule(3) == problem.relaxation_schedule(3) == [float(relaxation)] * 3
 
 
 # -- exact messages for malformed records ------------------------------------------------

@@ -202,6 +202,19 @@ def test_audit_leaves_a_competitor_that_no_scale_makes_finite(y, x):
     assert all(not np.all(np.isfinite(z)) for z in seen)
 
 
+@pytest.mark.parametrize("y, x, scale", [([math.inf, 0.0], [0.0, 0.0], 1.0),
+                                         ([math.nan, 0.0], [0.0, 0.0], 1.0),
+                                         ([0.0, 0.0], [math.inf, 1.0], math.nan)])
+def test_audit_keeps_the_full_scale_of_a_competitor_that_no_scale_makes_finite(y, x, scale):
+    # Halving would end at s = 0 and probe y itself; the competitor keeps its scale.
+    seen = []
+    with np.errstate(invalid="ignore"):
+        _audit(lambda z: seen.append(z.copy()) or 1.0, np.array(y), 0.0, np.array(x),
+               314159, ZeroVector, "")
+    expected = np.array(y) + scale * _probe_block(314159, 2)
+    assert all(np.array_equal(z, e, equal_nan=True) for z, e in zip(seen, expected, strict=True))
+
+
 @pytest.mark.parametrize("value, message", [(-1.0, "audit by 1.000e+00"),
                                             (math.nan, "audit by nan")])
 def test_audit_fails_a_winning_or_nan_competitor(value, message):

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from subproj import (
+    AffineMax,
     Ball,
     Box,
+    Dist,
     Halfspace,
+    Hyperbolic,
     Indicator,
     Linear,
     MoreauEnv,
     NegLog,
     NoLevelSetOracle,
     NormPow,
+    PowerComp,
     ProxAuditFailed,
+    RightLinear,
     Scale,
     SqDist,
+    SqrtShift,
     UnsupportedAtom,
     fd_gradient,
     is_prox_friendly,
@@ -22,6 +28,7 @@ from subproj import (
     sproj,
     sproj_moreau,
 )
+from subproj.serialize import TAGS, function_to_record
 
 
 def prox_friendly_atoms():
@@ -147,6 +154,51 @@ def test_moreau_env_spec_matches_direct_operator():
 def test_moreau_env_requires_prox_friendly():
     with pytest.raises(UnsupportedAtom):
         MoreauEnv(1.0, NegLog())
+
+
+_BALL = Ball([0.0, 0.0], 1.0)
+# (spec, prox-friendly) for every serializable function tag: exactly Indicator,
+# Linear, NormPow with p in {1, 2}, and Scale of those.
+PROX_TABLE = [
+    (Linear([0.7, -0.2]), True),
+    (Dist(_BALL), False),
+    (SqDist(_BALL), False),
+    (NormPow(1.0, dim=2), True),
+    (NormPow(2.0, dim=2), True),
+    (NormPow(1.5, dim=2), False),
+    (NormPow(3.0, dim=2), False),
+    (NegLog(), False),
+    (SqrtShift(1.0), False),
+    (Hyperbolic(2.0), False),
+    (AffineMax([([1.0, 0.0], 0.0)]), False),
+    (Indicator(_BALL), True),
+    (Scale(2.0, Indicator(_BALL)), True),
+    (Scale(2.0, Linear([0.7, -0.2])), True),
+    (Scale(0.5, Scale(3.0, NormPow(1.0, dim=2))), True),
+    (Scale(2.0, NormPow(3.0, dim=2)), False),
+    (Scale(2.0, Dist(_BALL)), False),
+    (PowerComp(0.5, Dist(_BALL)), False),
+    (RightLinear(np.eye(2), NormPow(2.0, dim=2)), False),
+    (MoreauEnv(1.0, Indicator(_BALL)), False),
+]
+
+
+def test_the_prox_table_covers_every_function_tag():
+    assert {function_to_record(f)["type"] for f, _ in PROX_TABLE} == set(TAGS["function"])
+
+
+@pytest.mark.parametrize("f, friendly", PROX_TABLE, ids=repr)
+def test_is_prox_friendly_accepts_exactly_the_closed_form_atoms(f, friendly):
+    assert is_prox_friendly(f) is friendly
+
+
+@pytest.mark.parametrize("f, friendly", PROX_TABLE, ids=repr)
+def test_moreau_env_accepts_exactly_the_prox_friendly_atoms(f, friendly):
+    if friendly:
+        assert MoreauEnv(1.0, f).inner is f
+    else:
+        with pytest.raises(UnsupportedAtom, match="needs a prox-friendly inner function"):
+            MoreauEnv(1.0, f)
 
 
 @pytest.mark.parametrize("inner, x, expected", [

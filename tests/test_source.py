@@ -236,3 +236,70 @@ def test_one_walker_reads_the_control_stream():
              for path in sorted(PACKAGE.glob("*.py"))
              for where, line in _stray_stream_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _isinstance_calls(tree):
+    """Calls of isinstance, bare or through a module such as builtins."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "isinstance"):
+            yield node
+
+
+def _spec_classes():
+    """Names of FunctionSpec and of every class the package derives from it."""
+    found, todo = set(), [subproj.FunctionSpec]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("subproj.") and cls.__name__ not in found:
+            found.add(cls.__name__)
+            todo += cls.__subclasses__()
+    return found
+
+
+def _spec_isinstance_calls(tree, specs):
+    """(line, names) for each isinstance call that names one of ``specs``."""
+    for call in _isinstance_calls(tree):
+        named = specs & {n for arg in call.args for n in _names(arg)}
+        if named:
+            yield call.lineno, sorted(named)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("isinstance(f, Scale)", 1), ("builtins.isinstance(f, Linear)", 1),
+    ("ok = [isinstance(v, (int, float)) for v in r]", 1), ("issubclass(type(f), Scale)", 0),
+    ("type(f) is Scale", 0), ("f._prox_map()", 0),
+])
+def test_isinstance_rule_sees_every_spelling(source, found):
+    assert len(list(_isinstance_calls(ast.parse(source)))) == found
+
+
+def test_prox_makes_no_isinstance_call():
+    # Each atom states its own closed form (FunctionSpec._prox_map); a type test
+    # in prox.py would be a second list of prox-friendly atoms.
+    tree = ast.parse((PACKAGE / "prox.py").read_text(encoding="utf-8"))
+    assert [ast.unparse(call) for call in _isinstance_calls(tree)] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("isinstance(f, Scale)", [["Scale"]]), ("isinstance(f, functions.Linear)", [["Linear"]]),
+    ("isinstance(f, (NormPow, int))", [["NormPow"]]), ("isinstance(f.inner, _SetAtom)", [["_SetAtom"]]),
+    ("isinstance(f, FunctionSpec)", [["FunctionSpec"]]), ("isinstance(r, (int, float))", []),
+    ("isinstance(s, SelectionStrategy)", []), ("Scale(2.0, f)", []),
+])
+def test_spec_isinstance_rule_sees_every_spelling(source, found):
+    assert [names for _line, names in _spec_isinstance_calls(ast.parse(source), _spec_classes())] \
+        == found
+
+
+def test_no_type_test_names_a_function_spec_outside_serialize():
+    # A spec answers for itself through its methods; only the JSON layer, which
+    # maps tags to classes, may test a spec's class.
+    specs = _spec_classes()
+    assert {"FunctionSpec", "Scale", "Indicator", "MoreauEnv", "_SetAtom"} <= specs
+    found = [f"{path.name}:{line} {names}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "serialize.py"
+             for line, names in _spec_isinstance_calls(
+                 ast.parse(path.read_text(encoding="utf-8")), specs)]
+    assert found == []
