@@ -52,29 +52,23 @@ class ControlSequence:
     """Order in which constraint indices are visited.
 
     A control defines one method, ``_stream(m)``: the endless index sequence
-    for m functions.  ``indices`` is a view of it, and the solver walks it.
-    A control whose stream repeats may also say so in ``_period(m)``; the
-    class that defines ``_stream`` must define ``_period`` too, or it is not
-    believed (see ``validate_control``).
+    for m functions, with its phase.  ``indices`` is a view of the sequence,
+    and the solver walks it.
     """
 
     window_bounds: Optional[list[int]] = None  # None: every index need only appear
 
-    def _stream(self, m: int) -> Iterator[int]:
-        """The endless index sequence for m functions, checked before the first index."""
+    def _stream(self, m: int) -> tuple[Iterator[int], Optional[int]]:
+        """``(stream, phase)``: the endless index sequence for m functions, checked
+        before the first index, and a phase Q such that index n depends only on
+        n mod Q and the waits n - (last visit of i), or None if none is known."""
         raise NotImplementedError(
             f"{type(self).__name__} defines no _stream(m); a control defines that one "
             "method, and indices(m, horizon) is a view of it")
 
-    def _period(self, m: int):
-        """How the stream repeats: ``(T, P)`` when index n + P equals index n for
-        every n >= T; ``_WAITS`` when the next index is a function of the waits
-        n - (last visit of i), so that a walk finds (T, P) itself; None if unknown."""
-        return None
-
     def indices(self, m: int, horizon: int) -> list[int]:
         """The first ``horizon`` indices."""
-        return list(islice(self._stream(m), horizon))
+        return list(islice(self._stream(m)[0], horizon))
 
     def windows(self, m: int) -> list[Optional[int]]:
         """Declared window bound per index (None when only presence is required)."""
@@ -84,10 +78,6 @@ class ControlSequence:
             raise InvalidControl(
                 f"{len(self.window_bounds)} window bounds for {m} functions")
         return list(self.window_bounds)
-
-
-# The ``_period`` of a stream whose next index depends only on the waits.
-_WAITS = "waits"
 
 
 def _integers(values: Sequence[int], what: str) -> list[int]:
@@ -129,10 +119,7 @@ class Cyclic(ControlSequence):
     """0, 1, ..., m-1, 0, 1, ...; every index recurs within a window of m."""
 
     def _stream(self, m):
-        return cycle(range(m))
-
-    def _period(self, m):
-        return 0, m
+        return cycle(range(m)), m
 
     def windows(self, m):
         return [m] * m
@@ -153,20 +140,15 @@ class QuasiCyclic(ControlSequence):
     that has waited longest, the smallest index first; once visited it has
     waited least.  So the indices of one window are visited in turn, in
     increasing order, and a step compares only the next index of each
-    distinct window.  The next index depends only on the waits, which take
-    finitely many values while every index recurs, so the stream is periodic
-    after a transient: ``validate_control`` finds the period from the waits
-    and stops at T + P + W, with W the largest window (see there).
+    distinct window.  The next index depends only on the waits, so its phase
+    is 1.
     """
 
     def __init__(self, window_bounds: Sequence[int]):
         self.window_bounds = _window_bounds(window_bounds)
 
     def _stream(self, m):
-        return self._schedule(m, self.windows(m))
-
-    def _period(self, m):
-        return _WAITS
+        return self._schedule(m, self.windows(m)), 1
 
     @staticmethod
     def _schedule(m, windows):
@@ -204,10 +186,7 @@ class Explicit(ControlSequence):
     def _stream(self, m):
         if any(i < 0 or i >= m for i in self.index_list):
             raise InvalidControl("explicit index out of range")
-        return cycle(self.index_list)
-
-    def _period(self, m):
-        return 0, len(self.index_list)
+        return cycle(self.index_list), len(self.index_list)
 
     def __repr__(self):
         return f"Explicit(index_list={self.index_list}, window_bounds={self.window_bounds})"
@@ -226,17 +205,6 @@ class ControlViolation:
                 f"[{self.window_start}, {self.window_start + self.window_len - 1}]")
 
 
-def _believed_period(control: ControlSequence, m: int):
-    """``control._period(m)`` if the class that defines its ``_stream`` defines it, else None.
-
-    A subclass that overrides ``_stream`` without restating its period gets
-    the full walk: its stream is not accepted on its parent's period.
-    """
-    for cls in type(control).__mro__:
-        if "_stream" in vars(cls):
-            return control._period(m) if "_period" in vars(cls) else None
-
-
 def validate_control(control: ControlSequence, m: int, horizon: int) -> list[ControlViolation]:
     """Scan every admissible window over the horizon; violations are data, not errors.
 
@@ -244,22 +212,20 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     last visit; the violations come sorted by index and start.  An index
     outside [0, m) raises InvalidControl, naming the index and its step.
 
-    A stream that repeats with period P from step T on is walked only over
-    its first L = T + P + W indices, W the largest declared window, when
-    that prefix misses no window (a presence-only index: when it appears in
-    the prefix).  A window missed anywhere in the horizon is missed within
-    L: one that starts at or after T, shifted back by multiples of P to
-    start in [T, T + P), sees the same indices and ends before L; one that
-    starts before T ends before T + W.  Likewise an index present anywhere
-    appears before T + P.  Where the prefix misses a window, or the period
-    is unknown, the same walk goes on over the whole horizon, so the list
-    is always the full scan's.
-
-    (T, P) comes from ``control._period(m)``.  Where that says the next index
-    depends only on the waits n - last[i] (``_WAITS``), the walk finds it by
-    Brent's cycle detection on ``last``: it copies ``last`` after 1, 2, 4, ...
-    indices, and waits equal to the copy's, k - c indices later, give
-    T <= c and P = k - c.
+    The control's phase Q says that index n depends only on n mod Q and the
+    waits n - last[i], so the walk finds where the stream repeats by Brent's
+    cycle detection on that state: it copies ``last`` after c = 1, 2, 4, ...
+    indices, and waits equal to the copy's after k indices, with k - c a
+    multiple of Q, give a period P = k - c from some step T <= c on.  The
+    stream is then walked only over its first L = k + W indices, W the
+    largest declared window, when that prefix misses no window (a
+    presence-only index: when it appears in the prefix).  A window missed
+    anywhere in the horizon is missed within L: one that starts at or after
+    T, shifted back by multiples of P to start in [T, T + P), sees the same
+    indices and ends before L; one that starts before T ends before T + W.
+    Likewise an index present anywhere appears before T + P.  Where the
+    prefix misses a window, or the phase is None, the same walk goes on over
+    the whole horizon, so the list is always the full scan's.
     """
     if m < 1:
         raise InvalidControl("need at least one function")
@@ -269,34 +235,30 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     # A presence-only index has the whole horizon as its window, missed only if it never appears.
     bound = [horizon if w is None else w for w in windows]
     widest = max((w for w in windows if w is not None), default=0)
-    period = _believed_period(control, m)
-    stop = horizon  # where the walk ends, or takes stock of a clean prefix
-    if period is not None and period != _WAITS:
-        stop = min(horizon, period[0] + period[1] + widest)
+    stream, phase = control._stream(m)
     # Brent's checkpoint: a copy of last after c indices, and the index visited
     # last before it; waits equal to the copy's need that same index last.
     saved, c, mark = None, 0, -1
-    check = 1 if period == _WAITS else stop  # the next step count to take stock at
+    check = horizon if phase is None else 1  # the next step count to take stock at
     last = [-1] * m
     violations = []
     k = 0
-    for i in islice(control._stream(m), horizon):
+    for i in islice(stream, horizon):
         if not 0 <= i < m:
             raise InvalidControl(f"control index {i} at step {k} is outside [0, {m})")
         if k - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
         last[i] = k
         k += 1
-        if i == mark and all(a - b == k - c for a, b in zip(last, saved)):
-            mark = -1
-            check = stop = min(horizon, k + widest)
+        if (i == mark and (k - c) % phase == 0
+                and all(a - b == k - c for a, b in zip(last, saved))):
+            # The stream repeats from c on: take stock of the prefix W indices later.
+            mark, phase, check = -1, None, min(horizon, k + widest)
         if k == check:
-            if k < stop:  # a checkpoint
+            if phase is not None:  # a checkpoint
                 saved, c, mark, check = last[:], k, i, 2 * k
-            elif k < horizon:
-                if not violations and all(k - a <= min(b, k) for a, b in zip(last, bound)):
-                    return []
-                stop = check = horizon
+            elif not violations and all(k - a <= min(b, k) for a, b in zip(last, bound)):
+                return []
     for i in range(m):
         if horizon - last[i] > bound[i]:
             violations.append(ControlViolation(i, last[i] + 1, bound[i]))
@@ -350,6 +312,7 @@ class Problem:
             object.__setattr__(self, "selections", list(self.selections))
             if len(self.selections) != len(self.functions):
                 raise InvalidSpec("one selection strategy per function is required")
+        object.__setattr__(self, "relaxation", _relaxation(self.relaxation))
         lo, hi = self.epsilon, 2.0 - self.epsilon
         for lam in self._relaxation_base():
             if not lo <= lam <= hi:
@@ -360,18 +323,36 @@ class Problem:
                                as_vector(self.feasible_witness, dim=self.dimension))
 
     def _relaxation_base(self) -> list[float]:
-        if isinstance(self.relaxation, Real):
-            return [float(self.relaxation)]
-        vals = [float(v) for v in self.relaxation]
-        if not vals:
-            raise InvalidSpec("the relaxation schedule must be nonempty")
-        return vals
+        r = self.relaxation
+        return [r] if isinstance(r, float) else r
 
     def relaxation_schedule(self, horizon: int) -> list[float]:
         """First ``horizon`` relaxation values (a finite schedule repeats)."""
         base = self._relaxation_base()
         reps = -(-horizon // len(base))
         return (base * reps)[:horizon]
+
+
+def _relaxation(value) -> float | list[float]:
+    """``value`` as Problem keeps it: a real scalar, a 0-d array too, as a float, and a
+    sequence as a nonempty list of floats.  A bool is refused, alone or in a sequence,
+    as the problem-file reader refuses it."""
+    try:
+        values = iter(value)
+    except TypeError:  # a scalar, a 0-d array too
+        return _lam(value)
+    vals = [_lam(v) for v in values]
+    if not vals:
+        raise InvalidSpec("the relaxation schedule must be nonempty")
+    return vals
+
+
+def _lam(v) -> float:
+    if isinstance(v, np.ndarray):
+        v = v[()]  # a 0-d array's scalar
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise InvalidSpec(f"a relaxation must be a real number, not {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -526,7 +507,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     # Oracles are pure, so the values at x hold until the iterate moves: a step
     # on a satisfied constraint (G x = x) leaves x, and everything measured at
     # it, as it is.
-    for n, i in zip(range(p.max_iter), p.control._stream(m)):
+    for n, i in zip(range(p.max_iter), p.control._stream(m)[0]):
         lam = lams[n % len(lams)]
         fx = values[i]
         if fx != fx:  # a value the block left to the visit

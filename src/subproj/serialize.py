@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from numbers import Real
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -251,7 +250,7 @@ PROBLEM = Shape(
           lambda fs: [function_to_record(f) for f in fs]),
     Field("control", "control", _nested(control_from_record), control_to_record),
     Field("relaxation", "relaxation", _relaxation,
-          lambda r: float(r) if isinstance(r, Real) else [float(v) for v in r]),
+          lambda r: r if isinstance(r, float) else list(r)),
     _num("epsilon"),
     _vec("x0"),
     _num("tol"),

@@ -397,7 +397,8 @@ def test_problem_round_trip_keeps_relaxation_shape(relaxation):
         problem_from_record(record).relaxation_schedule(4)
 
 
-@pytest.mark.parametrize("relaxation", [np.float32(1.5), np.int64(1)], ids=["float32", "int64"])
+@pytest.mark.parametrize("relaxation", [np.float32(1.5), np.int64(1), np.array(1.5)],
+                         ids=["float32", "int64", "0-d-array"])
 def test_problem_round_trip_takes_a_numpy_scalar_relaxation(relaxation):
     # Any real scalar is one constant relaxation, written as a JSON number.
     parts = parse_problem_file(two_ball_record())

@@ -128,26 +128,27 @@ def test_quasicyclic_matches_the_reference_over_long_runs():
 
 def deviating(base):
     """A subclass of ``base`` whose stream is base's up to step ``after`` and then
-    visits m - 1 in place of 0; it overrides ``_stream`` without restating a period."""
+    visits m - 1 in place of 0; it overrides ``_stream`` and states no phase."""
 
     class Deviating(base):
         after = 0
 
         def _stream(self, m):
-            for n, i in enumerate(super()._stream(m)):
-                yield m - 1 if i == 0 and n >= self.after else i
+            stream, _phase = super()._stream(m)
+            return (m - 1 if i == 0 and n >= self.after else i
+                    for n, i in enumerate(stream)), None
 
     return Deviating
 
 
 class Lasso(ControlSequence):
-    """A custom stream: a prefix, then a list repeated, with no period declared."""
+    """A custom stream: a prefix, then a list repeated, with no phase declared."""
 
     def __init__(self, prefix, body, window_bounds=None):
         self.prefix, self.body, self.window_bounds = prefix, body, window_bounds
 
     def _stream(self, m):
-        return chain(self.prefix, cycle(self.body))
+        return chain(self.prefix, cycle(self.body)), None
 
 
 @st.composite
@@ -202,20 +203,32 @@ def test_a_window_across_the_period_end_is_missed_within_the_prefix():
     assert violations == reference_validate(control, 2, 100)
 
 
+def test_waits_that_repeat_off_the_phase_are_not_a_period():
+    # The waits after 4 indices equal those after 2, but the list has length 7,
+    # so the stream repeats only every 7 indices; the two indices 6 and 7 at
+    # the end of each round miss index 1's window of 2.  Taken as a period,
+    # 4 - 2 would end the walk at a clean prefix of 6 indices.
+    control = Explicit([0, 1, 0, 1, 0, 1, 0], [2, 2])
+    violations = validate_control(control, 2, 36)
+    assert violations == [ControlViolation(1, s, 2) for s in (6, 13, 20, 27, 34)]
+    assert violations == reference_validate(control, 2, 36)
+
+
 def counted(base):
     """A subclass of ``base`` that counts the indices its streams yield and
-    restates base's period, so that validation may stop at the prefix."""
+    restates base's phase, so that validation may stop at the prefix."""
 
     class Counted(base):
         pulled = 0
 
         def _stream(self, m):
-            for i in super()._stream(m):
-                self.pulled += 1
-                yield i
+            def counting(stream):
+                for i in stream:
+                    self.pulled += 1
+                    yield i
 
-        def _period(self, m):
-            return super()._period(m)
+            stream, phase = super()._stream(m)
+            return counting(stream), phase
 
     return Counted
 

@@ -124,6 +124,31 @@ def test_epsilon_bounds_relaxation():
     two_ball_problem(relaxation=1.9, epsilon=0.05)
 
 
+@pytest.mark.parametrize("relaxation, kept", [
+    (np.array(1.5), 1.5), (np.float32(1.5), 1.5), (np.int64(1), 1.0), (1, 1.0),
+    ((1, np.float64(1.5)), [1.0, 1.5]), (np.array([1.0, 1.5]), [1.0, 1.5]),
+], ids=repr)
+def test_problem_keeps_a_scalar_relaxation_as_a_float_and_a_sequence_as_a_list(relaxation, kept):
+    p = two_ball_problem(relaxation=relaxation)
+    assert p.relaxation == kept
+    assert type(p.relaxation) is type(kept)
+    assert all(type(lam) is float for lam in p.relaxation_schedule(3))
+
+
+@pytest.mark.parametrize("relaxation", [True, np.True_, np.array(True), [True, 1.5],
+                                        np.array([True, False]), "1.5", None, [[1.0]],
+                                        [[1.0], [1.0, 2.0]]], ids=repr)
+def test_problem_refuses_a_relaxation_that_is_not_a_real_number(relaxation):
+    # A bool is refused from Python as the problem-file reader refuses it, not taken as 1.0.
+    with pytest.raises(InvalidSpec, match="a relaxation must be a real number"):
+        two_ball_problem(relaxation=relaxation)
+
+
+def test_problem_refuses_an_empty_relaxation_schedule():
+    with pytest.raises(InvalidSpec, match="must be nonempty"):
+        two_ball_problem(relaxation=[])
+
+
 def test_problem_rejects_partial_domains():
     with pytest.raises(InvalidSpec):
         Problem(dimension=1, functions=[NegLog()], x0=[0.5])
@@ -253,7 +278,7 @@ class Streamed(ControlSequence):
         self.index_list = index_list
 
     def _stream(self, m):
-        return cycle(self.index_list)
+        return cycle(self.index_list), None
 
 
 @pytest.mark.parametrize("control, max_iter, message", [
@@ -264,6 +289,11 @@ class Streamed(ControlSequence):
     # the horizon is max_iter when no window is declared
     (Explicit([0, 1]), 1, "index 1 missing from window [0, 0]"),
     (Explicit([0, 1], [3, 3, 3]), 100, "3 window bounds for 2 functions"),
+    # waits that repeat within the list's length are not its period
+    (Explicit([0, 1, 0, 1, 0, 1, 0], [2, 2]), 36,
+     "index 1 missing from window [6, 7]; index 1 missing from window [13, 14]; "
+     "index 1 missing from window [20, 21]; index 1 missing from window [27, 28]; "
+     "index 1 missing from window [34, 35]"),
     # at most five violations are named
     (QuasiCyclic([1, 1]), 10,
      "index 0 missing from window [1, 1]; index 0 missing from window [3, 3]; "
@@ -310,11 +340,14 @@ def test_solve_builds_the_index_sequence_once():
 
     class CountingQuasiCyclic(QuasiCyclic):
         def _stream(self, m):
-            pulled = [0]
-            streams.append(pulled)
-            for i in super()._stream(m):
-                pulled[0] += 1
-                yield i
+            def counting(stream):
+                pulled = [0]
+                streams.append(pulled)
+                for i in stream:
+                    pulled[0] += 1
+                    yield i
+
+            return counting(super()._stream(m)[0]), None
 
         def indices(self, m, horizon):
             listed.append(horizon)

@@ -238,6 +238,69 @@ def test_one_walker_reads_the_control_stream():
     assert found == []
 
 
+_PERIOD_NAMES = {"_period", "_WAITS", "_believed_period"}
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, leaving out the functions and classes it defines."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _control_protocol_breaks(tree):
+    """``(line, what)``, sorted, for each ``yield`` in a ``_stream`` and each ``return``
+    there that is not a pair, and for each mention of a name of the old period protocol."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_stream":
+            for inner in _own_nodes(node):
+                if isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                    found.append((inner.lineno, "yield"))
+                elif isinstance(inner, ast.Return) and not (
+                        isinstance(inner.value, ast.Tuple) and len(inner.value.elts) == 2):
+                    found.append((inner.lineno, "return"))
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in _PERIOD_NAMES:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class C:\n    def _stream(self, m):\n        return cycle(range(m)), m", []),
+    ("def _stream(self, m):\n    return cycle(range(m))", [(2, "return")]),
+    ("def _stream(self, m):\n    if m:\n        return s, None\n    return (s, 1, 2)", [(4, "return")]),
+    ("def _stream(self, m):\n    return", [(2, "return")]),
+    ("def _stream(self, m):\n    yield 0", [(2, "yield")]),
+    ("def _stream(self, m):\n    yield from range(m)", [(2, "yield")]),
+    ("def _stream(self, m):\n    def g(s):\n        yield from s\n        return\n    return g(s), 1",
+     []),
+    ("def _streams(self, m):\n    return s", []),
+    ("def _period(self, m):\n    return 0, m", [(1, "_period")]),
+    ("_WAITS = 'waits'", [(1, "_WAITS")]),
+    ("from .feasibility import _WAITS", [(1, "_WAITS")]),
+    ("period = feasibility._believed_period(c, m)", [(1, "_believed_period")]),
+])
+def test_control_protocol_rule_sees_every_spelling(source, found):
+    assert _control_protocol_breaks(ast.parse(source)) == found
+
+
+def test_a_control_states_its_phase_with_its_stream():
+    # _stream(m) returns (stream, phase), the one statement of how a control
+    # repeats; a period method, a marker or a rule for which claim to believe
+    # would be a second one that can drift from the stream.
+    found = [f"{path.name}:{line} {what}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in _control_protocol_breaks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _isinstance_calls(tree):
     """Calls of isinstance, bare or through a module such as builtins."""
     for node in ast.walk(tree):
