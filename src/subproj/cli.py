@@ -15,10 +15,10 @@ error variant).  Randomized diagnostics are reproducible through --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,19 +74,22 @@ def load_parts(path: str) -> dict:
 
 
 def write_trace(path: str, trace: SolveTrace) -> None:
-    """CSV trace: header, one row per iteration, then one summary comment row."""
-    with_witness = any(r.dist_to_witness is not None for r in trace.rows)
+    """CSV trace: header, one row per iteration, then one summary comment row.
+
+    The header and each row end in CRLF, as the csv module's default dialect ends
+    them, and the summary in LF.  n and index are integers, the other numbers
+    carry 17 significant digits.  No field needs quoting, so a row is one format.
+    """
+    columns = ["n", "index", "lambda", "residual", "step_norm"]
+    fields = ["n", "index", "lam", "residual", "step_norm"]
+    if any(r.dist_to_witness is not None for r in trace.rows):
+        columns.append("dist_to_witness")
+        fields.append("dist_to_witness")
+    row = ",".join(["{:d}", "{:d}"] + [FMT] * (len(fields) - 2)) + "\r\n"
+    values = attrgetter(*fields)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["n", "index", "lambda", "residual", "step_norm"]
-        if with_witness:
-            header.append("dist_to_witness")
-        writer.writerow(header)
-        for r in trace.rows:
-            row = [str(r.n), str(r.index), _fmt(r.lam), _fmt(r.residual), _fmt(r.step_norm)]
-            if with_witness:
-                row.append(_fmt(r.dist_to_witness))
-            writer.writerow(row)
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(row.format(*values(r)) for r in trace.rows)
         fh.write(f"# status={trace.status} iterations={trace.iterations}"
                  f" residual={_fmt(trace.final_residual)}"
                  f" assumes={trace.assumption}\n")

@@ -19,6 +19,7 @@ trace, since it cannot be verified numerically for user-supplied oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import count, cycle, islice
 from numbers import Integral, Real
@@ -36,7 +37,7 @@ from .errors import (
     StalledStep,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import _project
+from .projector import _cut
 
 # Below this step scale a positive residual can no longer move the iterate.
 STALL_FLOOR = 1e-300
@@ -289,6 +290,10 @@ class Problem:
     feasible_witness: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # A bool is refused as the problem-file reader refuses it, not taken as 1 or 0.
+        for name in ("dimension", "epsilon", "tol", "max_iter"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidSpec(f"{name} must be a number, not a bool")
         if not self.functions:
             raise InvalidSpec("a problem needs at least one function")
         object.__setattr__(self, "x0", as_vector(self.x0, dim=self.dimension))
@@ -514,17 +519,18 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             fx = values[i] = p.functions[i].value(x)
         step = 0.0
         if fx > 0.0:
-            out, step_scale = _project(p.functions[i], x, fx, p.selections[i])
+            point, step_scale = _cut(x, p.functions[i].subgradient(x, p.selections[i]), fx)
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")
-            x_next = x + lam * (out.point - x)
-            if not np.all(np.isfinite(x_next)):
+            x_next = x + lam * (point - x)
+            # x is finite, so a finite step proves x_next finite.
+            step = norm(x_next - x)
+            if not math.isfinite(step) and not np.isfinite(x_next).all():
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
             if block is None:
                 block = _AffineBlock(p)
             res, values = block.values(x_next)
-            step = norm(x_next - x)
             if witness is not None:
                 dist = norm(x_next - witness)
             x = x_next

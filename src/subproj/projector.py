@@ -17,6 +17,7 @@ change it.  Stopping tolerances belong to the feasibility solver, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -32,6 +33,9 @@ from .errors import (
     ZeroSubgradient,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
+
+
+_ZERO_CUT = "zero subgradient with positive function value"
 
 
 class ProjStatus(Enum):
@@ -73,16 +77,27 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
 
 
 def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
-    """x - t u for fx > 0, with its step scale t = fx / ||u||^2."""
-    u = as_vector(u, dim=x.size)
-    t = fx / _cut_norm2(u)
+    """x - t u for fx > 0, with its step scale t = fx / ||u||^2.
+
+    A finite ||u||^2 proves every entry of u finite, so a float64 u of x's shape
+    is checked by that norm alone; any other u, and one whose ||u||^2 is not
+    finite, goes through ``as_vector``, which raises on a wrong shape or a
+    non-finite entry.  An overflowing ||u||^2 of finite entries gives t = 0.
+    """
+    if type(u) is np.ndarray and u.dtype == np.float64 and u.shape == x.shape:
+        n2 = norm2(u)
+        if not math.isfinite(n2):
+            as_vector(u, dim=x.size)
+    else:
+        u = as_vector(u, dim=x.size)
+        n2 = norm2(u)
+    t = fx / nonzero_norm2(n2, ZeroSubgradient, _ZERO_CUT)
     return x - t * u, t
 
 
 def _cut_norm2(u: np.ndarray) -> float:
     """||u||^2 of a cut normal, raising ZeroSubgradient where u is numerically zero."""
-    return nonzero_norm2(norm2(u), ZeroSubgradient,
-                         "zero subgradient with positive function value")
+    return nonzero_norm2(norm2(u), ZeroSubgradient, _ZERO_CUT)
 
 
 def _value(f: FunctionSpec, x: np.ndarray) -> float:
@@ -107,20 +122,11 @@ def sproj(f: FunctionSpec, x, strategy: SelectionStrategy = LEAST_INDEX) -> Proj
     raises ZeroSubgradient rather than being patched over.
     """
     x = as_vector(x, dim=f.dim)
-    return _project(f, x, _value(f, x), strategy)[0]
-
-
-def _project(f: FunctionSpec, x: np.ndarray, fx: float,
-             strategy: SelectionStrategy) -> tuple[ProjOutcome, float]:
-    """sproj at a checked x whose value fx = f(x) is known, with the cut's step scale.
-
-    The step scale fx / ||u||^2 is 0.0 when the outcome is FIXED.
-    """
+    fx = _value(f, x)
     if fx <= 0.0:
-        return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None), 0.0
+        return ProjOutcome(np.array(x), ProjStatus.FIXED, fx, None)
     u = f.subgradient(x, strategy)
-    point, t = _cut(x, u, fx)
-    return ProjOutcome(point, ProjStatus.PROJECTED, fx, u), t
+    return ProjOutcome(_cut(x, u, fx)[0], ProjStatus.PROJECTED, fx, u)
 
 
 def sproj_set(f: FunctionSpec, x, k: int) -> list[np.ndarray]:

@@ -1,10 +1,12 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from subproj import Problem, solve
-from subproj.cli import main
+from subproj import Problem, SolveTrace, TraceRow, solve
+from subproj.cli import main, write_trace
 from subproj.errors import SchemaError
 from subproj.serialize import (
     control_from_record,
@@ -186,6 +188,65 @@ def test_solve_trace_is_byte_deterministic(tmp_path):
     assert main(["solve", "--file", path, "--trace", str(t1), "--seed", "0"]) == 0
     assert main(["solve", "--file", path, "--trace", str(t2), "--seed", "0"]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def write_trace_with_csv(path, trace):
+    """The trace writer as it was: csv.writer with its default dialect, one str per field."""
+    def fmt(v):
+        return "{:.17g}".format(float(v))
+
+    with_witness = any(r.dist_to_witness is not None for r in trace.rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["n", "index", "lambda", "residual", "step_norm"]
+        if with_witness:
+            header.append("dist_to_witness")
+        writer.writerow(header)
+        for r in trace.rows:
+            row = [str(r.n), str(r.index), fmt(r.lam), fmt(r.residual), fmt(r.step_norm)]
+            if with_witness:
+                row.append(fmt(r.dist_to_witness))
+            writer.writerow(row)
+        fh.write(f"# status={trace.status} iterations={trace.iterations}"
+                 f" residual={fmt(trace.final_residual)}"
+                 f" assumes={trace.assumption}\n")
+
+
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1.0, 2.5]
+
+
+def edge_rows(witness):
+    rows = []
+    for n, v in enumerate(EDGE_FLOATS):
+        rows.append(TraceRow(n=n, index=n % 3, lam=1.5, residual=v, step_norm=-v,
+                             dist_to_witness=v if witness else None))
+        rows.append(TraceRow(n=np.int64(n), index=np.int64(2), lam=np.float64(0.75),
+                             residual=np.float64(v), step_norm=np.float64(1.0 / 3.0),
+                             dist_to_witness=np.float64(v) if witness else None))
+    return rows
+
+
+def two_ball_trace(witness):
+    record = two_ball_record()
+    if not witness:
+        del record["feasible_witness"]
+    return solve(problem_from_record(record))[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolveTrace(edge_rows(witness=True), "Converged", np.zeros(2), 5e-324),
+    lambda: SolveTrace(edge_rows(witness=False), "MaxIterReached", np.zeros(2), math.nan),
+    lambda: SolveTrace([], "Converged", np.zeros(2), np.float64(-0.0)),
+    lambda: two_ball_trace(witness=True),
+    lambda: two_ball_trace(witness=False),
+], ids=["edge-witness", "edge-no-witness", "no-rows", "two-balls", "two-balls-no-witness"])
+def test_trace_writer_writes_the_bytes_of_the_csv_writer(tmp_path, make):
+    trace = make()
+    write_trace(tmp_path / "got.csv", trace)
+    write_trace_with_csv(tmp_path / "ref.csv", trace)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\r\n") == len(trace.rows) + 1 and got.endswith(b"\n")
 
 
 def test_solve_exit_codes(tmp_path, capsys):

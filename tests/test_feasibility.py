@@ -144,6 +144,17 @@ def test_problem_refuses_a_relaxation_that_is_not_a_real_number(relaxation):
         two_ball_problem(relaxation=relaxation)
 
 
+@pytest.mark.parametrize("name", ["dimension", "epsilon", "tol", "max_iter"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+def test_problem_refuses_a_bool_for_a_number(name, flag):
+    # True would pass as 1: a one-dimensional problem, epsilon 1, tol 1 or one iteration.
+    fields = dict(dimension=1, functions=[Dist(Ball([0.0], 1.0))], x0=[3.0])
+    fields[name] = flag
+    with pytest.raises(InvalidSpec) as info:
+        Problem(**fields)
+    assert str(info.value) == f"{name} must be a number, not a bool"
+
+
 def test_problem_refuses_an_empty_relaxation_schedule():
     with pytest.raises(InvalidSpec, match="must be nonempty"):
         two_ball_problem(relaxation=[])

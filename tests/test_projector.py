@@ -32,6 +32,8 @@ from subproj import (
     sproj_set,
     subgradient,
 )
+from subproj.core import as_vector, nonzero_norm2, norm2
+from subproj.projector import _cut
 
 
 def catalog():
@@ -291,3 +293,60 @@ def test_overflowing_inner_product_is_out_of_domain_without_a_warning(f, x):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="outside the effective domain"):
             sproj(f, x)
+
+
+# -- the cut's check of its normal ------------------------------------------------
+
+def cut_checking_u_first(x, u, fx):
+    """The cut as it was: u through as_vector before its squared norm is taken."""
+    u = as_vector(u, dim=x.size)
+    t = fx / nonzero_norm2(norm2(u), ZeroSubgradient,
+                           "zero subgradient with positive function value")
+    return x - t * u, t
+
+
+def cut_outcome(cut, x, u):
+    """The cut's point and step scale, or the type and message of its error."""
+    try:
+        point, t = cut(np.array(x, dtype=float), u, 2.0)
+    except Exception as exc:  # noqa: BLE001 -- the error itself is the outcome compared
+        return type(exc), str(exc)
+    return point.tobytes(), t.hex()
+
+
+@pytest.mark.parametrize("x, u", [
+    ([1.0, 2.0], np.array([math.nan, 1.0])),
+    ([1.0, 2.0], np.array([math.inf, 1.0])),
+    ([1.0, 2.0], np.array([-math.inf, 1.0])),
+    ([1.0, 2.0], np.array([math.inf, -math.inf])),
+    ([1.0, 2.0], [math.nan, 1.0]),
+    ([1.0, 2.0], np.array([1.0, 2.0, 3.0])),
+    ([1.0, 2.0], np.array([math.nan, 2.0, 3.0])),
+    ([1.0, 2.0], np.array([1.0])),
+    ([1.0, 2.0], np.array([[1.0, 2.0]])),
+    ([1.0, 2.0], np.array([])),
+    ([1.0, 2.0], np.array([0.0, 0.0])),
+    ([1.0, 2.0], np.array([1e200, 1e200])),
+    ([1.0, 2.0], np.array([3.0, -4.0])),
+    ([1.0, 2.0], np.array([3, -4])),
+    ([1.0, 2.0], np.array([0.1, -4.0], dtype=np.float32)),
+    ([1.0, 2.0], [0.1, -4.0]),
+    ([1.0], np.array(math.nan)),
+    ([1.0], np.array(math.inf)),
+    ([1.0], np.float64(-math.inf)),
+    ([1.0], np.array(3.0)),
+    ([1.0], 3.0),
+    ([1.0], np.array([3.0, 1.0])),
+], ids=["nan", "inf", "-inf", "inf-minus-inf", "nan-list", "long", "long-nan", "short",
+        "2-d", "empty", "zero", "overflowing-norm", "plain", "int", "float32", "list",
+        "0-d-nan", "0-d-inf", "0-d-scalar-minus-inf", "0-d", "python-float", "dim-1-long"])
+def test_cut_checks_its_normal_as_before(x, u):
+    # A finite ||u||^2 vouches for u's entries; every other u raises, or cuts, as
+    # it did when as_vector checked each u first.
+    assert cut_outcome(_cut, x, u) == cut_outcome(cut_checking_u_first, x, u)
+
+
+def test_an_overflowing_cut_norm_leaves_the_point_with_a_zero_step_scale():
+    point, t = _cut(np.array([1.0, 2.0]), np.array([1e200, -1e200]), 2.0)
+    assert t == 0.0
+    assert point.tolist() == [1.0, 2.0]

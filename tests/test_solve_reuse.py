@@ -284,11 +284,32 @@ def test_the_affine_block_computes_few_values_and_none_twice():
     assert m + big_p - 1 <= counts["value"] <= m + 2 * big_p
 
 
-def test_overflowing_iterate_raises_naming_the_iteration():
-    # f(x) = 1e290 over ||u||^2 = 1e-20 sends the iterate to -inf.
-    p = Problem(dimension=1, functions=[Linear([1e-10])], x0=[1e300])
-    with pytest.raises(NonFiniteValue, match="iteration 0 produced a non-finite iterate"):
+@pytest.mark.parametrize("u, x0", [([1e-10], [1e300]), ([-1e-10], [-1e300])],
+                         ids=["-inf", "+inf"])
+def test_overflowing_iterate_raises_naming_the_iteration(u, x0):
+    # f(x) = 1e290 over ||u||^2 = 1e-20 overflows the step scale to +inf, which
+    # sends the iterate to -inf or to +inf.  No numpy warning may arise on the way.
+    p = Problem(dimension=1, functions=[Linear(u)], x0=x0)
+    with pytest.raises(NonFiniteValue) as info:
         solve(p)
+    assert str(info.value) == "iteration 0 produced a non-finite iterate"
+
+
+def test_a_nan_iterate_raises_naming_the_iteration():
+    # The overflowed step scale times u's zero entry is inf * 0, a NaN entry;
+    # numpy warns of that product in the cut, so only that warning is let pass.
+    p = Problem(dimension=2, functions=[Linear([1e-10, 0.0])], x0=[1e300, 0.0])
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue) as info:
+        solve(p)
+    assert str(info.value) == "iteration 0 produced a non-finite iterate"
+
+
+def test_an_overflowing_subgradient_norm_stalls_the_solve():
+    # ||u||^2 = 2e400 overflows, so the cut's step scale is 0 and the iterate cannot move.
+    p = Problem(dimension=2, functions=[Linear([1e200, 1e200])], x0=[1.0, 1.0])
+    with pytest.raises(StalledStep) as info:
+        solve(p)
+    assert str(info.value) == "step size 0.000e+00 underflowed at iteration 0"
 
 
 @pytest.mark.parametrize("witness", [True, False])

@@ -366,3 +366,33 @@ def test_no_type_test_names_a_function_spec_outside_serialize():
              for line, names in _spec_isinstance_calls(
                  ast.parse(path.read_text(encoding="utf-8")), specs)]
     assert found == []
+
+
+def _all_of_isfinite(tree):
+    """Calls of a function ``all`` (np.all, numpy.all or the builtin) on an isfinite call."""
+    def named(func, name):
+        return (isinstance(func, ast.Name) and func.id == name
+                or isinstance(func, ast.Attribute) and func.attr == name
+                and isinstance(func.value, ast.Name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and named(node.func, "all") and node.args
+                and isinstance(node.args[0], ast.Call) and named(node.args[0].func, "isfinite")):
+            yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.all(np.isfinite(v))", 1), ("numpy.all(numpy.isfinite(v), axis=1)", 1),
+    ("all(isfinite(v))", 1), ("np.isfinite(v).all()", 0), ("np.isfinite(v).all(axis=1)", 0),
+    ("math.isfinite(t)", 0), ("np.all(v > 0)", 0),
+])
+def test_finiteness_rule_sees_every_spelling(source, found):
+    assert len(list(_all_of_isfinite(ast.parse(source)))) == found
+
+
+def test_finiteness_tests_reduce_with_the_array_method():
+    # np.all(np.isfinite(v)) dispatches through the function layer and costs about
+    # twice np.isfinite(v).all() on a short vector; as_vector runs it on every input.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _all_of_isfinite(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
