@@ -23,7 +23,7 @@ from .errors import (
     ZeroFunctionValue,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import _cut_norm2, _value, sproj
+from .projector import _normal, _value, sproj
 
 
 def _positive_value(f: FunctionSpec, x: np.ndarray, message: str) -> float:
@@ -51,7 +51,7 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     fx = _positive_value(f, x, "the Jacobian formula applies where f(x) > 0")
     u = f.gradient(x)
     h = f.hessian(x)
-    n2 = _cut_norm2(u)
+    u, n2 = _normal(u, x)
     eye = np.eye(f.dim)
     hu = h @ u
     return (eye
@@ -72,9 +72,9 @@ def sproj_deriv_1d(f: FunctionSpec, x: float) -> float:
         raise ZeroFunctionValue("the projector derivative is undefined where f(x) = 0")
     if fx < 0.0:
         return 1.0
-    fp = float(f.gradient(xv)[0])
+    u = f.gradient(xv)
     fpp = float(f.hessian(xv)[0, 0])
-    return fpp * fx / (fp * fp)
+    return fpp * fx / _normal(u, xv)[1]
 
 
 def lipschitz_bound(f: FunctionSpec, samples: Sequence, beta: float) -> float:
@@ -94,7 +94,7 @@ def lipschitz_bound(f: FunctionSpec, samples: Sequence, beta: float) -> float:
     for p in pts:
         vals.append(_positive_value(f, p, "every sample must satisfy 0 < f(x) < +inf"))
         grads.append(f.gradient(p))
-    inf_g2 = min(_cut_norm2(g) for g in grads)
+    inf_g2 = min(_normal(g, p)[1] for g, p in zip(grads, pts))
     if f.dim == 1:
         sup_f = max(vals)
         return max(1.0, sup_f / inf_g2 * beta)
@@ -250,6 +250,6 @@ def dist_bound_check(f: FunctionSpec, x,
     x = as_vector(x, dim=f.dim)
     fx = _positive_value(f, x, "the bound is defined where f(x) > 0")
     u = f.subgradient(x, strategy)
-    lhs = fx / float(np.sqrt(_cut_norm2(u)))
+    lhs = fx / float(np.sqrt(_normal(u, x)[1]))
     rhs = norm(x - f.level_set_project(x))
     return lhs, rhs

@@ -34,7 +34,7 @@ from .functions import (
     SelectionStrategy,
     scaled_orthogonal_factor,
 )
-from .projector import ProjOutcome, _checked, _cut_norm2, _value, halfspace_project, sproj
+from .projector import ProjOutcome, _checked, _normal, _value, halfspace_project, sproj
 
 
 def sproj_scale(lam: float, f: FunctionSpec, x,
@@ -101,8 +101,7 @@ def sproj_convexcomb(alpha: float, f: FunctionSpec, g: FunctionSpec,
     gx = _value(g, x)
     if fx <= 0.0 and gx <= 0.0:
         return np.array(x)
-    u = as_vector(joint_u(x), dim=f.dim)
-    n2 = _cut_norm2(u)
+    u, n2 = _normal(joint_u(x), x)
     hx = alpha * fx + (1.0 - alpha) * gx
     pf = x - (max(fx, 0.0) / n2) * u
     pg = x - (max(gx, 0.0) / n2) * u
@@ -129,8 +128,7 @@ def sproj_sum(f: FunctionSpec, g: FunctionSpec, joint_u, x) -> np.ndarray:
     gx = _value(g, x)
     if fx <= 0.0 and gx <= 0.0:
         return np.array(x)
-    u = as_vector(joint_u(x), dim=f.dim)
-    n2 = _cut_norm2(u)
+    u, n2 = _normal(joint_u(x), x)
     pf = x - (max(fx, 0.0) / n2) * u
     pg = x - (max(gx, 0.0) / n2) * u
     mean = 0.5 * pf + 0.5 * pg
@@ -168,8 +166,7 @@ def acceleration_gap(f: FunctionSpec, alpha: float, x) -> float:
     fx = _value(f, x)
     if fx <= 0.0:
         raise NotPositiveHere("the gap is defined where f(x) > 0")
-    grad = f.gradient(x)
-    return fx / float(np.sqrt(_cut_norm2(grad))) * (1.0 - 1.0 / alpha)
+    return fx / float(np.sqrt(_normal(f.gradient(x), x)[1])) * (1.0 - 1.0 / alpha)
 
 
 __all__ = [

@@ -22,7 +22,7 @@ class DomainError(SubprojError):
 
 
 class NonFiniteValue(SubprojError):
-    """A function oracle returned NaN."""
+    """A function oracle returned NaN, or its arithmetic overflowed a float."""
 
 
 class EmptySubdifferential(SubprojError):

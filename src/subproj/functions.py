@@ -229,6 +229,14 @@ class _SetAtom(FunctionSpec):
     def level_set_project(self, x):
         return self.set.project(x)
 
+    def _hessian(self, x, what: str, outside: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Zeros inside S, NotTwiceDifferentiable on its boundary, else ``outside(x)``."""
+        if self.set.distance(x) == 0.0:
+            if self.set.interior_contains(x):
+                return np.zeros((self.dim, self.dim))
+            raise NotTwiceDifferentiable(f"{what} Hessian undefined on the set boundary")
+        return outside(x)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.set!r})"
 
@@ -252,11 +260,7 @@ class Dist(_SetAtom):
         return np.zeros(self.dim)
 
     def hessian(self, x):
-        if self.set.distance(x) == 0.0:
-            if self.set.interior_contains(x):
-                return np.zeros((self.dim, self.dim))
-            raise NotTwiceDifferentiable("distance Hessian undefined on the set boundary")
-        return self.set.dist_hessian(x)
+        return self._hessian(x, "distance", self.set.dist_hessian)
 
 
 class SqDist(_SetAtom):
@@ -270,11 +274,7 @@ class SqDist(_SetAtom):
         return 2.0 * (x - self.set.project(x))
 
     def hessian(self, x):
-        if self.set.distance(x) == 0.0:
-            if self.set.interior_contains(x):
-                return np.zeros((self.dim, self.dim))
-            raise NotTwiceDifferentiable("squared-distance Hessian undefined on the set boundary")
-        return self.set.sqdist_hessian(x)
+        return self._hessian(x, "squared-distance", self.set.sqdist_hessian)
 
 
 class NormPow(FunctionSpec):
@@ -291,7 +291,7 @@ class NormPow(FunctionSpec):
             raise InvalidSpec("NormPow requires dim >= 1")
 
     def value(self, x):
-        return norm(x) ** self.p
+        return _power(self, norm(x), self.p)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         n = norm(x)
@@ -300,7 +300,7 @@ class NormPow(FunctionSpec):
             if self.p == 1.0:
                 strategy.at_kink("the norm is not differentiable at 0")
             return np.zeros(self.dim)
-        return self.p * n ** (self.p - 2.0) * x
+        return self.p * _power(self, n, self.p - 2.0) * x
 
     def hessian(self, x):
         n = norm(x)
@@ -309,7 +309,8 @@ class NormPow(FunctionSpec):
                 return 2.0 * np.eye(self.dim)
             raise NotTwiceDifferentiable("||.||^p has no Hessian at 0 unless p = 2")
         eye = np.eye(self.dim)
-        return self.p * n ** (self.p - 2.0) * eye + self.p * (self.p - 2.0) * n ** (self.p - 4.0) * np.outer(x, x)
+        return (self.p * _power(self, n, self.p - 2.0) * eye
+                + self.p * (self.p - 2.0) * _power(self, n, self.p - 4.0) * np.outer(x, x))
 
     def level_set_project(self, x):
         return np.zeros(self.dim)
@@ -319,6 +320,14 @@ class NormPow(FunctionSpec):
 
     def __repr__(self):
         return f"NormPow(p={self.p}, dim={self.dim})"
+
+
+def _power(f: FunctionSpec, base: float, e: float) -> float:
+    """base ** e for a float base >= 0; NonFiniteValue naming f's class where it overflows."""
+    try:
+        return base ** e
+    except OverflowError:
+        raise NonFiniteValue(f"{type(f).__name__} power {base!r} ** {e!r} overflows") from None
 
 
 def _shrink(gamma: float, x: np.ndarray) -> np.ndarray:
@@ -380,7 +389,7 @@ class SqrtShift(FunctionSpec):
         return np.array([-0.5 / math.sqrt(_positive(x, "eta - sqrt(x)"))])
 
     def hessian(self, x):
-        return np.array([[0.25 * _positive(x, "eta - sqrt(x)") ** (-1.5)]])
+        return np.array([[0.25 * _power(self, _positive(x, "eta - sqrt(x)"), -1.5)]])
 
     def level_set_project(self, x):
         return np.array([max(float(x[0]), self.eta * self.eta)])
@@ -579,7 +588,7 @@ class PowerComp(FunctionSpec):
         return max(v, 0.0)
 
     def value(self, x):
-        return self._base(x) ** (1.0 / self.alpha)
+        return _power(self, self._base(x), 1.0 / self.alpha)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         v = self._base(x)
@@ -596,7 +605,7 @@ class PowerComp(FunctionSpec):
                 strategy.at_kink("fractional power is not differentiable on the zero set")
         u = self.inner.subgradient(x, strategy)
         if v != 0.0:
-            return e * v ** (e - 1.0) * u
+            return e * _power(self, v, e - 1.0) * u
         if e == 1.0:
             return u
         raise EmptySubdifferential("fractional power has no subgradient on the zero set")
@@ -686,33 +695,8 @@ class RightLinear(FunctionSpec):
         return f"RightLinear(alpha={self.alpha}, inner={self.inner!r})"
 
 
-class ConvexComb(FunctionSpec):
-    """alpha*f + (1-alpha)*g under a joint selection of both subdifferentials."""
-
-    def __init__(self, alpha: float, f: FunctionSpec, g: FunctionSpec, joint_u):
-        self.alpha = float(alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidSpec("ConvexComb requires alpha in (0, 1)")
-        if f.dim != g.dim:
-            raise DimensionMismatch("both terms must share one dimension")
-        self.f = f
-        self.g = g
-        self.joint_u = joint_u
-        self.dim = f.dim
-        self.domain_is_full = f.domain_is_full and g.domain_is_full
-
-    def value(self, x):
-        return self.alpha * self.f.value(x) + (1.0 - self.alpha) * self.g.value(x)
-
-    def subgradient(self, x, strategy=LEAST_INDEX):
-        return as_vector(self.joint_u(x), dim=self.dim)
-
-    def __repr__(self):
-        return f"ConvexComb(alpha={self.alpha}, f={self.f!r}, g={self.g!r})"
-
-
-class SumPair(FunctionSpec):
-    """f + g; the selection used for projection is twice the joint selection."""
+class _Pair(FunctionSpec):
+    """Two terms f and g of one dimension and their joint selection; full domain where both are."""
 
     def __init__(self, f: FunctionSpec, g: FunctionSpec, joint_u):
         if f.dim != g.dim:
@@ -723,17 +707,40 @@ class SumPair(FunctionSpec):
         self.dim = f.dim
         self.domain_is_full = f.domain_is_full and g.domain_is_full
 
+    def subgradient(self, x, strategy=LEAST_INDEX):
+        return as_vector(self.joint_u(x), dim=self.dim)
+
+
+class ConvexComb(_Pair):
+    """alpha*f + (1-alpha)*g under a joint selection of both subdifferentials."""
+
+    def __init__(self, alpha: float, f: FunctionSpec, g: FunctionSpec, joint_u):
+        self.alpha = float(alpha)
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidSpec("ConvexComb requires alpha in (0, 1)")
+        super().__init__(f, g, joint_u)
+
+    def value(self, x):
+        return self.alpha * self.f.value(x) + (1.0 - self.alpha) * self.g.value(x)
+
+    def __repr__(self):
+        return f"ConvexComb(alpha={self.alpha}, f={self.f!r}, g={self.g!r})"
+
+
+class SumPair(_Pair):
+    """f + g; the selection used for projection is twice the joint selection."""
+
     def value(self, x):
         return self.f.value(x) + self.g.value(x)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
-        return 2.0 * as_vector(self.joint_u(x), dim=self.dim)
+        return 2.0 * super().subgradient(x, strategy)
 
     def __repr__(self):
         return f"SumPair(f={self.f!r}, g={self.g!r})"
 
 
-class InfConv(FunctionSpec):
+class InfConv(_Pair):
     """Exact inf-convolution of f and g through an audited argmin oracle.
 
     ``minimizer(x)`` must return y attaining inf_y f(y) + g(x - y); each call is
@@ -742,13 +749,10 @@ class InfConv(FunctionSpec):
     """
 
     def __init__(self, f: FunctionSpec, g: FunctionSpec, minimizer, joint_u=None):
-        if f.dim != g.dim:
-            raise DimensionMismatch("both terms must share one dimension")
-        self.f = f
-        self.g = g
+        super().__init__(f, g, joint_u)
         self.minimizer = minimizer
-        self.joint_u = joint_u
-        self.dim = f.dim
+        # The domain of an inf-convolution is dom f + dom g, full where either one is.
+        self.domain_is_full = f.domain_is_full or g.domain_is_full
 
     def split_at(self, x):
         """Return (y, f(y), g(x - y)) with the argmin audited.
@@ -773,7 +777,7 @@ class InfConv(FunctionSpec):
     def subgradient(self, x, strategy=LEAST_INDEX):
         if self.joint_u is None:
             raise JointSelectionUnavailable("no joint selection was supplied")
-        return as_vector(self.joint_u(x), dim=self.dim)
+        return super().subgradient(x, strategy)
 
     def __repr__(self):
         return f"InfConv(f={self.f!r}, g={self.g!r})"

@@ -35,9 +35,6 @@ from .errors import (
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
 
 
-_ZERO_CUT = "zero subgradient with positive function value"
-
-
 class ProjStatus(Enum):
     FIXED = "fixed"
     PROJECTED = "projected"
@@ -77,12 +74,18 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
 
 
 def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
-    """x - t u for fx > 0, with its step scale t = fx / ||u||^2.
+    """x - t u for fx > 0, with its step scale t = fx / ||u||^2 (0 where ||u||^2 overflows)."""
+    u, n2 = _normal(u, x)
+    t = fx / n2
+    return x - t * u, t
 
-    A finite ||u||^2 proves every entry of u finite, so a float64 u of x's shape
-    is checked by that norm alone; any other u, and one whose ||u||^2 is not
-    finite, goes through ``as_vector``, which raises on a wrong shape or a
-    non-finite entry.  An overflowing ||u||^2 of finite entries gives t = 0.
+
+def _normal(u, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(u, ||u||^2) for a cut normal u at x: the one check of a normal where f(x) > 0.
+
+    A finite ||u||^2 vouches for a float64 u of x's shape; any other u, and one whose
+    ||u||^2 is not finite, goes through ``as_vector``, which raises on a wrong shape or
+    a non-finite entry.  A numerically zero u raises ZeroSubgradient.
     """
     if type(u) is np.ndarray and u.dtype == np.float64 and u.shape == x.shape:
         n2 = norm2(u)
@@ -91,13 +94,7 @@ def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
     else:
         u = as_vector(u, dim=x.size)
         n2 = norm2(u)
-    t = fx / nonzero_norm2(n2, ZeroSubgradient, _ZERO_CUT)
-    return x - t * u, t
-
-
-def _cut_norm2(u: np.ndarray) -> float:
-    """||u||^2 of a cut normal, raising ZeroSubgradient where u is numerically zero."""
-    return nonzero_norm2(norm2(u), ZeroSubgradient, _ZERO_CUT)
+    return u, nonzero_norm2(n2, ZeroSubgradient, "zero subgradient with positive function value")
 
 
 def _value(f: FunctionSpec, x: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import pytest
 from subproj import (
     AffineMax,
     Ball,
+    DimensionMismatch,
     Dist,
     EmptySample,
     FunctionSpec,
@@ -24,6 +25,7 @@ from subproj import (
     SqrtShift,
     ZeroFunctionValue,
     ZeroSubgradient,
+    acceleration_gap,
     dist_bound_check,
     evaluate,
     fd_jacobian,
@@ -101,22 +103,26 @@ def test_jacobian_requires_positive_value():
 
 
 class FlatOne(FunctionSpec):
-    """f = 1 with zero gradient and zero Hessian: C^2 data no convex f has where f > 0."""
+    """f = 1 with gradient ``u`` and zero Hessian; a zero u is C^2 data no convex f has
+    where f > 0, and a non-finite or wrong-length u is a broken oracle."""
 
-    dim = 2
+    def __init__(self, dim=2, u=None):
+        self.dim = dim
+        self.u = np.zeros(dim) if u is None else u
 
     def value(self, x):
         return 1.0
 
     def subgradient(self, x, strategy=None):
-        return np.zeros(2)
+        return self.u
 
     def hessian(self, x):
-        return np.zeros((2, 2))
+        return np.zeros((self.dim, self.dim))
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: sproj_jacobian(FlatOne(), [1.0, 2.0]), id="jacobian"),
+    pytest.param(lambda: sproj_deriv_1d(FlatOne(dim=1), 1.0), id="deriv-1d"),
     # f = 1 everywhere with gradient 0, so inf ||grad f||^2 is zero.
     pytest.param(lambda: lipschitz_bound(AffineMax([([0.0, 0.0], 1.0)]), [[1.0, 2.0]], 1.0),
                  id="lipschitz-2d"),
@@ -126,6 +132,31 @@ class FlatOne(FunctionSpec):
 def test_zero_gradient_at_positive_value_raises(call):
     with pytest.raises(ZeroSubgradient, match="zero subgradient with positive function value"):
         call()
+
+
+@pytest.mark.parametrize("normal, error, message", [
+    pytest.param(lambda dim: np.full(dim, math.nan), ValueError, "vector entries must be finite",
+                 id="nan"),
+    pytest.param(lambda dim: np.ones(dim + 1), DimensionMismatch,
+                 "expected dimension {dim}, got {longer}", id="long"),
+])
+@pytest.mark.parametrize("dim, call", [
+    pytest.param(2, lambda f: sproj_jacobian(f, [3.0, 0.0]), id="jacobian"),
+    pytest.param(1, lambda f: sproj_deriv_1d(f, 3.0), id="deriv-1d"),
+    pytest.param(2, lambda f: lipschitz_bound(f, [[3.0, 0.0], [0.0, 4.0]], 1.0), id="lipschitz"),
+    pytest.param(2, lambda f: dist_bound_check(f, [3.0, 0.0]), id="distbound"),
+    pytest.param(2, lambda f: acceleration_gap(f, 0.5, [3.0, 0.0]), id="acceleration-gap"),
+])
+def test_broken_gradient_raises_as_in_sproj(dim, call, normal, error, message):
+    # A NaN entry or one entry too many: sproj refuses such a cut normal, and so
+    # must every diagnostic that divides by its squared length.
+    f = FlatOne(dim, normal(dim))
+    message = message.format(dim=dim, longer=dim + 1)
+    for run in (lambda: sproj(f, np.full(dim, 3.0)), lambda: call(f)):
+        with pytest.raises(error) as info:
+            run()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 # -- one-dimensional derivative -----------------------------------------------------

@@ -762,6 +762,15 @@ def test_nan_oracle_value_exits_3_naming_the_error(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == "error: NonFiniteValue: Dist value is NaN\n"
 
 
+@pytest.mark.parametrize("command", [["project"], ["solve"]], ids=["project", "solve"])
+def test_overflowing_power_exits_3_naming_the_error(tmp_path, capsys, command):
+    normpow = {"type": "normpow", "p": 400, "dim": 1}
+    path = write(tmp_path, "p.json", neglog_record(functions=[normpow], x0=[10.0]))
+    assert main(command + ["--file", path]) == 3
+    assert capsys.readouterr().err == \
+        "error: NonFiniteValue: NormPow power 10.0 ** 400.0 overflows\n"
+
+
 def test_overflowing_iterate_exits_3_naming_the_iteration(tmp_path, capsys):
     path = write(tmp_path, "p.json", neglog_record(functions=[{"type": "linear", "u": [1e-10]}],
                                                    x0=[1e300]))

@@ -14,6 +14,8 @@ from subproj import (
     Explicit,
     Halfspace,
     Hyperbolic,
+    Indicator,
+    InfConv,
     InvalidControl,
     InvalidSpec,
     LeftCompose,
@@ -27,6 +29,7 @@ from subproj import (
     QuasiCyclic,
     RelaxationOutOfRange,
     Scale,
+    SqDist,
     SqrtShift,
     StalledStep,
     residual,
@@ -163,6 +166,19 @@ def test_problem_refuses_an_empty_relaxation_schedule():
 def test_problem_rejects_partial_domains():
     with pytest.raises(InvalidSpec):
         Problem(dimension=1, functions=[NegLog()], x0=[0.5])
+
+
+@pytest.mark.parametrize("g, full", [(Indicator(Ball([0.0], 1.0)), False),
+                                     (SqDist(Ball([0.0], 1.0)), True)], ids=repr)
+def test_an_inf_convolution_is_real_valued_where_either_term_is(g, full):
+    # dom of an inf-convolution is dom f + dom g: the whole line where g is finite on it.
+    spec = InfConv(Indicator(Ball([0.0], 1.0)), g, lambda x: 0.5 * x)
+    assert spec.domain_is_full is full
+    if full:
+        Problem(dimension=1, functions=[spec], x0=[5.0])
+    else:
+        with pytest.raises(InvalidSpec, match="InfConv is not finite on the whole space"):
+            Problem(dimension=1, functions=[spec], x0=[5.0])
 
 
 def test_problem_rejects_dimension_mismatch():

@@ -23,6 +23,7 @@ from subproj import (
     MoreauEnv,
     NegativeBaseError,
     NegLog,
+    NonFiniteValue,
     NormPow,
     NotDifferentiableHere,
     NotScaledOrthogonal,
@@ -380,6 +381,25 @@ def test_hessian_unavailable():
         hessian(AffineMax([([1.0], 0.0)]), 0.5)
     with pytest.raises(NotTwiceDifferentiable):
         hessian(NormPow(1.0, dim=2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NormPow(400.0).value(np.array([10.0])), "NormPow power 10.0 ** 400.0 overflows"),
+    (lambda: NormPow(400.0).subgradient(np.array([10.0])), "NormPow power 10.0 ** 398.0 overflows"),
+    (lambda: NormPow(400.0).hessian(np.array([10.0])), "NormPow power 10.0 ** 398.0 overflows"),
+    (lambda: PowerComp(0.01, Dist(Ball([0.0], 1.0))).value(np.array([1e5])),
+     "PowerComp power 99999.0 ** 100.0 overflows"),
+    (lambda: PowerComp(0.01, Dist(Ball([0.0], 1.0))).subgradient(np.array([1e5])),
+     "PowerComp power 99999.0 ** 99.0 overflows"),
+    (lambda: SqrtShift(2.0).hessian(np.array([5e-324])),
+     "SqrtShift power 5e-324 ** -1.5 overflows"),
+], ids=["normpow-value", "normpow-subgradient", "normpow-hessian", "powercomp-value",
+        "powercomp-subgradient", "sqrtshift-hessian"])
+def test_an_overflowing_power_raises_nonfinite(call, message):
+    # A float power raises a bare OverflowError where its result is too large.
+    with pytest.raises(NonFiniteValue) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- combinator construction -----------------------------------------------------

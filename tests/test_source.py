@@ -396,3 +396,40 @@ def test_finiteness_tests_reduce_with_the_array_method():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _all_of_isfinite(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+
+_CUT_NORMAL_NAMES = {"ZeroSubgradient", "_cut_norm2"}
+
+
+def _cut_normal_names(tree):
+    """The names of _CUT_NORMAL_NAMES that a module mentions or defines."""
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return _CUT_NORMAL_NAMES & (set(_names(tree)) | defined)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .errors import ZeroSubgradient", {"ZeroSubgradient"}),
+    ("raise errors.ZeroSubgradient(m)", {"ZeroSubgradient"}),
+    ("error = ZeroSubgradient", {"ZeroSubgradient"}),
+    ("class ZeroSubgradient(SubprojError):\n    pass", {"ZeroSubgradient"}),
+    ("from .projector import _cut_norm2", {"_cut_norm2"}),
+    ("n2 = projector._cut_norm2(u)", {"_cut_norm2"}),
+    ("n2 = _cut_norm2(u)", {"_cut_norm2"}),
+    ("def _cut_norm2(u):\n    return u", {"_cut_norm2"}),
+    ("u, n2 = _normal(u, x)", set()),
+])
+def test_cut_normal_rule_sees_every_spelling(source, found):
+    assert _cut_normal_names(ast.parse(source)) == found
+
+
+def test_one_check_for_every_cut_normal():
+    # projector._normal is the one check of a cut normal (finite, of x's length,
+    # nonzero) and so the one place that raises ZeroSubgradient; a module naming
+    # the error, or a norm-only check such as the old _cut_norm2, is a second rule.
+    found = [f"{path.name}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name in sorted(_cut_normal_names(ast.parse(path.read_text(encoding="utf-8"))))
+             if name == "_cut_norm2" or path.name not in ("errors.py", "projector.py")]
+    assert found == []
