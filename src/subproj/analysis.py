@@ -17,8 +17,10 @@ import numpy as np
 
 from .core import as_vector, norm, norm2
 from .errors import (
+    DimensionMismatch,
     DomainError,
     EmptySample,
+    NonFiniteValue,
     NotPositiveHere,
     ZeroFunctionValue,
 )
@@ -37,6 +39,18 @@ def _positive_value(f: FunctionSpec, x: np.ndarray, message: str) -> float:
     return fx
 
 
+def _hessian(f: FunctionSpec, x: np.ndarray) -> np.ndarray:
+    """f's Hessian at x, checked: DimensionMismatch unless its shape is (dim, dim),
+    NonFiniteValue unless every entry is finite, each naming f's class."""
+    h = np.asarray(f.hessian(x), dtype=float)
+    name = type(f).__name__
+    if h.shape != (f.dim, f.dim):
+        raise DimensionMismatch(f"{name} Hessian has shape {h.shape}, expected {(f.dim, f.dim)}")
+    if not np.isfinite(h).all():
+        raise NonFiniteValue(f"{name} Hessian is not finite")
+    return h
+
+
 def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     """Jacobian of the projector at a point with f(x) > 0 and C^2 data.
 
@@ -50,7 +64,7 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     x = as_vector(x, dim=f.dim)
     fx = _positive_value(f, x, "the Jacobian formula applies where f(x) > 0")
     u = f.gradient(x)
-    h = f.hessian(x)
+    h = _hessian(f, x)
     u, n2 = _normal(u, x)
     eye = np.eye(f.dim)
     hu = h @ u
@@ -73,7 +87,7 @@ def sproj_deriv_1d(f: FunctionSpec, x: float) -> float:
     if fx < 0.0:
         return 1.0
     u = f.gradient(xv)
-    fpp = float(f.hessian(xv)[0, 0])
+    fpp = float(_hessian(f, xv)[0, 0])
     return fpp * fx / _normal(u, xv)[1]
 
 

@@ -1,6 +1,7 @@
 """Dense vector arithmetic, the generalized inverse map, finite-difference oracles,
-the seeded optimality audit of a claimed minimizer and the rounding screen of a
-block of affine rows.
+the seeded optimality audit of a claimed minimizer, the rounding screen of a
+block of affine rows and the ownership rule that lets a fast path stand in for
+an oracle.
 
 Vectors are 1-D float64 numpy arrays.  All operations treat their inputs as
 immutable values and return fresh arrays; nothing in this package mutates a
@@ -127,6 +128,23 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
     block = np.random.default_rng(seed).standard_normal((8, dim))
     block.flags.writeable = False
     return block
+
+
+def _trusted(obj, fast: str, oracle: str) -> bool:
+    """True where the class that defines method ``fast`` on obj is the class that
+    defines ``oracle``, or a subclass of it: the one ownership rule for a fast path.
+
+    A subclass that overrides ``oracle`` but inherits ``fast`` gets False, so the
+    fast path cannot stand in for an oracle that it was not written for.
+    """
+    return _owners_agree(type(obj), fast, oracle)
+
+
+@lru_cache(maxsize=256)
+def _owners_agree(cls: type, fast: str, oracle: str) -> bool:
+    def owner(name):
+        return next(c for c in cls.__mro__ if name in vars(c))
+    return issubclass(owner(fast), owner(oracle))
 
 
 def inv(x) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import AffineRows, as_vector, finite_float, norm
+from .core import AffineRows, _trusted, as_vector, finite_float, norm
 from .errors import (
     DomainError,
     InvalidControl,
@@ -436,6 +436,9 @@ class _AffineBlock:
     cannot raise within the screen's range, so any error is the plain loop's.
     Where the screen is not used (too few affine rows, one row or offset, or
     the iterate, as long as ``core.SCREEN_MAX``), the plain loop runs instead.
+    A row is taken only from a constraint whose ``affine_row`` is defined where
+    its ``value`` is, or below (``core._trusted``); one whose class overrides
+    ``value`` alone is one of the others.
     """
 
     def __init__(self, p: Problem):
@@ -447,7 +450,7 @@ class _AffineBlock:
         self.index: list[int] = []
         self.others = []
         for i, f in enumerate(p.functions):
-            row = f.affine_row()
+            row = f.affine_row() if _trusted(f, "affine_row", "value") else None
             if row is None:
                 self.others.append((i, f))
             else:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AffineRows, _audit, as_vector, finite_float, norm, norm2
+from .core import AffineRows, _audit, _trusted, as_vector, finite_float, norm, norm2
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -248,7 +248,7 @@ class Dist(_SetAtom):
         return self.set.distance(x)
 
     def affine_row(self):
-        return self.set.affine_row()
+        return self.set.affine_row() if _trusted(self.set, "affine_row", "distance") else None
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         d = self.set.distance(x)
@@ -529,16 +529,26 @@ class Indicator(_SetAtom):
 # combinators
 # ---------------------------------------------------------------------------
 
-class Scale(FunctionSpec):
+class _Unary(FunctionSpec):
+    """One inner function f: its dimension and domain, and its zero sublevel set."""
+
+    def __init__(self, f: FunctionSpec):
+        self.inner = f
+        self.dim = f.dim
+        self.domain_is_full = f.domain_is_full
+
+    def level_set_project(self, x):
+        return self.inner.level_set_project(x)
+
+
+class Scale(_Unary):
     """lam * f with lam > 0; shares the sublevel set and projector of f."""
 
     def __init__(self, lam: float, f: FunctionSpec):
         self.lam = finite_float(lam, "Scale lam", InvalidSpec)
-        self.inner = f
         if self.lam <= 0.0:
             raise InvalidSpec("Scale requires lam > 0")
-        self.dim = f.dim
-        self.domain_is_full = f.domain_is_full
+        super().__init__(f)
         self.nonnegative = f.nonnegative
 
     def value(self, x):
@@ -553,9 +563,6 @@ class Scale(FunctionSpec):
     def hessian(self, x):
         return self.lam * self.inner.hessian(x)
 
-    def level_set_project(self, x):
-        return self.inner.level_set_project(x)
-
     def _prox_map(self):
         inner = self.inner._prox_map()
         return None if inner is None else (lambda gamma, x: inner(gamma * self.lam, x))
@@ -564,26 +571,25 @@ class Scale(FunctionSpec):
         return f"Scale(lam={self.lam}, inner={self.inner!r})"
 
 
-class PowerComp(FunctionSpec):
-    """f^(1/alpha) for a certified-nonnegative f and alpha > 0."""
+class PowerComp(_Unary):
+    """f^(1/alpha) for f >= 0 and alpha > 0; f^(1/alpha) <= 0 exactly where f <= 0.
+
+    Every base is checked at evaluation: a value of f below -_BASE_SLACK raises
+    NegativeBaseError, and rounding above it counts as 0.
+    """
 
     nonnegative = True
 
     def __init__(self, alpha: float, f: FunctionSpec):
         self.alpha = finite_float(alpha, "PowerComp alpha", InvalidSpec)
-        self.inner = f
         if self.alpha <= 0.0:
             raise InvalidSpec("PowerComp requires alpha > 0")
-        self.dim = f.dim
-        self.domain_is_full = f.domain_is_full
-        # Nonnegativity is certified structurally where possible and checked
-        # at every evaluation otherwise.
-        self._certified = f.nonnegative
+        super().__init__(f)
 
     def _base(self, x):
         """f(x) with rounding below zero cut to 0; NegativeBaseError past the slack."""
         v = self.inner.value(x)
-        if v < -_BASE_SLACK and not self._certified:
+        if v < -_BASE_SLACK:
             raise NegativeBaseError(f"base function is negative ({v}) at this point")
         return max(v, 0.0)
 
@@ -610,23 +616,18 @@ class PowerComp(FunctionSpec):
             return u
         raise EmptySubdifferential("fractional power has no subgradient on the zero set")
 
-    def level_set_project(self, x):
-        # f^(1/alpha) <= 0 exactly where f <= 0.
-        return self.inner.level_set_project(x)
-
     def __repr__(self):
         return f"PowerComp(alpha={self.alpha}, inner={self.inner!r})"
 
 
-class LeftCompose(FunctionSpec):
-    """phi o f for a scalar phi with phi(0) = 0, strictly increasing on f's range."""
+class LeftCompose(_Unary):
+    """phi o f for a scalar phi with phi(0) = 0, strictly increasing on f's range;
+    phi(0) = 0 and monotonicity leave the zero sublevel set of f unchanged."""
 
     def __init__(self, phi, dphi, f: FunctionSpec):
         self.phi = phi
         self.dphi = dphi
-        self.inner = f
-        self.dim = f.dim
-        self.domain_is_full = f.domain_is_full
+        super().__init__(f)
         if not abs(float(phi(0.0))) <= 1e-12:
             raise InvalidSpec("left composition requires phi(0) = 0")
 
@@ -639,10 +640,6 @@ class LeftCompose(FunctionSpec):
         if v == INF:
             raise DomainError("inner function is +inf here")
         return float(self.dphi(v)) * self.inner.subgradient(x, strategy)
-
-    def level_set_project(self, x):
-        # phi(0) = 0 and monotonicity leave the zero sublevel set unchanged.
-        return self.inner.level_set_project(x)
 
     def __repr__(self):
         return f"LeftCompose(inner={self.inner!r})"
@@ -665,17 +662,19 @@ def scaled_orthogonal_factor(L: np.ndarray, tol: float = 1e-10) -> float:
     return alpha
 
 
-class RightLinear(FunctionSpec):
-    """f o L for L^T L = L L^T = alpha I (checked at construction); subgradients L^T u(Lx)."""
+class RightLinear(_Unary):
+    """f o L for L^T L = L L^T = alpha I (checked at construction); subgradients L^T u(Lx).
+
+    Its dimension is L's column count, and its zero sublevel set is L^-1 of f's.
+    """
 
     def __init__(self, L, f: FunctionSpec):
         self.L = np.asarray(L, dtype=float)
         self.alpha = scaled_orthogonal_factor(self.L)
         if self.L.shape[0] != f.dim:
             raise DimensionMismatch("matrix rows must match the inner dimension")
-        self.inner = f
+        super().__init__(f)
         self.dim = self.L.shape[1]
-        self.domain_is_full = f.domain_is_full
         self.nonnegative = f.nonnegative
 
     def value(self, x):

@@ -164,11 +164,13 @@ def _from_record(kind: str, record: Any, where: str | None = None) -> Any:
 
 
 def _to_record(kind: str, obj: Any) -> dict:
-    for cls in type(obj).__mro__:
-        if cls in _WRITERS[kind]:
-            tag, shape = _WRITERS[kind][cls]
-            return shape.write(obj, {"type": tag})
-    raise SchemaError(f"unserializable {kind} {type(obj).__name__}")
+    # The exact class: a subclass may override an oracle, so its base's tag would
+    # describe another function.
+    entry = _WRITERS[kind].get(type(obj))
+    if entry is None:
+        raise SchemaError(f"unserializable {kind} {type(obj).__name__}")
+    tag, shape = entry
+    return shape.write(obj, {"type": tag})
 
 
 # (record, where=kind) -> ConvexSet / FunctionSpec / ControlSequence, and back

@@ -27,6 +27,9 @@ from subproj import (
     Halfspace,
     Linear,
     Problem,
+    ZeroSubgradient,
+    residual,
+    solve,
 )
 from subproj.core import SCREEN_MAX, SCREEN_MIN_ROWS, AffineRows, norm2
 from subproj.feasibility import _AffineBlock, _values
@@ -193,6 +196,47 @@ def test_one_row_out_of_range_leaves_the_whole_block_to_the_plain_loop():
         res_b, values_b = block.values(x)
         assert res_b.hex() == res.hex()
         assert [v.hex() for v in values_b] == [v.hex() for v in values]
+
+
+class Shifted(Linear):
+    """A Linear that overrides its value and inherits its affine row."""
+
+    def value(self, x):
+        return float(np.vdot(x, self.u)) + 3.0
+
+
+class PaddedHalfspace(Halfspace):
+    """A Halfspace that overrides its distance and inherits its affine row."""
+
+    def distance(self, x):
+        return super().distance(x) + 0.5
+
+
+def test_a_row_is_not_trusted_for_a_value_that_a_subclass_overrides():
+    # The screen once proved Shifted's row <= 0 at [0, -1] and never called its
+    # value, 2.0 there, so the solve stopped after 1 iteration as Converged.
+    fs = [Linear(np.array([1.0, 0.0]) * (k + 1)) for k in range(9)]
+    fs.append(Shifted(np.array([0.0, 1.0])))
+    p = Problem(dimension=2, functions=fs, x0=[1.0, -1.0], max_iter=50)
+    x, trace = solve(p)
+    assert trace.status == "Converged"
+    assert np.array_equal(x, [0.0, -3.0])
+    assert residual(p, x) == trace.final_residual == 0.0
+    assert _AffineBlock(p).others == [(9, fs[9])]
+
+
+def test_a_set_row_is_not_trusted_for_a_distance_that_a_subclass_overrides():
+    # The padded distance is at least 0.5, and inside its halfspace its
+    # subgradient is 0: the plain loop meets that there.  The screen once
+    # proved its row <= 0 and returned Converged at a true residual of 0.5.
+    rng = np.random.default_rng(1)
+    fs = [Dist(Halfspace(rng.standard_normal(3), 1.0)) for _ in range(9)]
+    fs.append(Dist(PaddedHalfspace(np.array([0.0, 0.0, 1.0]), 0.0)))
+    p = Problem(dimension=3, functions=fs, x0=[0.0, 0.0, 3.0], max_iter=50)
+    with pytest.raises(ZeroSubgradient):
+        solve(p)
+    assert fs[9].affine_row() is None and fs[0].affine_row() is not None
+    assert _AffineBlock(p).others == [(9, fs[9])]
 
 
 # -- AffineMax ---------------------------------------------------------------------------

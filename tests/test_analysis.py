@@ -103,12 +103,13 @@ def test_jacobian_requires_positive_value():
 
 
 class FlatOne(FunctionSpec):
-    """f = 1 with gradient ``u`` and zero Hessian; a zero u is C^2 data no convex f has
-    where f > 0, and a non-finite or wrong-length u is a broken oracle."""
+    """f = 1 with gradient ``u`` and Hessian ``h``, zero by default; a zero u is C^2 data
+    no convex f has where f > 0, and a non-finite or misshapen u or h is a broken oracle."""
 
-    def __init__(self, dim=2, u=None):
+    def __init__(self, dim=2, u=None, h=None):
         self.dim = dim
         self.u = np.zeros(dim) if u is None else u
+        self.h = np.zeros((dim, dim)) if h is None else h
 
     def value(self, x):
         return 1.0
@@ -117,7 +118,7 @@ class FlatOne(FunctionSpec):
         return self.u
 
     def hessian(self, x):
-        return np.zeros((self.dim, self.dim))
+        return self.h
 
 
 @pytest.mark.parametrize("call", [
@@ -157,6 +158,25 @@ def test_broken_gradient_raises_as_in_sproj(dim, call, normal, error, message):
             run()
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("h, error, message", [
+    pytest.param(lambda dim: np.full((dim, dim), math.nan), NonFiniteValue,
+                 "FlatOne Hessian is not finite", id="nan"),
+    pytest.param(lambda dim: np.eye(dim + 1), DimensionMismatch,
+                 "FlatOne Hessian has shape ({n}, {n}), expected ({dim}, {dim})", id="wide"),
+])
+@pytest.mark.parametrize("dim, call", [
+    pytest.param(2, lambda f: sproj_jacobian(f, [3.0, 0.0]), id="jacobian"),
+    pytest.param(1, lambda f: sproj_deriv_1d(f, 3.0), id="deriv-1d"),
+])
+def test_broken_hessian_raises_a_named_error(dim, call, h, error, message):
+    # A NaN Hessian once gave a NaN Jacobian, and a wide one numpy's bare matmul
+    # error, or in one dimension its corner entry.
+    with pytest.raises(error) as info:
+        call(FlatOne(dim, np.ones(dim), h(dim)))
+    assert type(info.value) is error
+    assert str(info.value) == message.format(dim=dim, n=dim + 1)
 
 
 # -- one-dimensional derivative -----------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subproj import Problem, SolveTrace, TraceRow, solve
+from subproj import Linear, Problem, SolveTrace, TraceRow, solve
 from subproj.cli import main, write_trace
 from subproj.errors import SchemaError
 from subproj.serialize import (
@@ -681,6 +681,13 @@ def test_malformed_piece_messages_from_entry_points():
         assert str(info.value) == message
 
 
+class Shifted(Linear):
+    """A Linear with another value: writing it as "linear" would describe another function."""
+
+    def value(self, x):
+        return super().value(x) + 3.0
+
+
 def test_unserializable_objects_named():
     from subproj import ControlSequence, ConvexSet, LeftCompose, NegLog
 
@@ -688,6 +695,7 @@ def test_unserializable_objects_named():
         (set_to_record, ConvexSet(), "unserializable set ConvexSet"),
         (function_to_record, LeftCompose(lambda t: t, lambda t: 1.0, NegLog()),
          "unserializable function LeftCompose"),
+        (function_to_record, Shifted([0.0, 1.0]), "unserializable function Shifted"),
         (control_to_record, ControlSequence(), "unserializable control ControlSequence"),
     ]:
         with pytest.raises(SchemaError) as info:

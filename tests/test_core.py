@@ -18,7 +18,7 @@ from subproj import (
     inv_jacobian,
     sproj_moreau,
 )
-from subproj.core import _audit, _probe_block
+from subproj.core import _audit, _probe_block, _trusted
 
 
 def test_inv_simple_values():
@@ -225,3 +225,35 @@ def test_audit_fails_a_winning_or_nan_competitor(value, message):
 
 def test_audit_tolerates_a_competitor_within_its_margin():
     _audit(lambda z: -0.9e-8, np.zeros(2), 0.0, np.zeros(2), 1, ZeroVector, "audit")
+
+
+class _OwnValue(Linear):
+    def value(self, x):
+        return super().value(x)
+
+
+class _OwnRow(Linear):
+    def affine_row(self):
+        return super().affine_row()
+
+
+class _OwnBoth(_OwnValue):
+    def affine_row(self):
+        return super().affine_row()
+
+
+class _OwnDistance(Halfspace):
+    def distance(self, x):
+        return super().distance(x)
+
+
+@pytest.mark.parametrize("obj, oracle, trusted", [
+    (Linear([1.0]), "value", True),
+    (_OwnValue([1.0]), "value", False),  # the row was written for Linear.value
+    (_OwnRow([1.0]), "value", True),  # a row defined below the value answers for it
+    (_OwnBoth([1.0]), "value", True),
+    (Halfspace([1.0], 0.0), "distance", True),
+    (_OwnDistance([1.0], 0.0), "distance", False),
+], ids=["linear", "own-value", "own-row", "own-both", "halfspace", "own-distance"])
+def test_a_fast_path_is_trusted_only_where_its_class_owns_the_oracle(obj, oracle, trusted):
+    assert _trusted(obj, "affine_row", oracle) is trusted

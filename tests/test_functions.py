@@ -410,6 +410,23 @@ def test_powercomp_negative_base_rejected():
         evaluate(f, -1.0)
 
 
+class _NegativeDist(Dist):
+    """A Dist whose value is -1: its class says nonnegative, its oracle does not."""
+
+    def value(self, x):
+        return -1.0
+
+
+def test_powercomp_tests_the_base_of_every_inner_function():
+    # The base of a nonnegative class was once clamped unchecked: the value was 0.0.
+    f = PowerComp(0.5, _NegativeDist(Ball([0.0], 1.0)))
+    assert f.inner.nonnegative
+    for call in (lambda: evaluate(f, 3.0), lambda: f.subgradient(np.array([3.0]))):
+        with pytest.raises(NegativeBaseError) as info:
+            call()
+        assert str(info.value) == "base function is negative (-1.0) at this point"
+
+
 def test_powercomp_certified_atoms_clamp_roundoff():
     f = PowerComp(2.0, Dist(Ball([0.0, 0.0], 1.0)))
     assert evaluate(f, [0.5, 0.0]) == 0.0

@@ -13,6 +13,7 @@ from subproj import (
     MoreauEnv,
     NegLog,
     NoLevelSetOracle,
+    NonFiniteValue,
     NormPow,
     PowerComp,
     ProxAuditFailed,
@@ -246,27 +247,18 @@ def test_prox_audit_passes_a_true_prox_next_to_the_largest_double(x):
     assert np.array_equal(prox(Linear(u), 1.0, x), np.array(x) - u)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("f, gamma, x", [
-    (Linear([1e300]), 1e10, [0.0]),  # x - gamma * u is -inf
-    (Scale(1e300, Linear([1.0, 0.0])), 1e10, [0.0, 0.0]),  # inf * 0 is NaN
+@pytest.mark.parametrize("f, gamma, x, message", [
+    (Linear([1e300]), 1e10, [0.0], "Linear prox is not finite"),  # x - gamma * u is -inf
+    (Scale(1e300, Linear([1.0, 0.0])), 1e10, [0.0, 0.0], "Scale prox is not finite"),  # inf * 0
 ])
-def test_prox_audit_fails_a_minimizer_that_is_not_finite(f, gamma, x):
-    # No scale makes y + scale * d finite here, so the audit must not halve it
-    # (that loop would never end) and fails on the NaN objective instead.
-    import signal
-
-    def stuck(signum, frame):
-        raise AssertionError("the audit did not return")
-
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(10)
-    try:
-        with pytest.raises(ProxAuditFailed, match="by nan"):
-            prox(f, gamma, x)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_prox_audit_fails_a_minimizer_that_is_not_finite(f, gamma, x, message):
+    # The closed form overflows on finite inputs, so neither the point nor the
+    # envelope is finite: prox names the atom before the audit runs, and numpy's
+    # own warning from the product stays.  That the audit returns on a point no
+    # scale makes finite is tested in test_core.
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteValue) as info:
+        prox(f, gamma, x)
+    assert str(info.value) == message
 
 
 def test_prox_audit_survives_optimized_mode():

@@ -151,6 +151,68 @@ def test_the_solver_finds_affine_rows_only_through_the_spec():
     assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
 
 
+def _owner_check(test, receiver):
+    """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, "affine_row", ...)``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return any(_owner_check(value, receiver) for value in test.values)
+    return (isinstance(test, ast.Call) and len(test.args) >= 2
+            and (isinstance(test.func, ast.Name) and test.func.id == "_trusted"
+                 or isinstance(test.func, ast.Attribute) and test.func.attr == "_trusted")
+            and ast.dump(test.args[0]) == ast.dump(receiver)
+            and isinstance(test.args[1], ast.Constant) and test.args[1].value == "affine_row")
+
+
+def _unguarded_affine_rows(tree):
+    """Mentions ``r.affine_row`` outside the true branch of an if, or the later operands
+    of an ``and``, that checks ``_trusted(r, "affine_row", ...)`` first."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "affine_row"):
+            continue
+        child, guarded = node, False
+        while child in parents and not guarded:
+            up = parents[child]
+            if isinstance(up, ast.IfExp) and child is up.body or (
+                    isinstance(up, ast.If) and child in up.body):
+                guarded = _owner_check(up.test, node.value)
+            elif isinstance(up, ast.BoolOp) and isinstance(up.op, ast.And):
+                guarded = any(_owner_check(v, node.value)
+                              for v in up.values[:up.values.index(child)])
+            child = up
+        if not guarded:
+            yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("row = f.affine_row()", 1),
+    ("row = f.affine_row() if _trusted(f, 'affine_row', 'value') else None", 0),
+    ("row = f.affine_row() if core._trusted(f, 'affine_row', 'value') else None", 0),
+    ("row = None if _trusted(f, 'affine_row', 'value') else f.affine_row()", 1),
+    ("row = f.affine_row() if _trusted(g, 'affine_row', 'value') else None", 1),
+    ("row = f.affine_row() if _trusted(f, 'value', 'value') else None", 1),
+    ("row = f.affine_row() if not _trusted(f, 'affine_row', 'value') else None", 1),
+    ("row = f.affine_row() if ok and _trusted(f, 'affine_row', 'value') else None", 0),
+    ("if _trusted(s, 'affine_row', 'distance'):\n    row = s.affine_row()", 0),
+    ("if _trusted(s, 'affine_row', 'distance'):\n    pass\nelse:\n    row = s.affine_row()", 1),
+    ("row = _trusted(self.set, 'affine_row', 'distance') and self.set.affine_row()", 0),
+    ("row = self.set.affine_row() and _trusted(self.set, 'affine_row', 'distance')", 1),
+    ("rows = [g.affine_row() for g in fs]", 1),
+    ("fast = f.affine_row", 1),
+    ("def affine_row(self):\n    return None", 0),
+])
+def test_affine_row_rule_sees_every_spelling(source, found):
+    assert len(list(_unguarded_affine_rows(ast.parse(source)))) == found
+
+
+def test_every_affine_row_is_read_behind_the_ownership_rule():
+    # A row stands in for an oracle (value, or a set's distance); core._trusted
+    # refuses it where a subclass overrides that oracle and inherits the row.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _unguarded_affine_rows(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _screen_decisions(tree):
     """Calls of a ``.bounds(`` method and mentions of ``screen_row``."""
     for node in ast.walk(tree):
