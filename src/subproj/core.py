@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +42,9 @@ SCREEN_MIN_ROWS = 8
 # product is off by at most 2**-1075, and a row may stand for an oracle that
 # divides by its length of at least 2**-450 (Halfspace.affine_row).
 _SCREEN_TINY = 2.0 ** -600
+# Underflow allowance of one term of a radius (see _reach): a sum of n squares that
+# underflow loses at most n 2**-1074, and its square root at most sqrt(n) 2**-537.
+_REACH_TINY = 2.0 ** -537
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -132,12 +135,15 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
 
 def _trusted(obj, fast: str, oracle: str) -> bool:
     """True where the class that defines method ``fast`` on obj is the class that
-    defines ``oracle``, or a subclass of it: the one ownership rule for a fast path.
+    defines ``oracle``, or a subclass of it, and obj itself assigns neither: the one
+    ownership rule for a fast path.
 
-    A subclass that overrides ``oracle`` but inherits ``fast`` gets False, so the
-    fast path cannot stand in for an oracle that it was not written for.
+    A subclass that overrides ``oracle`` but inherits ``fast`` gets False, and so does
+    an instance whose own attribute replaces either one, so the fast path cannot stand
+    in for an oracle that it was not written for.
     """
-    return _owners_agree(type(obj), fast, oracle)
+    own = obj.__dict__
+    return fast not in own and oracle not in own and _owners_agree(type(obj), fast, oracle)
 
 
 @lru_cache(maxsize=256)
@@ -145,6 +151,22 @@ def _owners_agree(cls: type, fast: str, oracle: str) -> bool:
     def owner(name):
         return next(c for c in cls.__mro__ if name in vars(c))
     return issubclass(owner(fast), owner(oracle))
+
+
+def _reach(gap: float, scale: float, n: int) -> float:
+    """A computed radius ``gap`` shrunk by a forward-error bound, or 0.0 where none is left.
+
+    ``gap`` is one rounding of a distance formed from n-term sums whose terms are at
+    most ``scale`` in total, such as b - a . x with scale ||a|| ||x||, or r - ||x - c||
+    with scale r + ||x - c||.  Such a sum is off by at most gamma_n times its scale, and
+    a square root, a product or a quotient by at most a few u more (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 3.1), so 4 (n + 8) u times
+    gap + scale covers every rounding of the gap and of the formula that shrinks it, at
+    any n; ``_REACH_TINY`` per term covers underflow.  A NaN gap or scale, or an
+    infinite one, gives 0.0.
+    """
+    rho = gap - (n + 8) * (2.0 ** -51 * (gap + scale) + _REACH_TINY)
+    return rho if rho > 0.0 else 0.0
 
 
 def inv(x) -> np.ndarray:
@@ -215,12 +237,21 @@ class AffineRows:
         n = rows.shape[1]
         row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         size = np.abs(offsets)
-        # The range rule: enough rows, and each row and offset shorter than SCREEN_MAX.
-        self.used = bool(len(rows) >= SCREEN_MIN_ROWS and row_norms.max() < SCREEN_MAX
-                         and size.max() < SCREEN_MAX)
+        # The range rule: each row and offset shorter than SCREEN_MAX; the screen also
+        # needs enough rows.
+        self.in_range = bool(len(rows) and row_norms.max() < SCREEN_MAX and size.max() < SCREEN_MAX)
+        self.used = self.in_range and len(rows) >= SCREEN_MIN_ROWS
         rel = 8.0 * (n + 4) * 2.0 ** -53
         self._per_norm = rel * row_norms
         self._fixed = rel * size + (n + 4) * _SCREEN_TINY
+
+    @cached_property
+    def _worst(self) -> tuple[float, float, float]:
+        """What ``reach`` needs of every row at once: the largest slack terms, and the
+        largest row length plus its slack."""
+        per_norm = float(self._per_norm.max())
+        length = float(np.sqrt(np.einsum("ij,ij->i", self.rows, self.rows)).max())
+        return per_norm, float(self._fixed.max()), length + per_norm
 
     def bounds(self, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(value, lower, upper) per row at x; None where the rows are not ``used``
@@ -246,3 +277,22 @@ class AffineRows:
             return None, None, lambda known=-math.inf: range(len(self.offsets))
         g, lo, hi = bounds
         return g, hi, lambda known=-math.inf: (hi >= max(known, lo.max())).nonzero()[0].tolist()
+
+    def reach(self, x: np.ndarray, top: float) -> float:
+        """A radius within which every row's oracle value stays <= 0, given ``top`` < 0, the
+        largest of those values at x; 0.0 out of the range rule or where x is as long as
+        SCREEN_MAX.
+
+        A row's oracle value w(z) is within its slack s(z) = P ||z|| + F of the exact
+        r . z - c, which grows by at most ||r|| rho from x, so w(z) <= top + 2 s(x) +
+        (||r|| + P) rho where ||z - x|| <= rho.  The slack is more than twice the
+        rounding, which covers the computed ||x|| and the radius's own rounding too.
+        """
+        if not (top < 0.0 and self.in_range):
+            return 0.0
+        nx = norm(x)
+        if not nx < SCREEN_MAX:
+            return 0.0
+        per_norm, fixed, length = self._worst
+        rho = (-top - 2.0 * (per_norm * nx + fixed)) / length
+        return rho if rho > 0.0 else 0.0

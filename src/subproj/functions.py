@@ -37,7 +37,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AffineRows, _audit, _trusted, as_vector, finite_float, norm, norm2
+from .core import (
+    SCREEN_MAX,
+    AffineRows,
+    _audit,
+    _reach,
+    _trusted,
+    as_vector,
+    finite_float,
+    norm,
+    norm2,
+)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -180,6 +190,20 @@ class FunctionSpec:
         """
         return None
 
+    def _margin(self, x: np.ndarray) -> tuple[float, float]:
+        """(value(x), rho): the value bit for bit, from the computation that gives a
+        radius rho >= 0 with this contract: where rho > 0, the computed ``value`` is <= 0
+        at every point within rho of x, and a spec with a closed-form prox returns each
+        such point unchanged from it.  So a value within rho raises nothing, and the solve
+        may skip it while the steps since x sum to less than rho.
+
+        The base class states none.  A radius is read only under ``core._trusted``
+        against ``value``, so a subclass that overrides ``value`` states none either.
+        The solve reads the attribute once, so a spec may bind it to the computation
+        it delegates to (``Dist``).
+        """
+        return self.value(x), 0.0
+
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -229,6 +253,15 @@ class _SetAtom(FunctionSpec):
     def level_set_project(self, x):
         return self.set.project(x)
 
+    @property
+    def _distance(self) -> Callable[[np.ndarray], tuple[float, float]]:
+        """x -> (distance to S, depth in S): the set's own ``_margin`` where its class
+        defines it for its own ``distance``, else the distance and no depth.  It is
+        ``Dist._margin``, since the distance is 0.0 within the set's depth; bound once,
+        it costs an evaluation no more than ``value`` does."""
+        s = self.set
+        return s._margin if _trusted(s, "_margin", "distance") else lambda x: (s.distance(x), 0.0)
+
     def _hessian(self, x, what: str, outside: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Zeros inside S, NotTwiceDifferentiable on its boundary, else ``outside(x)``."""
         if self.set.distance(x) == 0.0:
@@ -250,6 +283,8 @@ class Dist(_SetAtom):
     def affine_row(self):
         return self.set.affine_row() if _trusted(self.set, "affine_row", "distance") else None
 
+    _margin = _SetAtom._distance
+
     def subgradient(self, x, strategy=LEAST_INDEX):
         d = self.set.distance(x)
         if d > 0.0:
@@ -269,6 +304,10 @@ class SqDist(_SetAtom):
     def value(self, x):
         d = self.set.distance(x)
         return d * d
+
+    def _margin(self, x):
+        d, depth = self._distance(x)
+        return d * d, depth
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return 2.0 * (x - self.set.project(x))
@@ -361,7 +400,11 @@ class NegLog(FunctionSpec):
 
     def hessian(self, x):
         t = _positive(x, "-ln(x)")
-        return np.array([[1.0 / (t * t)]])
+        t2 = t * t
+        h = 1.0 / t2 if t2 > 0.0 else INF
+        if h == INF:
+            raise NonFiniteValue(f"NegLog Hessian 1 / {t!r}**2 overflows")
+        return np.array([[h]])
 
     def level_set_project(self, x):
         return np.array([max(float(x[0]), 1.0)])
@@ -470,6 +513,10 @@ class AffineMax(FunctionSpec):
     def value(self, x):
         return self._top(x)[0]
 
+    def _margin(self, x):
+        top = self._top(x)[0]
+        return top, self._rows.reach(x, top)
+
     def active_indices(self, x) -> list[int]:
         """Indices of pieces within a relative tolerance of the maximum."""
         top, vals, hi = self._top(x)
@@ -518,6 +565,14 @@ class Indicator(_SetAtom):
     def value(self, x):
         return 0.0 if self.set.contains(x) else INF
 
+    def _margin(self, x):
+        # Within the set's depth, contains holds and project, the closed form, returns
+        # the point itself.
+        v, s = self.value(x), self.set
+        if v == 0.0 and _trusted(s, "_margin", "contains") and _trusted(s, "_margin", "project"):
+            return v, s._margin(x)[1]
+        return v, 0.0
+
     def subgradient(self, x, strategy=LEAST_INDEX):
         raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")
 
@@ -540,6 +595,14 @@ class _Unary(FunctionSpec):
     def level_set_project(self, x):
         return self.inner.level_set_project(x)
 
+    def _inner_margin(self, y) -> tuple[float, float]:
+        """The inner ``_margin`` at y where its class defines it for its own ``value``
+        and closed form, else the inner value and no radius."""
+        f = self.inner
+        if _trusted(f, "_margin", "value") and _trusted(f, "_margin", "_prox_map"):
+            return f._margin(y)
+        return f.value(y), 0.0
+
 
 class Scale(_Unary):
     """lam * f with lam > 0; shares the sublevel set and projector of f."""
@@ -553,6 +616,11 @@ class Scale(_Unary):
 
     def value(self, x):
         return self.lam * self.inner.value(x)
+
+    def _margin(self, x):
+        # lam > 0 keeps the sign, and a prox map of gamma lam f fixes what f's fixes.
+        v, rho = self._inner_margin(x)
+        return self.lam * v, rho
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.lam * self.inner.subgradient(x, strategy)
@@ -586,18 +654,24 @@ class PowerComp(_Unary):
             raise InvalidSpec("PowerComp requires alpha > 0")
         super().__init__(f)
 
-    def _base(self, x):
-        """f(x) with rounding below zero cut to 0; NegativeBaseError past the slack."""
-        v = self.inner.value(x)
+    def _base(self, v):
+        """The inner value v with rounding below zero cut to 0; NegativeBaseError past the slack."""
         if v < -_BASE_SLACK:
             raise NegativeBaseError(f"base function is negative ({v}) at this point")
         return max(v, 0.0)
 
     def value(self, x):
-        return _power(self, self._base(x), 1.0 / self.alpha)
+        return _power(self, self._base(self.inner.value(x)), 1.0 / self.alpha)
+
+    def _margin(self, x):
+        # A nonnegative inner value that is <= 0 is 0, a base that raises nothing; an
+        # inner that can go negative may meet NegativeBaseError within its radius.
+        v, rho = self._inner_margin(x)
+        return (_power(self, self._base(v), 1.0 / self.alpha),
+                rho if self.inner.nonnegative else 0.0)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
-        v = self._base(x)
+        v = self._base(self.inner.value(x))
         if v == INF:
             raise DomainError("base function is +inf here")
         e = 1.0 / self.alpha
@@ -645,7 +719,11 @@ class LeftCompose(_Unary):
         return f"LeftCompose(inner={self.inner!r})"
 
 
-def scaled_orthogonal_factor(L: np.ndarray, tol: float = 1e-10) -> float:
+# Entrywise tolerance, relative to 1 + alpha, of the check L^T L = L L^T = alpha I.
+_ORTHO_TOL = 1e-10
+
+
+def scaled_orthogonal_factor(L: np.ndarray, tol: float = _ORTHO_TOL) -> float:
     """Return alpha > 0 with L^T L = L L^T = alpha I, else raise NotScaledOrthogonal."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -676,9 +754,30 @@ class RightLinear(_Unary):
         super().__init__(f)
         self.dim = self.L.shape[1]
         self.nonnegative = f.nonnegative
+        # ||L v|| <= gain ||v||: the computed L^T L passed the check against alpha I, so it
+        # is within n tol (1 + alpha) of it in norm, and the exact one within n gamma_n gain^2
+        # of the computed one.
+        n = self.dim
+        self._gain = math.sqrt((self.alpha + n * _ORTHO_TOL * (1.0 + self.alpha))
+                               / (1.0 - n * (n + 1) * 2.0 ** -53))
 
     def value(self, x):
         return self.inner.value(self.L @ x)
+
+    def _margin(self, x):
+        v, rho = self._inner_margin(self.L @ x)
+        return v, self._pull_back(rho, x) if rho > 0.0 else 0.0
+
+    def _pull_back(self, rho: float, x) -> float:
+        """A radius around x whose points z all have a computed L z within rho of the computed
+        L x.  Each entry of either is off by at most gamma_n gain ||.||, so their distance
+        is at most gain ||z - x|| + sqrt(n) gamma_n gain (2 ||x|| + ||z - x||); where the
+        sums stay below SCREEN_MAX**2, none of L z's overflows."""
+        g = rho / self._gain
+        scale = math.sqrt(self.dim) * (2.0 * norm(x) + g)
+        if not self._gain * (scale + g) < SCREEN_MAX ** 2:
+            return 0.0
+        return _reach(g, scale, self.dim)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.L.T @ self.inner.subgradient(self.L @ x, strategy)

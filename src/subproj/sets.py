@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import SCREEN_MAX, as_vector, finite_float, norm, norm2
+from .core import SCREEN_MAX, _reach, as_vector, finite_float, norm, norm2
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -44,6 +44,15 @@ class ConvexSet:
         (FunctionSpec.affine_row has the contract; core.AffineRows checks the rest).
         """
         return None
+
+    def _margin(self, x: np.ndarray) -> tuple[float, float]:
+        """(distance(x), depth): the distance bit for bit, from the computation that
+        gives a depth >= 0 with this contract: at every point z within depth of x, the
+        computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)``
+        returns z.  The depth is the distance to the complement, shrunk by a forward-error
+        bound (``core._reach``).  The base class states none.
+        """
+        return self.distance(x), 0.0
 
     def dist_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the distance at a point outside the set."""
@@ -81,6 +90,13 @@ class Ball(ConvexSet):
 
     def distance(self, x):
         return max(norm(x - self.center) - self.radius, 0.0)
+
+    def _margin(self, x):
+        # distance, contains and project all compare this one n = ||x - c|| with r.  Below
+        # SCREEN_MAX no point of the ball has a squared offset that overflows.
+        n = norm(x - self.center)
+        r = self.radius
+        return max(n - r, 0.0), _reach(r - n, r + n, self.dim) if n < r < SCREEN_MAX else 0.0
 
     def contains(self, x):
         return norm(x - self.center) <= self.radius
@@ -132,6 +148,18 @@ class Halfspace(ConvexSet):
         excess = float(np.vdot(x, self.normal)) - self.offset
         return max(excess, 0.0) / self._length
 
+    def _margin(self, x):
+        # distance, contains and project all test this one excess against 0.  Where the
+        # gap and ||normal|| ||x|| together stay below SCREEN_MAX**2, no partial sum of
+        # normal . z overflows within the depth.
+        excess = float(np.vdot(x, self.normal)) - self.offset
+        if not excess < 0.0:
+            return max(excess, 0.0) / self._length, 0.0
+        scale = self._length * norm(x)
+        if not scale - excess < SCREEN_MAX ** 2:
+            return 0.0, 0.0
+        return 0.0, _reach(-excess, scale, self.dim) / self._length
+
     def affine_row(self):
         # distance forms normal . x, finite where ||x|| < SCREEN_MAX only if s is too,
         # and divides it by s, growing its underflow by 1/s: the screen allows s >= 2**-450.
@@ -170,6 +198,14 @@ class Box(ConvexSet):
 
     def distance(self, x):
         return norm(x - np.clip(x, self.lo, self.hi))
+
+    def _margin(self, x):
+        # Within the smallest face gap every coordinate stays between its bounds, which
+        # distance, contains and project (the clip) all compare exactly.
+        d = norm(x - np.clip(x, self.lo, self.hi))
+        if d > 0.0:
+            return d, 0.0
+        return d, _reach(float(min((x - self.lo).min(), (self.hi - x).min())), 0.0, 1)
 
     def contains(self, x):
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))

@@ -1,0 +1,371 @@
+"""The margin screen skips only what the plain loop would find <= 0.
+
+An atom's ``_margin(x)`` returns its value at x, bit for bit, with a radius rho:
+where rho > 0, the computed value is <= 0 at every point within rho of x.  The
+solve keeps, per constraint, rho less a bound on each step since, and skips the
+constraint while some is left.  These tests check the radii of every atom and
+set that states one, at scales from 1e-150 to 1e150 and at points exactly rho
+away along the direction that leaves soonest; the block against the plain loop
+along random walks; and that a subclass or an instance that replaces ``value``
+is never skipped.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from subproj import (
+    AffineMax,
+    Ball,
+    Box,
+    Dist,
+    Halfspace,
+    Indicator,
+    Linear,
+    MoreauEnv,
+    NegLog,
+    NonFiniteValue,
+    Point,
+    PowerComp,
+    Problem,
+    RightLinear,
+    Scale,
+    SqDist,
+    SubprojError,
+    ZeroSubgradient,
+    hessian,
+    residual,
+    solve,
+    sproj_deriv_1d,
+)
+from subproj.feasibility import _AffineBlock, _values
+
+SOUND = settings(max_examples=60, deadline=None, database=None)
+
+
+def exact_distance(z, x) -> float:
+    """||z - x|| rounded up from its exact square."""
+    d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(z.tolist(), x.tolist()))
+    if d2 == 0:
+        return 0.0
+    # Square roots of d2 scaled near 1, so that no square below 2**-1074 underflows.
+    e = (d2.numerator.bit_length() - d2.denominator.bit_length()) // 2
+    r = math.ldexp(math.sqrt(float(d2 / Fraction(4) ** e)), e)
+    while Fraction(r) ** 2 < d2:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def farthest(x, d, rho):
+    """A point x + t d, t <= rho, at most rho from x exactly and as near rho as rounding allows."""
+    inside, outside = 0.0, rho  # x + inside d is within rho; beyond outside, none is
+    t = rho
+    for _ in range(3):  # step back by the excess, then bisect what is left
+        e = exact_distance(x + t * d, x)
+        if e <= rho:
+            inside = t
+            break
+        outside = t
+        t -= 2.0 * (e - rho) + math.ulp(t)
+        if t <= 0.0:
+            break
+    while inside < (mid := 0.5 * (inside + outside)) < outside:
+        if exact_distance(x + mid * d, x) <= rho:
+            inside = mid
+        else:
+            outside = mid
+    return x + inside * d
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def probes(x, rho, worst, rng):
+    """Points within rho of x: exactly rho along each worst direction and its opposite,
+    and along random directions, and random points inside."""
+    dirs = [unit(w) for w in worst if np.linalg.norm(w) > 0.0]
+    dirs += [-w for w in dirs]
+    dirs += [unit(rng.standard_normal(x.size)) for _ in range(4)]
+    pts = [farthest(x, d, rho) for d in dirs]
+    pts += [farthest(x, unit(rng.standard_normal(x.size)), rho * rng.uniform()) for _ in range(4)]
+    return pts
+
+
+def check_margin(f, x, worst, rng):
+    """f._margin(x) gives value(x) bit for bit, and the value is <= 0 within its radius."""
+    v, rho = f._margin(x)
+    assert v.hex() == f.value(x).hex()
+    assert rho >= 0.0
+    if rho > 0.0:
+        assert v <= 0.0
+        for z in probes(x, rho, worst, rng):
+            assert f.value(z) <= 0.0
+    return rho
+
+
+def check_depth(s, x, worst, rng):
+    """A set's depth: within it distance is 0.0, contains holds and project returns the point."""
+    d, depth = s._margin(x)
+    assert d.hex() == s.distance(x).hex()
+    if depth > 0.0:
+        for z in probes(x, depth, worst, rng):
+            assert s.distance(z) == 0.0 and s.contains(z)
+            assert s.project(z).tobytes() == z.tobytes()
+    return depth
+
+
+scales = st.integers(-150, 150).map(lambda k: 10.0 ** k)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def depth(rng, size=None):
+    """A depth fraction: uniform in [0, 1) half the time, else 1e-16 to 1e-10, where
+    the rounding of a radius decides whether a point at that depth stays inside."""
+    if rng.uniform() < 0.5:
+        return rng.uniform(0.0, 1.0, size)
+    return 10.0 ** -rng.uniform(10.0, 16.0, size)
+
+
+def inside_ball(rng, n, scale):
+    """A ball at scale and a point inside it, at a random depth."""
+    c = rng.standard_normal(n) * scale
+    r = rng.uniform(0.5, 2.0) * scale
+    x = c + unit(rng.standard_normal(n)) * r * (1.0 - depth(rng))
+    return Ball(c, r), x, [x - c]
+
+
+def inside_halfspace(rng, n, scale):
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    x = rng.standard_normal(n) * scale
+    b = float(np.vdot(x, a)) + 2.0 * depth(rng) * np.linalg.norm(a) * scale
+    return Halfspace(a, b), x, [a]
+
+
+def inside_box(rng, n, scale):
+    # Bounds of unlike magnitudes, so that x - lo and hi - x round either way.
+    lo = -rng.uniform(0.1, 2.0, n) * scale * 10.0 ** rng.integers(-20, 1, n)
+    hi = rng.uniform(0.1, 2.0, n) * scale * 10.0 ** rng.integers(-20, 1, n)
+    x = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
+    k = int(rng.integers(n))
+    x[k] = lo[k] + (hi[k] - lo[k]) * depth(rng)
+    k = int(np.argmin(np.minimum(x - lo, hi - x)))
+    return Box(lo, hi), x, [np.eye(n)[k]]
+
+
+SETS = [inside_ball, inside_halfspace, inside_box]
+
+
+@seed(22)
+@SOUND
+@given(s=seeds, n=st.integers(1, 6), scale=scales, kind=st.sampled_from(SETS))
+def test_a_set_depth_keeps_every_point_inside(s, n, scale, kind):
+    rng = np.random.default_rng(s)
+    S, x, worst = kind(rng, n, scale)
+    check_depth(S, x, worst, rng)
+
+
+@seed(23)
+@SOUND
+@given(s=seeds, n=st.integers(1, 6), scale=scales, kind=st.sampled_from(SETS),
+       atom=st.sampled_from(["dist", "sqdist", "scale", "powercomp", "moreau"]))
+def test_an_atom_on_a_set_keeps_its_value_at_most_0_within_its_radius(s, n, scale, kind, atom):
+    rng = np.random.default_rng(s)
+    S, x, worst = kind(rng, n, scale)
+    f = {"dist": lambda: Dist(S), "sqdist": lambda: SqDist(S),
+         "scale": lambda: Scale(rng.uniform(0.1, 10.0), Dist(S)),
+         "powercomp": lambda: PowerComp(rng.uniform(0.2, 3.0), SqDist(S)),
+         "moreau": lambda: MoreauEnv(rng.uniform(0.1, 10.0) * scale, Indicator(S))}[atom]()
+    depth = S._margin(x)[1]
+    assert check_margin(f, x, worst, rng) == depth
+
+
+@seed(24)
+@SOUND
+@given(s=seeds, n=st.integers(1, 6), scale=scales, gain=st.integers(-3, 3))
+def test_right_linear_pulls_its_radius_back_through_l(s, n, scale, gain):
+    rng = np.random.default_rng(s)
+    L = np.linalg.qr(rng.standard_normal((n, n)))[0] * 10.0 ** gain
+    S, y, _worst = inside_ball(rng, n, scale)
+    x = np.linalg.solve(L, y)
+    f = RightLinear(L, Dist(S))
+    # The set's boundary is nearest along L^T (L x - c).
+    rho = check_margin(f, x, [L.T @ (L @ x - S.center)], rng)
+    assert rho <= S._margin(L @ x)[1] / 10.0 ** gain
+
+
+@seed(25)
+@SOUND
+@given(s=seeds, n=st.integers(1, 6), pieces=st.integers(1, 24), scale=scales,
+       row_scale=st.integers(-3, 3).map(lambda k: 10.0 ** k))
+def test_affinemax_keeps_every_piece_at_most_0_within_its_radius(s, n, pieces, scale, row_scale):
+    rng = np.random.default_rng(s)
+    A = rng.standard_normal((pieces, n)) * row_scale
+    x = rng.standard_normal(n) * scale
+    b = -(A @ x) - 2.0 * depth(rng, pieces) * np.linalg.norm(A, axis=1) * scale
+    f = AffineMax(list(zip(A, b)))
+    check_margin(f, x, list(A), rng)
+
+
+@pytest.mark.parametrize("inner", [
+    Linear([1.0, -2.0]),
+    AffineMax([([1.0, 0.0], -1e-13), ([0.0, 1.0], -1e-13)]),
+    Scale(3.0, AffineMax([([1.0, 0.0], -1e-13), ([0.0, 1.0], -1e-13)])),
+], ids=["linear", "affinemax", "scaled-affinemax"])
+def test_a_power_of_an_inner_that_can_go_negative_states_no_margin(inner):
+    # The inner value -1e-13 counts as a base of 0, but a point nearby has a value
+    # below -1e-12, where the plain loop raises NegativeBaseError: no skip may hide it.
+    f = PowerComp(0.5, inner)
+    x = np.zeros(2)
+    v, rho = f._margin(x)
+    assert v.hex() == f.value(x).hex() == (0.0).hex() and rho == 0.0
+    if not isinstance(inner, Linear):
+        assert inner._margin(x)[1] > 0.0
+
+
+def test_atoms_without_a_radius_state_none():
+    x = np.array([0.25, -0.5])
+    for f in [Linear([1.0, 2.0]), Dist(Point([0.25, -0.5])), SqDist(Point([1.0, 1.0]))]:
+        v, rho = f._margin(x)
+        assert v.hex() == f.value(x).hex() and rho == 0.0
+
+
+# -- the block against the plain loop -------------------------------------------------------
+
+def mixed_problem(rng, n, scale):
+    S = [kind(rng, n, scale)[0] for kind in SETS]
+    L = np.linalg.qr(rng.standard_normal((n, n)))[0] * 2.0
+    fs = [Dist(S[0]), SqDist(S[1]), Scale(2.0, Dist(S[2])), PowerComp(0.5, Dist(S[0])),
+          MoreauEnv(scale, Indicator(S[2])), RightLinear(L, Dist(Ball(L @ S[0].center,
+                                                                      2.0 * S[0].radius))),
+          AffineMax([(a, -scale) for a in rng.standard_normal((5, n))]), Linear(rng.standard_normal(n))]
+    return Problem(dimension=n, functions=fs, x0=np.zeros(n))
+
+
+@seed(26)
+@settings(max_examples=40, deadline=None, database=None)
+@given(s=seeds, n=st.integers(1, 5), scale=scales)
+def test_the_block_gives_the_plain_loop_residual_along_a_walk(s, n, scale):
+    # Steps of every size, from far inside the sets to across them: a skipped
+    # constraint holds 0.0 where the plain loop computes a value <= 0, and every
+    # other value, and the residual, keep their bits.
+    rng = np.random.default_rng(s)
+    p = mixed_problem(rng, n, scale)
+    block = _AffineBlock(p)
+    x = p.functions[0].set.center.copy()
+    skipped = 0
+    for k in range(40):
+        step = unit(rng.standard_normal(n)) * scale * 10.0 ** rng.uniform(-12, 0.5)
+        x_next = x + step
+        res, values = _values(p, x_next)
+        res_b, values_b = block.values(x_next, float(np.linalg.norm(x_next - x)))
+        assert res_b.hex() == res.hex()
+        for i, (v, v_b) in enumerate(zip(values, values_b)):
+            if i in block.margins and v_b == 0.0 and v != 0.0:
+                assert v <= 0.0
+                skipped += 1
+            else:
+                assert v_b.hex() == v.hex()
+        x = x_next
+    assert len(p.functions) - 1 not in block.margins  # Linear states no radius
+
+
+def test_the_mixed_walk_skips_constraints():
+    # Without skips the walk above would prove nothing about the budgets.
+    rng = np.random.default_rng(5)
+    p = mixed_problem(rng, 3, 1.0)
+    block = _AffineBlock(p)
+    calls = []
+    for i, m in list(block.margins.items()):
+        block.margins[i] = lambda x, m=m, i=i: calls.append(i) or m(x)
+    x = p.functions[0].set.center.copy()
+    for _ in range(20):
+        step = unit(rng.standard_normal(3)) * 1e-6
+        block.values(x + step, float(np.linalg.norm(step)))
+        x = x + step
+    assert len(calls) < 20 * 7 / 2
+
+
+# -- what the screen must not trust ----------------------------------------------------------
+
+class PaddedDist(Dist):
+    """A Dist that pads its value and inherits its margin."""
+
+    def value(self, x):
+        return super().value(x) + 1.0
+
+
+def test_a_padded_subclass_is_never_skipped():
+    # Deep inside its ball, the inherited margin would prove the padded value
+    # <= 0 and the solve would stop as Converged.  Its value is computed instead:
+    # at least 1 with a zero subgradient inside the ball, which the plain loop meets.
+    fs = [Dist(Ball([0.0, 0.0], 10.0)), PaddedDist(Ball([0.0, 0.0], 5.0)),
+          Dist(Ball([1.0, 0.0], 10.0))]
+    p = Problem(dimension=2, functions=fs, x0=[12.0, 0.0], max_iter=50)
+    assert list(_AffineBlock(p).margins) == [0, 2]
+    with pytest.raises(ZeroSubgradient):
+        solve(p)
+
+
+def test_an_instance_value_is_evaluated_by_both_screens():
+    # Nine Linear rows and one whose instance value adds 3: the affine screen
+    # once proved its row <= 0 at [0, -1] and returned Converged at residual 2.0.
+    fs = [Linear(np.array([1.0, 0.0]) * (k + 1)) for k in range(9)]
+    g = Linear(np.array([0.0, 1.0]))
+    g.value = lambda x: float(np.vdot(x, g.u)) + 3.0
+    fs.append(g)
+    p = Problem(dimension=2, functions=fs, x0=[1.0, -1.0], max_iter=50)
+    x, trace = solve(p)
+    assert trace.status == "Converged"
+    assert np.array_equal(x, [0.0, -3.0])
+    assert residual(p, x) == trace.final_residual == 0.0
+    # The margin screen: a Dist whose instance value is padded states no radius.
+    h = Dist(Ball([0.0, 0.0], 5.0))
+    h.value = lambda x: Dist.value(h, x) + 1.0
+    block = _AffineBlock(Problem(dimension=2, functions=[Dist(Ball([0.0, 0.0], 9.0)), h],
+                                 x0=[0.0, 0.0]))
+    assert list(block.margins) == [0]
+
+
+def test_a_set_that_overrides_its_distance_gives_no_depth():
+    class Padded(Ball):
+        def distance(self, x):
+            return super().distance(x) + 0.5
+
+    f = Dist(Padded([0.0, 0.0], 2.0))
+    assert f._margin(np.array([0.1, 0.0])) == (0.5, 0.0)
+
+
+
+def test_an_inner_with_its_own_closed_form_gives_no_radius():
+    # An envelope's radius rests on the closed form fixing every point within it,
+    # so a subclass that replaces the closed form alone is not vouched for.
+    class Nudged(Indicator):
+        def _prox_map(self):
+            return lambda gamma, x: x + 1.0
+
+    x = np.array([0.1, 0.0])
+    ball = Ball([0.0, 0.0], 2.0)
+    assert Scale(2.0, Indicator(ball))._margin(x)[1] > 0.0
+    assert Scale(2.0, Nudged(ball))._margin(x) == (0.0, 0.0)
+
+# -- NegLog's Hessian --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [lambda: hessian(NegLog(), [1e-200]),
+                                  lambda: sproj_deriv_1d(NegLog(), 1e-200),
+                                  lambda: hessian(NegLog(), [1e-160])],
+                         ids=["hessian", "deriv-1d", "hessian-subnormal-square"])
+def test_an_overflowing_neglog_hessian_raises_a_named_error(call):
+    with pytest.raises(NonFiniteValue) as info:
+        call()
+    assert isinstance(info.value, SubprojError)
+    assert str(info.value).startswith("NegLog Hessian")
+
+
+def test_neglog_hessian_keeps_its_value():
+    assert hessian(NegLog(), [0.5])[0, 0] == 4.0
+    assert hessian(NegLog(), [3e-100])[0, 0].hex() == (1.0 / (3e-100 * 3e-100)).hex()

@@ -151,32 +151,32 @@ def test_the_solver_finds_affine_rows_only_through_the_spec():
     assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
 
 
-def _owner_check(test, receiver):
-    """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, "affine_row", ...)``."""
+def _owner_check(test, receiver, fast):
+    """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, fast, ...)``."""
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_owner_check(value, receiver) for value in test.values)
+        return any(_owner_check(value, receiver, fast) for value in test.values)
     return (isinstance(test, ast.Call) and len(test.args) >= 2
             and (isinstance(test.func, ast.Name) and test.func.id == "_trusted"
                  or isinstance(test.func, ast.Attribute) and test.func.attr == "_trusted")
             and ast.dump(test.args[0]) == ast.dump(receiver)
-            and isinstance(test.args[1], ast.Constant) and test.args[1].value == "affine_row")
+            and isinstance(test.args[1], ast.Constant) and test.args[1].value == fast)
 
 
-def _unguarded_affine_rows(tree):
-    """Mentions ``r.affine_row`` outside the true branch of an if, or the later operands
-    of an ``and``, that checks ``_trusted(r, "affine_row", ...)`` first."""
+def _unguarded(tree, fast):
+    """Mentions ``r.<fast>`` outside the true branch of an if, or the later operands
+    of an ``and``, that checks ``_trusted(r, "<fast>", ...)`` first."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Attribute) and node.attr == "affine_row"):
+        if not (isinstance(node, ast.Attribute) and node.attr == fast):
             continue
         child, guarded = node, False
         while child in parents and not guarded:
             up = parents[child]
             if isinstance(up, ast.IfExp) and child is up.body or (
                     isinstance(up, ast.If) and child in up.body):
-                guarded = _owner_check(up.test, node.value)
+                guarded = _owner_check(up.test, node.value, fast)
             elif isinstance(up, ast.BoolOp) and isinstance(up.op, ast.And):
-                guarded = any(_owner_check(v, node.value)
+                guarded = any(_owner_check(v, node.value, fast)
                               for v in up.values[:up.values.index(child)])
             child = up
         if not guarded:
@@ -201,7 +201,7 @@ def _unguarded_affine_rows(tree):
     ("def affine_row(self):\n    return None", 0),
 ])
 def test_affine_row_rule_sees_every_spelling(source, found):
-    assert len(list(_unguarded_affine_rows(ast.parse(source)))) == found
+    assert len(list(_unguarded(ast.parse(source), "affine_row"))) == found
 
 
 def test_every_affine_row_is_read_behind_the_ownership_rule():
@@ -209,7 +209,37 @@ def test_every_affine_row_is_read_behind_the_ownership_rule():
     # refuses it where a subclass overrides that oracle and inherits the row.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
-             for node in _unguarded_affine_rows(ast.parse(path.read_text(encoding="utf-8")))]
+             for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "affine_row")]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("v, rho = f._margin(x)", 1),
+    ("margin = f._margin if _trusted(f, '_margin', 'value') else None", 0),
+    ("v = f._margin(x) if core._trusted(f, '_margin', 'value') else (f.value(x), 0.0)", 0),
+    ("v = (f.value(x), 0.0) if _trusted(f, '_margin', 'value') else f._margin(x)", 1),
+    ("v = f._margin(x) if _trusted(g, '_margin', 'value') else None", 1),
+    ("v = f._margin(x) if _trusted(f, 'affine_row', 'value') else None", 1),
+    ("v = f._margin(x) if not _trusted(f, '_margin', 'value') else None", 1),
+    ("if env <= 0.0 and _trusted(f, '_margin', 'value'):\n    rho = f._margin(x)[1]", 0),
+    ("if _trusted(s, '_margin', 'distance'):\n    pass\nelse:\n    d = s._margin(x)", 1),
+    ("d = _trusted(self.set, '_margin', 'distance') and self.set._margin(x)", 0),
+    ("d = self.set._margin(x) and _trusted(self.set, '_margin', 'distance')", 1),
+    ("rhos = [g._margin(x)[1] for g in fs]", 1),
+    ("fast = super()._margin", 1),
+    ("def _margin(self, x):\n    return self.value(x), 0.0", 0),
+    ("_margin = _SetAtom._distance", 0),
+])
+def test_margin_rule_sees_every_spelling(source, found):
+    assert len(list(_unguarded(ast.parse(source), "_margin"))) == found
+
+
+def test_every_margin_is_read_behind_the_ownership_rule():
+    # A radius lets the solve skip a value; core._trusted refuses it where a
+    # subclass overrides the oracle it speaks for and inherits the radius.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_margin")]
     assert found == []
 
 
