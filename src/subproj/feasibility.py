@@ -557,7 +557,9 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         return x, SolveTrace([], "Converged", x, res)
     x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
     dist = None if witness is None else norm(x - witness)
-    block = None  # built at the first projected step, so a solve that never moves builds none
+    # x0 runs the plain loop, the one that calls every value oracle: an oracle replaced on
+    # its own class (Dist.value set to NaN) leaves the class owning the _margin the block trusts.
+    block = None
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
     # on a satisfied constraint (G x = x) leaves x, and everything measured at

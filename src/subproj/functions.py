@@ -38,10 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    SCREEN_MAX,
     AffineRows,
     _audit,
-    _reach,
     _trusted,
     as_vector,
     finite_float,
@@ -569,7 +567,7 @@ class Indicator(_SetAtom):
         # Within the set's depth, contains holds and project, the closed form, returns
         # the point itself.
         v, s = self.value(x), self.set
-        if v == 0.0 and _trusted(s, "_margin", "contains") and _trusted(s, "_margin", "project"):
+        if v == 0.0 and _trusted(s, "_margin", "contains", "project"):
             return v, s._margin(x)[1]
         return v, 0.0
 
@@ -595,14 +593,6 @@ class _Unary(FunctionSpec):
     def level_set_project(self, x):
         return self.inner.level_set_project(x)
 
-    def _inner_margin(self, y) -> tuple[float, float]:
-        """The inner ``_margin`` at y where its class defines it for its own ``value``
-        and closed form, else the inner value and no radius."""
-        f = self.inner
-        if _trusted(f, "_margin", "value") and _trusted(f, "_margin", "_prox_map"):
-            return f._margin(y)
-        return f.value(y), 0.0
-
 
 class Scale(_Unary):
     """lam * f with lam > 0; shares the sublevel set and projector of f."""
@@ -616,11 +606,6 @@ class Scale(_Unary):
 
     def value(self, x):
         return self.lam * self.inner.value(x)
-
-    def _margin(self, x):
-        # lam > 0 keeps the sign, and a prox map of gamma lam f fixes what f's fixes.
-        v, rho = self._inner_margin(x)
-        return self.lam * v, rho
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.lam * self.inner.subgradient(x, strategy)
@@ -664,11 +649,12 @@ class PowerComp(_Unary):
         return _power(self, self._base(self.inner.value(x)), 1.0 / self.alpha)
 
     def _margin(self, x):
-        # A nonnegative inner value that is <= 0 is 0, a base that raises nothing; an
-        # inner that can go negative may meet NegativeBaseError within its radius.
-        v, rho = self._inner_margin(x)
-        return (_power(self, self._base(v), 1.0 / self.alpha),
-                rho if self.inner.nonnegative else 0.0)
+        # A nonnegative inner value <= 0 is 0, a base that raises nothing (one that can go
+        # negative may meet NegativeBaseError); with no closed form, only value is trusted.
+        f = self.inner
+        v, rho = (f._margin(x) if f.nonnegative and _trusted(f, "_margin", "value")
+                  else (f.value(x), 0.0))
+        return _power(self, self._base(v), 1.0 / self.alpha), rho
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         v = self._base(self.inner.value(x))
@@ -754,30 +740,9 @@ class RightLinear(_Unary):
         super().__init__(f)
         self.dim = self.L.shape[1]
         self.nonnegative = f.nonnegative
-        # ||L v|| <= gain ||v||: the computed L^T L passed the check against alpha I, so it
-        # is within n tol (1 + alpha) of it in norm, and the exact one within n gamma_n gain^2
-        # of the computed one.
-        n = self.dim
-        self._gain = math.sqrt((self.alpha + n * _ORTHO_TOL * (1.0 + self.alpha))
-                               / (1.0 - n * (n + 1) * 2.0 ** -53))
 
     def value(self, x):
         return self.inner.value(self.L @ x)
-
-    def _margin(self, x):
-        v, rho = self._inner_margin(self.L @ x)
-        return v, self._pull_back(rho, x) if rho > 0.0 else 0.0
-
-    def _pull_back(self, rho: float, x) -> float:
-        """A radius around x whose points z all have a computed L z within rho of the computed
-        L x.  Each entry of either is off by at most gamma_n gain ||.||, so their distance
-        is at most gain ||z - x|| + sqrt(n) gamma_n gain (2 ||x|| + ||z - x||); where the
-        sums stay below SCREEN_MAX**2, none of L z's overflows."""
-        g = rho / self._gain
-        scale = math.sqrt(self.dim) * (2.0 * norm(x) + g)
-        if not self._gain * (scale + g) < SCREEN_MAX ** 2:
-            return 0.0
-        return _reach(g, scale, self.dim)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return self.L.T @ self.inner.subgradient(self.L @ x, strategy)

@@ -102,8 +102,7 @@ class MoreauEnv(FunctionSpec):
         # itself (FunctionSpec._margin), so the envelope is f(z) + 0 = 0 there and every
         # competitor of the audit is >= 0: f's radius holds for the envelope too.
         env, f = self.value(x), self.inner
-        if (env <= 0.0 and f.nonnegative and _trusted(f, "_margin", "value")
-                and _trusted(f, "_margin", "_prox_map")):
+        if env <= 0.0 and f.nonnegative and _trusted(f, "_margin", "value", "_prox_map"):
             return env, f._margin(x)[1]
         return env, 0.0
 

@@ -247,13 +247,26 @@ class _OwnDistance(Halfspace):
         return super().distance(x)
 
 
-@pytest.mark.parametrize("obj, oracle, trusted", [
-    (Linear([1.0]), "value", True),
-    (_OwnValue([1.0]), "value", False),  # the row was written for Linear.value
-    (_OwnRow([1.0]), "value", True),  # a row defined below the value answers for it
-    (_OwnBoth([1.0]), "value", True),
-    (Halfspace([1.0], 0.0), "distance", True),
-    (_OwnDistance([1.0], 0.0), "distance", False),
-], ids=["linear", "own-value", "own-row", "own-both", "halfspace", "own-distance"])
-def test_a_fast_path_is_trusted_only_where_its_class_owns_the_oracle(obj, oracle, trusted):
-    assert _trusted(obj, "affine_row", oracle) is trusted
+def _assigning(obj, **attrs):
+    """obj with attrs assigned on the instance itself."""
+    vars(obj).update(attrs)
+    return obj
+
+
+@pytest.mark.parametrize("obj, oracles, trusted", [
+    (Linear([1.0]), ["value"], True),
+    (_OwnValue([1.0]), ["value"], False),  # the row was written for Linear.value
+    (_OwnRow([1.0]), ["value"], True),  # a row defined below the value answers for it
+    (_OwnBoth([1.0]), ["value"], True),
+    (Halfspace([1.0], 0.0), ["distance"], True),
+    (_OwnDistance([1.0], 0.0), ["distance"], False),
+    (_OwnRow([1.0]), ["value", "_prox_map"], True),
+    (_OwnValue([1.0]), ["_prox_map", "value"], False),  # every oracle must agree
+    (_assigning(Linear([1.0]), affine_row=lambda: (np.ones(1), 1.0)), ["value"], False),
+    (_assigning(Linear([1.0]), value=lambda x: 1.0), ["value"], False),
+    (_assigning(_OwnRow([1.0]), _prox_map=lambda: None), ["value", "_prox_map"], False),
+], ids=["linear", "own-value", "own-row", "own-both", "halfspace", "own-distance",
+        "two-oracles", "one-of-two-overridden", "instance-row", "instance-value",
+        "instance-second-oracle"])
+def test_a_fast_path_is_trusted_only_where_its_class_owns_the_oracle(obj, oracles, trusted):
+    assert _trusted(obj, "affine_row", *oracles) is trusted

@@ -525,3 +525,48 @@ def test_one_check_for_every_cut_normal():
              for name in sorted(_cut_normal_names(ast.parse(path.read_text(encoding="utf-8"))))
              if name == "_cut_norm2" or path.name not in ("errors.py", "projector.py")]
     assert found == []
+
+
+def _unused_imports(tree):
+    """Names that a module-level import binds and the module never reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for stmt in tree.body:
+        if (isinstance(stmt, (ast.Import, ast.ImportFrom))
+                and getattr(stmt, "module", "") != "__future__"):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    yield name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import math", ["math"]),
+    ("import math\nr = math.sqrt(2.0)", []),
+    ("import numpy as np", ["np"]),
+    ("import numpy as np\nz = np.zeros(1)", []),
+    ("import os.path", ["os"]),
+    ("import os.path\nsep = os.path.sep", []),
+    ("from .core import SCREEN_MAX, _reach, norm\nn = norm(x)", ["SCREEN_MAX", "_reach"]),
+    ("from .core import (\n    SCREEN_MAX,\n    norm,\n)\nn = norm(x)", ["SCREEN_MAX"]),
+    ("from .core import _reach as reach", ["reach"]),
+    ("from .core import _reach as reach\nrho = reach(g, s, 1)", []),
+    ("from .core import norm\nnorm = None", ["norm"]),
+    ("from .core import SCREEN_MAX\n'''Lengths below SCREEN_MAX.'''", ["SCREEN_MAX"]),
+    ("from typing import Optional\ndef f(x) -> Optional[int]:\n    pass", []),
+    ("from .errors import DomainError\nclass E(DomainError):\n    pass", []),
+    ("def f():\n    import math", []),
+    ("from __future__ import annotations", []),
+    ("from .errors import *", []),
+])
+def test_unused_import_rule_sees_every_spelling(source, found):
+    assert list(_unused_imports(ast.parse(source))) == found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # An import left behind by a removal keeps a dependency the module no longer
+    # has; the package __init__ imports names only to export them.
+    found = [f"{path.name}: {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
