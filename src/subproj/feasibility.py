@@ -420,21 +420,21 @@ def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=Non
     With ``margins``, a constraint i with a margin (``margins[i]``, its trusted
     ``_margin``) first takes ``spent``, a bound on the step since it was last
     reached, off its budget ``budget[i]``.  One with budget left is proved <= 0,
-    so it is not evaluated and holds 0.0; the others are computed by the margin,
-    whose radius is the new budget.
+    so it is not evaluated and holds 0.0; the others are computed by ``value``,
+    and their new budget is the margin's radius where that value is <= 0, else 0.0.
     """
     worst = 0.0
     for i, f in rows:
         margin = margins.get(i) if margins else None
-        if margin is None:
-            v = f.value(x)
-        else:
+        if margin is not None:
             left = budget[i]
             if left > spent:
                 budget[i] = (left - spent) * _SHRINK
                 values[i] = 0.0
                 continue
-            v, budget[i] = margin(x)
+        v = f.value(x)
+        if margin is not None:
+            budget[i] = margin(x, v) if v <= 0.0 else 0.0
         if v > worst:
             if v == INF:
                 raise DomainError("residual undefined where a constraint is +inf")
@@ -466,9 +466,9 @@ class _AffineBlock:
 
     The margin screen covers every constraint that the affine screen does not:
     the others, or all of them where the screen is never used.  Each has a budget:
-    the radius of its last ``_margin`` (``FunctionSpec._margin``, trusted against
-    ``value``), less a bound on each step since (``_evaluate``).  The computed
-    step norm of an n-vector difference understates its length by at most
+    the radius its ``_margin`` (``FunctionSpec._margin``, trusted against ``value``) last
+    gave at a value <= 0 from ``value``, less a bound on each step since (``_evaluate``).
+    The computed step norm of an n-vector difference understates its length by at most
     (n/2 + 3) u and an underflow term, which ``_stretch`` and ``_tiny`` cover.
     A constraint with budget left is <= 0 within its radius, where its value
     raises nothing; it holds 0.0, and its visit is a fixed step.
@@ -557,8 +557,12 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         return x, SolveTrace([], "Converged", x, res)
     x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
     dist = None if witness is None else norm(x - witness)
-    # x0 runs the plain loop, the one that calls every value oracle: an oracle replaced on
-    # its own class (Dist.value set to NaN) leaves the class owning the _margin the block trusts.
+    # One byte per constraint: whether its cut normal may come from the value the solve
+    # holds (FunctionSpec._cut_normal), asked once per solve.
+    fused = bytes(_trusted(f, "_cut_normal", "subgradient", "value") for f in p.functions)
+    # x0 runs the plain loop, which calls every value oracle: the block's affine screen
+    # settles a row without calling value, so an oracle replaced on its own class (a
+    # Dist.value set to NaN) could go unseen there.
     block = None
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
@@ -571,7 +575,10 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             fx = values[i] = p.functions[i].value(x)
         step = 0.0
         if fx > 0.0:
-            point, step_scale = _cut(x, p.functions[i].subgradient(x, p.selections[i]), fx)
+            f = p.functions[i]
+            # Passed straight to _cut: a normal bound to a local would outlive the step.
+            point, step_scale = _cut(x, f._cut_normal(x, fx) if fused[i]
+                                     else f.subgradient(x, p.selections[i]), fx)
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")

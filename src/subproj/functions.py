@@ -188,19 +188,22 @@ class FunctionSpec:
         """
         return None
 
-    def _margin(self, x: np.ndarray) -> tuple[float, float]:
-        """(value(x), rho): the value bit for bit, from the computation that gives a
-        radius rho >= 0 with this contract: where rho > 0, the computed ``value`` is <= 0
-        at every point within rho of x, and a spec with a closed-form prox returns each
-        such point unchanged from it.  So a value within rho raises nothing, and the solve
-        may skip it while the steps since x sum to less than rho.
+    def _margin(self, x: np.ndarray, v: float) -> float:
+        """A radius rho >= 0 at x, where v = ``value(x)`` <= 0 was computed by the caller,
+        with this contract: the computed ``value`` is <= 0 at every point within rho of x,
+        and a spec with a closed-form prox returns each such point unchanged from it.  So
+        a value within rho raises nothing, and the solve may skip it while the steps since
+        x sum to less than rho.
 
         The base class states none.  A radius is read only under ``core._trusted``
         against ``value``, so a subclass that overrides ``value`` states none either.
-        The solve reads the attribute once, so a spec may bind it to the computation
-        it delegates to (``Dist``).
         """
-        return self.value(x), 0.0
+        return 0.0
+
+    def _cut_normal(self, x: np.ndarray, fx: float) -> np.ndarray:
+        """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx = ``value(x)``
+        > 0; the solve reads it under ``core._trusted`` against ``subgradient`` and ``value``."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +254,14 @@ class _SetAtom(FunctionSpec):
     def level_set_project(self, x):
         return self.set.project(x)
 
-    @property
-    def _distance(self) -> Callable[[np.ndarray], tuple[float, float]]:
-        """x -> (distance to S, depth in S): the set's own ``_margin`` where its class
-        defines it for its own ``distance``, else the distance and no depth.  It is
-        ``Dist._margin``, since the distance is 0.0 within the set's depth; bound once,
-        it costs an evaluation no more than ``value`` does."""
+    def _depth(self, x, v) -> float:
+        """The set's depth at x (``ConvexSet._margin``) where its class defines it for its
+        own ``distance``, ``contains`` and ``project``, else 0.0.  Within it the distance
+        is 0.0, the set contains each point and projects it to itself, so it is the
+        radius of every set atom; each binds it as its own ``_margin``, since
+        ``core._trusted`` asks the atom's class to own that."""
         s = self.set
-        return s._margin if _trusted(s, "_margin", "distance") else lambda x: (s.distance(x), 0.0)
+        return s._margin(x) if _trusted(s, "_margin", "distance", "contains", "project") else 0.0
 
     def _hessian(self, x, what: str, outside: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Zeros inside S, NotTwiceDifferentiable on its boundary, else ``outside(x)``."""
@@ -281,7 +284,10 @@ class Dist(_SetAtom):
     def affine_row(self):
         return self.set.affine_row() if _trusted(self.set, "affine_row", "distance") else None
 
-    _margin = _SetAtom._distance
+    _margin = _SetAtom._depth
+
+    def _cut_normal(self, x, fx):
+        return (x - self.set.project(x)) / fx
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         d = self.set.distance(x)
@@ -303,9 +309,7 @@ class SqDist(_SetAtom):
         d = self.set.distance(x)
         return d * d
 
-    def _margin(self, x):
-        d, depth = self._distance(x)
-        return d * d, depth
+    _margin = _SetAtom._depth
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return 2.0 * (x - self.set.project(x))
@@ -357,6 +361,15 @@ class NormPow(FunctionSpec):
 
     def __repr__(self):
         return f"NormPow(p={self.p}, dim={self.dim})"
+
+
+def _inner_radius(f: FunctionSpec, x: np.ndarray, *oracles: str) -> float:
+    """The radius of a combinator's inner f at x, asked at f's own value: 0.0 unless f is
+    ``nonnegative`` and its class owns ``_margin`` for each of ``oracles``."""
+    if f.nonnegative and _trusted(f, "_margin", *oracles):
+        u = f.value(x)
+        return f._margin(x, u) if u <= 0.0 else 0.0
+    return 0.0
 
 
 def _power(f: FunctionSpec, base: float, e: float) -> float:
@@ -511,9 +524,8 @@ class AffineMax(FunctionSpec):
     def value(self, x):
         return self._top(x)[0]
 
-    def _margin(self, x):
-        top = self._top(x)[0]
-        return top, self._rows.reach(x, top)
+    def _margin(self, x, v):
+        return self._rows.reach(x, v)
 
     def active_indices(self, x) -> list[int]:
         """Indices of pieces within a relative tolerance of the maximum."""
@@ -563,13 +575,7 @@ class Indicator(_SetAtom):
     def value(self, x):
         return 0.0 if self.set.contains(x) else INF
 
-    def _margin(self, x):
-        # Within the set's depth, contains holds and project, the closed form, returns
-        # the point itself.
-        v, s = self.value(x), self.set
-        if v == 0.0 and _trusted(s, "_margin", "contains", "project"):
-            return v, s._margin(x)[1]
-        return v, 0.0
+    _margin = _SetAtom._depth
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")
@@ -648,13 +654,10 @@ class PowerComp(_Unary):
     def value(self, x):
         return _power(self, self._base(self.inner.value(x)), 1.0 / self.alpha)
 
-    def _margin(self, x):
+    def _margin(self, x, v):
         # A nonnegative inner value <= 0 is 0, a base that raises nothing (one that can go
         # negative may meet NegativeBaseError); with no closed form, only value is trusted.
-        f = self.inner
-        v, rho = (f._margin(x) if f.nonnegative and _trusted(f, "_margin", "value")
-                  else (f.value(x), 0.0))
-        return _power(self, self._base(v), 1.0 / self.alpha), rho
+        return _inner_radius(self.inner, x, "value")
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         v = self._base(self.inner.value(x))

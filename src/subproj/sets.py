@@ -45,14 +45,13 @@ class ConvexSet:
         """
         return None
 
-    def _margin(self, x: np.ndarray) -> tuple[float, float]:
-        """(distance(x), depth): the distance bit for bit, from the computation that
-        gives a depth >= 0 with this contract: at every point z within depth of x, the
-        computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)``
-        returns z.  The depth is the distance to the complement, shrunk by a forward-error
-        bound (``core._reach``).  The base class states none.
+    def _margin(self, x: np.ndarray) -> float:
+        """A depth >= 0 with this contract: at every point z within depth of x, the
+        computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)`` returns
+        z.  It is the distance to the complement, shrunk by a forward-error bound
+        (``core._reach``).  The base class states none.
         """
-        return self.distance(x), 0.0
+        return 0.0
 
     def dist_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the distance at a point outside the set."""
@@ -94,9 +93,8 @@ class Ball(ConvexSet):
     def _margin(self, x):
         # distance, contains and project all compare this one n = ||x - c|| with r.  Below
         # SCREEN_MAX no point of the ball has a squared offset that overflows.
-        n = norm(x - self.center)
-        r = self.radius
-        return max(n - r, 0.0), _reach(r - n, r + n, self.dim) if n < r < SCREEN_MAX else 0.0
+        n, r = norm(x - self.center), self.radius
+        return _reach(r - n, r + n, self.dim) if n < r < SCREEN_MAX else 0.0
 
     def contains(self, x):
         return norm(x - self.center) <= self.radius
@@ -149,16 +147,13 @@ class Halfspace(ConvexSet):
         return max(excess, 0.0) / self._length
 
     def _margin(self, x):
-        # distance, contains and project all test this one excess against 0.  Where the
-        # gap and ||normal|| ||x|| together stay below SCREEN_MAX**2, no partial sum of
-        # normal . z overflows within the depth.
+        # distance, contains and project all test this one excess against 0, and an excess
+        # >= 0 leaves no depth.  Where the gap and ||normal|| ||x|| together stay below
+        # SCREEN_MAX**2, no partial sum of normal . z overflows within the depth.
         excess = float(np.vdot(x, self.normal)) - self.offset
-        if not excess < 0.0:
-            return max(excess, 0.0) / self._length, 0.0
         scale = self._length * norm(x)
-        if not scale - excess < SCREEN_MAX ** 2:
-            return 0.0, 0.0
-        return 0.0, _reach(-excess, scale, self.dim) / self._length
+        rho = _reach(-excess, scale, self.dim) if scale - excess < SCREEN_MAX ** 2 else 0.0
+        return rho / self._length
 
     def affine_row(self):
         # distance forms normal . x, finite where ||x|| < SCREEN_MAX only if s is too,
@@ -201,11 +196,8 @@ class Box(ConvexSet):
 
     def _margin(self, x):
         # Within the smallest face gap every coordinate stays between its bounds, which
-        # distance, contains and project (the clip) all compare exactly.
-        d = norm(x - np.clip(x, self.lo, self.hi))
-        if d > 0.0:
-            return d, 0.0
-        return d, _reach(float(min((x - self.lo).min(), (self.hi - x).min())), 0.0, 1)
+        # distance, contains and project (the clip) all compare exactly; outside, it is < 0.
+        return _reach(float(min((x - self.lo).min(), (self.hi - x).min())), 0.0, 1)
 
     def contains(self, x):
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))

@@ -1,13 +1,14 @@
 """The margin screen skips only what the plain loop would find <= 0.
 
-An atom's ``_margin(x)`` returns its value at x, bit for bit, with a radius rho:
-where rho > 0, the computed value is <= 0 at every point within rho of x.  The
-solve keeps, per constraint, rho less a bound on each step since, and skips the
-constraint while some is left.  These tests check the radii of every atom and
-set that states one, at scales from 1e-150 to 1e150 and at points exactly rho
-away along the direction that leaves soonest; the block against the plain loop
-along random walks; and that a subclass or an instance that replaces ``value``
-is never skipped.
+An atom's ``_margin(x, v)``, asked where its value v = ``value(x)`` is <= 0,
+returns a radius rho: the computed value is <= 0 at every point within rho of x.
+The solve keeps, per constraint, rho less a bound on each step since, and skips
+the constraint while some is left.  These tests check the radii of every atom
+and set that states one, at scales from 1e-150 to 1e150 and at points exactly
+rho away along the direction that leaves soonest; the block against the plain
+loop along random walks, and that it asks a radius only at a value it computed;
+and that a subclass, an instance or a class that replaces ``value`` is never
+skipped.
 """
 
 import math
@@ -98,13 +99,17 @@ def probes(x, rho, worst, rng):
     return pts
 
 
+def radius(f, x):
+    """f's radius at x as the block asks it: at the value f computes there, where <= 0."""
+    v = f.value(x)
+    return f._margin(x, v) if v <= 0.0 else 0.0
+
+
 def check_margin(f, x, worst, rng):
-    """f._margin(x) gives value(x) bit for bit, and the value is <= 0 within its radius."""
-    v, rho = f._margin(x)
-    assert v.hex() == f.value(x).hex()
+    """The value is <= 0 within f's radius at x."""
+    rho = radius(f, x)
     assert rho >= 0.0
     if rho > 0.0:
-        assert v <= 0.0
         for z in probes(x, rho, worst, rng):
             assert f.value(z) <= 0.0
     return rho
@@ -112,8 +117,8 @@ def check_margin(f, x, worst, rng):
 
 def check_depth(s, x, worst, rng):
     """A set's depth: within it distance is 0.0, contains holds and project returns the point."""
-    d, depth = s._margin(x)
-    assert d.hex() == s.distance(x).hex()
+    depth = s._margin(x)
+    assert depth >= 0.0
     if depth > 0.0:
         for z in probes(x, depth, worst, rng):
             assert s.distance(z) == 0.0 and s.contains(z)
@@ -181,8 +186,7 @@ def test_an_atom_on_a_set_keeps_its_value_at_most_0_within_its_radius(s, n, scal
     f = {"dist": lambda: Dist(S), "sqdist": lambda: SqDist(S),
          "powercomp": lambda: PowerComp(rng.uniform(0.2, 3.0), SqDist(S)),
          "moreau": lambda: MoreauEnv(rng.uniform(0.1, 10.0) * scale, Indicator(S))}[atom]()
-    depth = S._margin(x)[1]
-    assert check_margin(f, x, worst, rng) == depth
+    assert check_margin(f, x, worst, rng) == S._margin(x)
 
 
 @seed(25)
@@ -207,20 +211,19 @@ def test_a_power_of_an_inner_that_can_go_negative_states_no_margin(inner):
     # below -1e-12, where the plain loop raises NegativeBaseError: no skip may hide it.
     f = PowerComp(0.5, inner)
     x = np.zeros(2)
-    v, rho = f._margin(x)
-    assert v.hex() == f.value(x).hex() == (0.0).hex() and rho == 0.0
+    assert f.value(x).hex() == (0.0).hex() and radius(f, x) == 0.0
     if not isinstance(inner, Linear):
-        assert inner._margin(x)[1] > 0.0
+        assert radius(inner, x) > 0.0
 
 
 def test_atoms_without_a_radius_state_none():
     x = np.array([0.25, -0.5])
     ball = Ball([0.0, 0.0], 4.0)
-    for f in [Linear([1.0, 2.0]), Dist(Point([0.25, -0.5])), SqDist(Point([1.0, 1.0])),
+    for f in [Linear([1.0, 2.0]), Dist(Point([0.25, -0.5])), SqDist(Point([0.25, -0.5])),
               Scale(2.0, Dist(ball)), RightLinear([[0.0, 2.0], [-2.0, 0.0]], Dist(ball)),
               AffineMax([([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)])]:  # too few pieces
-        v, rho = f._margin(x)
-        assert v.hex() == f.value(x).hex() and rho == 0.0
+        v = f.value(x)
+        assert v <= 0.0 and f._margin(x, v) == 0.0
 
 
 # -- the block against the plain loop -------------------------------------------------------
@@ -263,20 +266,59 @@ def test_the_block_gives_the_plain_loop_residual_along_a_walk(s, n, scale):
     assert len(p.functions) - 1 not in block.margins  # Linear states no radius
 
 
+def spy_values(p, block, log):
+    """Log each value that the block computes for a constraint with a margin, after the
+    block has resolved its margins, as ("value", i, x, v)."""
+    for i in block.margins:
+        f = p.functions[i]
+
+        def value(x, i=i, oracle=f.value):
+            v = oracle(x)
+            log.append(("value", i, x.tobytes(), v))
+            return v
+
+        f.value = value
+
+
 def test_the_mixed_walk_skips_constraints():
     # Without skips the walk above would prove nothing about the budgets.
     rng = np.random.default_rng(5)
     p = mixed_problem(rng, 3, 1.0)
     block = _AffineBlock(p)
     calls = []
-    for i, m in list(block.margins.items()):
-        block.margins[i] = lambda x, m=m, i=i: calls.append(i) or m(x)
+    spy_values(p, block, calls)
     x = p.functions[0].set.center.copy()
     for _ in range(20):
         step = unit(rng.standard_normal(3)) * 1e-6
         block.values(x + step, float(np.linalg.norm(step)))
         x = x + step
     assert len(calls) < 20 * len(block.margins) / 2
+
+
+def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0():
+    # A radius speaks for the value that ``value`` computed at the same x, and only
+    # where that value is <= 0; every such value gets a radius.
+    rng = np.random.default_rng(11)
+    p = mixed_problem(rng, 3, 1.0)
+    block = _AffineBlock(p)
+    log = []
+    spy_values(p, block, log)
+    for i, m in list(block.margins.items()):
+        block.margins[i] = (lambda x, v, m=m, i=i:
+                            log.append(("margin", i, x.tobytes(), v)) or m(x, v))
+    x = p.functions[0].set.center.copy()
+    for _ in range(60):
+        step = unit(rng.standard_normal(3)) * 10.0 ** rng.uniform(-6.0, 0.5)
+        block.values(x + step, float(np.linalg.norm(step)))
+        x = x + step
+    asked = [k for k, entry in enumerate(log) if entry[0] == "margin"]
+    for k in asked:
+        _, i, at, v = log[k]
+        assert k > 0 and log[k - 1][:3] == ("value", i, at)
+        assert log[k - 1][3].hex() == v.hex() and v <= 0.0
+    computed = [k for k, entry in enumerate(log) if entry[0] == "value"]
+    assert [k for k in computed if log[k][3] <= 0.0] == [k - 1 for k in asked]
+    assert asked and any(log[k][3] > 0.0 for k in computed)
 
 
 # -- what the screen must not trust ----------------------------------------------------------
@@ -320,23 +362,17 @@ def test_an_instance_value_is_evaluated_by_both_screens():
     assert list(block.margins) == [0]
 
 
-def test_a_set_that_overrides_its_distance_gives_no_depth():
-    class Padded(Ball):
-        def distance(self, x):
-            return super().distance(x) + 0.5
-
-    f = Dist(Padded([0.0, 0.0], 2.0))
-    assert f._margin(np.array([0.1, 0.0])) == (0.5, 0.0)
-
-
-@pytest.mark.parametrize("oracle", ["contains", "project"])
-def test_a_set_that_overrides_what_its_indicator_reads_gives_no_depth(oracle):
-    # Indicator's radius rests on contains holding and project fixing each point
-    # within the set's depth; a set class that replaces either is not vouched for.
+@pytest.mark.parametrize("oracle", ["distance", "contains", "project"])
+def test_a_set_that_overrides_what_its_depth_speaks_for_gives_no_depth(oracle):
+    # A set atom's radius rests on the distance being 0.0, contains holding and
+    # project fixing each point within the set's depth; a set class that replaces
+    # any of them is not vouched for, even with the same answers.
     Own = type("Own", (Ball,), {oracle: lambda self, x: getattr(Ball, oracle)(self, x)})
     x = np.array([0.1, 0.0])
-    assert Indicator(Ball([0.0, 0.0], 2.0))._margin(x)[1] > 0.0
-    assert Indicator(Own([0.0, 0.0], 2.0))._margin(x) == (0.0, 0.0)
+    for atom in (Dist, SqDist, Indicator):
+        assert radius(atom(Ball([0.0, 0.0], 2.0)), x) > 0.0
+        f = atom(Own([0.0, 0.0], 2.0))
+        assert f.value(x) == 0.0 and radius(f, x) == 0.0
 
 
 def test_an_inner_with_its_own_closed_form_gives_no_radius():
@@ -349,11 +385,10 @@ def test_an_inner_with_its_own_closed_form_gives_no_radius():
 
     x = np.array([0.1, 0.0])
     ball = Ball([0.0, 0.0], 2.0)
-    assert MoreauEnv(1.0, Indicator(ball))._margin(x)[1] > 0.0
+    assert radius(MoreauEnv(1.0, Indicator(ball)), x) > 0.0
     f = MoreauEnv(1.0, OwnProjection(ball))
-    v, rho = f._margin(x)
-    assert v.hex() == f.value(x).hex() == MoreauEnv(1.0, Indicator(ball)).value(x).hex()
-    assert rho == 0.0
+    assert f.value(x).hex() == MoreauEnv(1.0, Indicator(ball)).value(x).hex()
+    assert radius(f, x) == 0.0
 
 
 class LoweredIndicator(FunctionSpec):
@@ -369,8 +404,8 @@ class LoweredIndicator(FunctionSpec):
     def _prox_map(self):
         return lambda gamma, x: self.set.project(x)
 
-    def _margin(self, x):
-        return self.value(x), self.set._margin(x)[1]
+    def _margin(self, x, v):
+        return self.set._margin(x)
 
 
 def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius():
@@ -378,10 +413,26 @@ def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius():
     # only a nonnegative inner promises.
     f = LoweredIndicator(Ball([0.0, 0.0], 2.0))
     x = np.array([0.1, 0.0])
-    v, rho = f._margin(x)
-    assert not f.nonnegative and v == -1.0 and rho > 0.0
+    assert not f.nonnegative and f.value(x) == -1.0 and radius(f, x) > 0.0
     env = MoreauEnv(1.0, f)
-    assert env._margin(x) == (env.value(x), 0.0) == (-1.0, 0.0)
+    assert env.value(x) == -1.0 and radius(env, x) == 0.0
+
+
+def test_an_oracle_replaced_on_its_own_class_is_evaluated(monkeypatch):
+    # Dist still owns both value and _margin, so the margin is trusted; the value
+    # it speaks for is computed all the same, and its NaN is met.  A margin that
+    # stood in for the value would end this solve as Converged at [2, 0].
+    value = Dist.value
+
+    def broken(self, x):
+        return math.nan if self.set.radius == 10.0 and x[0] > 1.0 else value(self, x)
+
+    monkeypatch.setattr(Dist, "value", broken)
+    p = Problem(dimension=2, functions=[Dist(Ball([0.0, 0.0], 10.0)), Dist(Ball([3.0, 0.0], 1.0))],
+                x0=[0.0, 0.0], max_iter=50)
+    with pytest.raises(NonFiniteValue) as info:
+        solve(p)
+    assert str(info.value) == "Dist value is NaN"
 
 # -- NegLog's Hessian --------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subproj import (
+    CENTROID,
     AffineMax,
     Ball,
     Box,
@@ -26,6 +27,7 @@ from subproj import (
     Linear,
     MoreauEnv,
     NonFiniteValue,
+    Point,
     PowerComp,
     Problem,
     ProjStatus,
@@ -339,3 +341,39 @@ def test_a_solve_without_steps_reports_the_residual_at_x0():
     assert trace.iterations == 0
     assert trace.final_residual == residual(p, p.x0) == 1.000000082740371e-09
     assert x.tobytes() == p.x0.tobytes()
+
+
+@pytest.mark.parametrize("s", [Ball([0.5, -1.0], 2.0), Halfspace([1.0, -2.0], 0.5),
+                               Box([-1.0, 0.0], [1.0, 2.0]), Point([0.25, 3.0])],
+                         ids=["ball", "halfspace", "box", "point"])
+def test_dist_states_its_cut_normal_from_the_held_value_bit_for_bit(s):
+    # Where fx = value(x) > 0, (x - P x) / fx is what subgradient computes, with the
+    # distance it would measure again.
+    f = Dist(s)
+    rng = np.random.default_rng(3)
+    outside = 0
+    for x in rng.standard_normal((60, 2)) * 10.0 ** rng.integers(-3, 4, (60, 1)):
+        fx = f.value(x)
+        if fx > 0.0:
+            outside += 1
+            for strategy in (LEAST_INDEX, CENTROID):
+                assert f._cut_normal(x, fx).tobytes() == f.subgradient(x, strategy).tobytes()
+    assert outside >= 10
+
+
+@pytest.mark.parametrize("oracle", [None, "value", "subgradient"])
+def test_only_a_dist_that_owns_both_oracles_is_cut_by_its_fused_normal(monkeypatch, oracle):
+    # A subclass that replaces either oracle that the fused normal speaks for, even
+    # with the same answers, is cut by its own subgradient at every projected step.
+    calls = []
+    subgradient = Dist.subgradient
+    monkeypatch.setattr(Dist, "subgradient", lambda self, x, strategy=LEAST_INDEX:
+                        calls.append(1) or subgradient(self, x, strategy))
+    atom = Dist if oracle is None else type(
+        "Own", (Dist,), {oracle: lambda self, *args: getattr(Dist, oracle)(self, *args)})
+    sets = [f.set for f in halfspaces(6, 16, 8).functions]
+    p = halfspaces(6, 16, 8, functions=[atom(s) for s in sets])
+    projected = assert_same_solve(p).count(ProjStatus.PROJECTED)  # the reference calls sproj
+    calls.clear()
+    solve(p)
+    assert projected > 0 and len(calls) == (0 if oracle is None else projected)

@@ -151,10 +151,20 @@ def test_the_solver_finds_affine_rows_only_through_the_spec():
     assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
 
 
-def _owner_check(test, receiver, fast):
-    """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, fast, ...)``."""
+def _owner_check(test, receiver, fast, tables=None):
+    """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, fast, ...)``,
+    or, with ``tables`` (``_trust_tables``), an entry ``T[k]`` of a trust table T over
+    seq where the receiver is ``seq[k]`` or a name bound to it."""
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_owner_check(value, receiver, fast) for value in test.values)
+        return any(_owner_check(value, receiver, fast, tables) for value in test.values)
+    if tables and isinstance(test, ast.Subscript) and isinstance(test.value, ast.Name):
+        seqs, binds = tables
+        if test.value.id not in seqs:
+            return False
+        entry = ast.dump(ast.Subscript(value=seqs[test.value.id], slice=test.slice,
+                                       ctx=ast.Load()))
+        return ast.dump(receiver) == entry or (
+            isinstance(receiver, ast.Name) and (receiver.id, entry) in binds)
     return (isinstance(test, ast.Call) and len(test.args) >= 2
             and (isinstance(test.func, ast.Name) and test.func.id == "_trusted"
                  or isinstance(test.func, ast.Attribute) and test.func.attr == "_trusted")
@@ -162,10 +172,31 @@ def _owner_check(test, receiver, fast):
             and isinstance(test.args[1], ast.Constant) and test.args[1].value == fast)
 
 
+def _trust_tables(tree, fast):
+    """({T: seq}, binds): each ``T = bytes(_trusted(v, "<fast>", ...) for v in seq)``, one
+    trust answer per item of seq, and the (name, value) pair of every name assignment."""
+    seqs = {}
+    binds = {(t.id, ast.dump(node.value)) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "bytes"
+                and len(node.value.args) == 1 and isinstance(node.value.args[0], ast.GeneratorExp)):
+            continue
+        (loop, *more), item = node.value.args[0].generators, node.value.args[0].elt
+        if (not more and not loop.ifs and isinstance(loop.target, ast.Name)
+                and _owner_check(item, ast.Name(id=loop.target.id, ctx=ast.Load()), fast)):
+            seqs[node.targets[0].id] = loop.iter
+    return seqs, binds
+
+
 def _unguarded(tree, fast):
     """Mentions ``r.<fast>`` outside the true branch of an if, or the later operands
-    of an ``and``, that checks ``_trusted(r, "<fast>", ...)`` first."""
+    of an ``and``, that checks ``_trusted(r, "<fast>", ...)``, or r's entry in a trust
+    table of those checks, first."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    tables = _trust_tables(tree, fast)
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Attribute) and node.attr == fast):
             continue
@@ -174,9 +205,9 @@ def _unguarded(tree, fast):
             up = parents[child]
             if isinstance(up, ast.IfExp) and child is up.body or (
                     isinstance(up, ast.If) and child in up.body):
-                guarded = _owner_check(up.test, node.value, fast)
+                guarded = _owner_check(up.test, node.value, fast, tables)
             elif isinstance(up, ast.BoolOp) and isinstance(up.op, ast.And):
-                guarded = any(_owner_check(v, node.value, fast)
+                guarded = any(_owner_check(v, node.value, fast, tables)
                               for v in up.values[:up.values.index(child)])
             child = up
         if not guarded:
@@ -216,6 +247,7 @@ def test_every_affine_row_is_read_behind_the_ownership_rule():
 @pytest.mark.parametrize("source, found", [
     ("v, rho = f._margin(x)", 1),
     ("margin = f._margin if _trusted(f, '_margin', 'value') else None", 0),
+    ("rho = f._margin(x, v) if _trusted(f, '_margin', 'value') else 0.0", 0),
     ("v = f._margin(x) if core._trusted(f, '_margin', 'value') else (f.value(x), 0.0)", 0),
     ("v = (f.value(x), 0.0) if _trusted(f, '_margin', 'value') else f._margin(x)", 1),
     ("v = f._margin(x) if _trusted(g, '_margin', 'value') else None", 1),
@@ -227,8 +259,10 @@ def test_every_affine_row_is_read_behind_the_ownership_rule():
     ("d = self.set._margin(x) and _trusted(self.set, '_margin', 'distance')", 1),
     ("rhos = [g._margin(x)[1] for g in fs]", 1),
     ("fast = super()._margin", 1),
-    ("def _margin(self, x):\n    return self.value(x), 0.0", 0),
-    ("_margin = _SetAtom._distance", 0),
+    ("def _margin(self, x, v):\n    return 0.0", 0),
+    ("_margin = _SetAtom._depth", 0),
+    ("ok = bytes(_trusted(g, '_margin', 'value') for g in fs)\nr = fs[i]._margin(x, v) if ok[i] else 0", 0),
+    ("ok = bytes(_trusted(g, '_margin', 'value') for g in fs)\nr = fs[i]._margin(x, v) if ok[j] else 0", 1),
 ])
 def test_margin_rule_sees_every_spelling(source, found):
     assert len(list(_unguarded(ast.parse(source), "_margin"))) == found
@@ -240,6 +274,105 @@ def test_every_margin_is_read_behind_the_ownership_rule():
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_margin")]
+    assert found == []
+
+
+_FUSED = "fused = bytes(_trusted(g, '_cut_normal', 'subgradient', 'value') for g in p.functions)\n"
+
+
+@pytest.mark.parametrize("source, found", [
+    ("u = f._cut_normal(x, fx)", 1),
+    ("u = f._cut_normal(x, fx) if _trusted(f, '_cut_normal', 'subgradient', 'value') else None", 0),
+    ("u = None if _trusted(f, '_cut_normal', 'subgradient', 'value') else f._cut_normal(x, fx)", 1),
+    ("u = f._cut_normal(x, fx) if _trusted(f, '_margin', 'value') else None", 1),
+    ("u = f._cut_normal(x, fx) if _trusted(g, '_cut_normal', 'subgradient') else None", 1),
+    (_FUSED + "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else f.subgradient(x)", 0),
+    (_FUSED + "u = p.functions[i]._cut_normal(x, fx) if fused[i] else None", 0),
+    (_FUSED + "if fused[i]:\n    u = p.functions[i]._cut_normal(x, fx)", 0),
+    (_FUSED + "f = p.functions[j]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    (_FUSED + "f = q.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    (_FUSED + "f = p.functions[i]\nu = None if fused[i] else f._cut_normal(x, fx)", 1),
+    (_FUSED + "f = p.functions[i]\nu = f._cut_normal(x, fx) if other[i] else None", 1),
+    ("fused = bytes(_trusted(g, '_margin', 'value') for g in p.functions)\n"
+     "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    ("fused = bytes(g.ok for g in p.functions)\n"
+     "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    ("fused = bytes(_trusted(g, '_cut_normal', 'value') for g in p.functions if g)\n"
+     "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    ("normals = [g._cut_normal for g in fs]", 1),
+    ("def _cut_normal(self, x, fx):\n    return x / fx", 0),
+])
+def test_fused_normal_rule_sees_every_spelling(source, found):
+    assert len(list(_unguarded(ast.parse(source), "_cut_normal"))) == found
+
+
+def test_every_fused_normal_is_read_behind_the_ownership_rule():
+    # A cut normal stated from the held value stands in for subgradient at that value;
+    # core._trusted refuses it where a subclass overrides either oracle.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_cut_normal")]
+    assert found == []
+
+
+def _is_property(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("property", "cached_property")
+            or isinstance(node, ast.Attribute) and node.attr in ("property", "cached_property"))
+
+
+def _returns_tuple(node) -> bool:
+    return isinstance(node, ast.Tuple) or isinstance(node, ast.IfExp) and (
+        _returns_tuple(node.body) or _returns_tuple(node.orelse))
+
+
+def _margins_with_a_value(tree):
+    """Definitions of ``_margin`` that return a tuple (a value with the radius), or bind
+    it to a property: a def, a lambda, a ``property(...)`` call, or a name of a property
+    that the module defines."""
+    properties = {node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and any(map(_is_property, node.decorator_list))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_margin":
+            if any(map(_is_property, node.decorator_list)) or any(
+                    isinstance(r, ast.Return) and _returns_tuple(r.value) for r in ast.walk(node)):
+                yield node
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_margin" for t in node.targets):
+            v = node.value
+            if (isinstance(v, ast.Call) and _is_property(v.func)
+                    or isinstance(v, ast.Lambda) and _returns_tuple(v.body)
+                    or isinstance(v, ast.Attribute) and v.attr in properties
+                    or isinstance(v, ast.Name) and v.id in properties):
+                yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _margin(self, x):\n    return self.value(x), 0.0", 1),
+    ("def _margin(self, x, v):\n    return 0.0", 0),
+    ("def _margin(self, x, v):\n    if v < 0.0:\n        return (v, 1.0)\n    return 0.0", 1),
+    ("def _margin(self, x, v):\n    return (v, 1.0) if v < 0.0 else 0.0", 1),
+    ("def _margin(self, x, v):\n    return self._rows.reach(x, v)", 0),
+    ("@property\ndef _margin(self):\n    return self.set._margin", 1),
+    ("@functools.cached_property\ndef _margin(self):\n    return None", 1),
+    ("_margin = property(lambda self: self.set._margin)", 1),
+    ("_margin = lambda self, x, v: (v, 0.0)", 1),
+    ("_margin = lambda self, x, v: 0.0", 0),
+    ("@property\ndef _distance(self):\n    return None\n_margin = _SetAtom._distance", 1),
+    ("@property\ndef _distance(self):\n    return None\n_margin = _distance", 1),
+    ("def _depth(self, x, v):\n    return 0.0\n_margin = _SetAtom._depth", 0),
+    ("def _top(self, x):\n    return 1.0, {}", 0),
+])
+def test_margin_definition_rule_sees_every_spelling(source, found):
+    assert len(list(_margins_with_a_value(ast.parse(source)))) == found
+
+
+def test_a_margin_states_only_a_radius():
+    # Every value the solve uses comes from value; a _margin that returned one too
+    # would be a second computation of it, which the two could let drift apart.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _margins_with_a_value(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
 
 
