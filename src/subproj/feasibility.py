@@ -36,7 +36,7 @@ from .errors import (
     RelaxationOutOfRange,
     StalledStep,
 )
-from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
+from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy, _margin_oracle
 from .projector import _cut
 
 # Below this step scale a positive residual can no longer move the iterate.
@@ -413,15 +413,19 @@ _SHRINK = 1.0 - 2.0 ** -52
 
 
 def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=None,
-              spent: float = 0.0) -> float:
+              spent: float = 0.0, cut: Optional[int] = None) -> float:
     """Store f(x) at values[i] for each (i, f) of rows, in order, and return the largest
     positive one (0.0 if none), raising where a value is +inf or NaN.
 
-    With ``margins``, a constraint i with a margin (``margins[i]``, its trusted
-    ``_margin``) first takes ``spent``, a bound on the step since it was last
-    reached, off its budget ``budget[i]``.  One with budget left is proved <= 0,
-    so it is not evaluated and holds 0.0; the others are computed by ``value``,
-    and their new budget is the margin's radius where that value is <= 0, else 0.0.
+    With ``margins``, a constraint i with a margin (``margins[i]``, its radius oracle)
+    first takes ``spent``, a bound on the step since it was last reached, off its
+    budget ``budget[i]``.  One with budget left is proved <= 0, so it is not
+    evaluated and holds 0.0; the others are computed by ``value``, and their new
+    budget is the margin's radius where that value is <= 0, else 0.0.  The constraint
+    ``cut``, whose relaxed projection at lambda <= 1 gave x, gets 0.0 without an
+    ask: x lies on the segment from the last iterate to the projection onto a
+    cutting halfspace that contains the constraint's zero sublevel set, so outside
+    the halfspace's interior, and no ball around x lies in that sublevel set.
     """
     worst = 0.0
     for i, f in rows:
@@ -434,7 +438,7 @@ def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=Non
                 continue
         v = f.value(x)
         if margin is not None:
-            budget[i] = margin(x, v) if v <= 0.0 else 0.0
+            budget[i] = margin(x, v) if v <= 0.0 and i != cut else 0.0
         if v > worst:
             if v == INF:
                 raise DomainError("residual undefined where a constraint is +inf")
@@ -465,9 +469,10 @@ class _AffineBlock:
     overrides ``value`` alone is one of the others.
 
     The margin screen covers every constraint that the affine screen does not:
-    the others, or all of them where the screen is never used.  Each has a budget:
-    the radius its ``_margin`` (``FunctionSpec._margin``, trusted against ``value``) last
-    gave at a value <= 0 from ``value``, less a bound on each step since (``_evaluate``).
+    the others, or all of them where the screen is never used.  Each one that states a
+    radius has a budget: the radius its oracle (``functions._margin_oracle``, trusted
+    against ``value`` and bound here, once per solve) last gave at a value <= 0 from
+    ``value``, less a bound on each step since (``_evaluate``).
     The computed step norm of an n-vector difference understates its length by at most
     (n/2 + 3) u and an underflow term, which ``_stretch`` and ``_tiny`` cover.
     A constraint with budget left is <= 0 within its radius, where its value
@@ -492,31 +497,36 @@ class _AffineBlock:
                 rows[k], offsets[k] = row
                 self.index.append(i)
         k = len(self.index)
-        self.rows = AffineRows(rows[:k], offsets[:k])
+        if k < m:  # a view would keep all m rows alive
+            rows, offsets = rows[:k].copy(), offsets[:k].copy()
+        self.rows = AffineRows(rows, offsets)
         self._scatter = np.array(self.index) if self.others else slice(None)
         self.margins = {}
         for i, f in self.others if self.rows.used else enumerate(p.functions):
-            if _trusted(f, "_margin", "value"):
-                self.margins[i] = f._margin
+            margin = _margin_oracle(f)
+            if margin is not None:
+                self.margins[i] = margin
         self.budget = dict.fromkeys(self.margins, 0.0)
         self._stretch = 1.0 + (n + 10) * 2.0 ** -53
         self._tiny = (n + 8) * 2.0 ** -537
 
-    def values(self, x: np.ndarray, step: float = math.inf) -> tuple[float, list[float]]:
+    def values(self, x: np.ndarray, step: float = math.inf,
+               cut: Optional[int] = None) -> tuple[float, list[float]]:
         """The residual at x and the values the solve uses, x being ``step`` from the
-        last iterate that this block evaluated (any distance, by default)."""
+        last iterate that this block evaluated (any distance, by default), and ``cut``
+        the constraint whose step at lambda <= 1 gave x, if any (``_evaluate``)."""
         spent = step * self._stretch + self._tiny
         # An unused screen is not asked: at m = 2 its answer costs a sixth of this call.
         g, hi, contenders = self.rows.screen(x) if self.rows.used else (None, None, None)
         if g is None:
             values = [0.0] * len(self.p.functions)
             return (_evaluate(enumerate(self.p.functions), x, values, self.margins, self.budget,
-                              spent), values)
+                              spent, cut), values)
         g[hi > 0.0] = np.nan
         full = np.empty(len(self.p.functions))
         full[self._scatter] = g
         values = full.tolist()
-        worst = _evaluate(self.others, x, values, self.margins, self.budget, spent)
+        worst = _evaluate(self.others, x, values, self.margins, self.budget, spent, cut)
         for k in contenders(worst):
             i = self.index[k]
             v = values[i] = self.p.functions[i].value(x)
@@ -589,7 +599,8 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
             if block is None:
                 block = _AffineBlock(p)
-            res, values = block.values(x_next, step)
+            # At lam <= 1 the step stops at or short of the cut: f_i has no radius there.
+            res, values = block.values(x_next, step, i if lam <= 1.0 else None)
             if witness is not None:
                 dist = norm(x_next - witness)
             x = x_next

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import _audit, as_vector, finite_float, nonzero_norm2, norm2
 from .errors import DegenerateMoreau, NonFiniteValue, ProxAuditFailed, UnsupportedAtom
-from .functions import LEAST_INDEX, FunctionSpec, _inner_radius
+from .functions import LEAST_INDEX, FunctionSpec, _inner_margin
 
 
 def is_prox_friendly(f: FunctionSpec) -> bool:
@@ -97,11 +97,11 @@ class MoreauEnv(FunctionSpec):
     def value(self, x):
         return _envelope(self.inner, self._closed_form, self.gamma, x)[1]
 
-    def _margin(self, x, v):
+    def _bind_margin(self):
         # Where a nonnegative f is <= 0 it is 0, and its closed form returns the point
         # itself (FunctionSpec._margin), so the envelope is f(z) + 0 = 0 there and every
         # competitor of the audit is >= 0: f's radius holds for the envelope too.
-        return _inner_radius(self.inner, x, "value", "_prox_map")
+        return _inner_margin(self.inner, "_prox_map")
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return (x - _envelope(self.inner, self._closed_form, self.gamma, x)[0]) / self.gamma

@@ -134,12 +134,15 @@ class Halfspace(ConvexSet):
             return np.array(x, dtype=float)
         t = excess / self._n2
         p = x - t * self.normal
+        if float(np.vdot(p, self.normal)) <= self.offset:
+            return p
         # As for the ball: keep the result inside despite rounding, padding
         # the step by an escalating few ulps of the operating scale.
         pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * self._length) / self._n2
+        p = x - (t + pad) * self.normal
         while float(np.vdot(p, self.normal)) > self.offset:
-            p = x - (t + pad) * self.normal
             pad *= 2.0
+            p = x - (t + pad) * self.normal
         return p
 
     def distance(self, x):

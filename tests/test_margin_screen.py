@@ -6,9 +6,10 @@ The solve keeps, per constraint, rho less a bound on each step since, and skips
 the constraint while some is left.  These tests check the radii of every atom
 and set that states one, at scales from 1e-150 to 1e150 and at points exactly
 rho away along the direction that leaves soonest; the block against the plain
-loop along random walks, and that it asks a radius only at a value it computed;
-and that a subclass, an instance or a class that replaces ``value`` is never
-skipped.
+loop along random walks, and that it asks a radius only at a value it computed,
+never of the constraint just cut at lambda <= 1, and trusts each set once per
+solve; and that a subclass, an instance or a class that replaces ``value`` is
+never skipped.
 """
 
 import math
@@ -24,6 +25,7 @@ from subproj import (
     Ball,
     Box,
     Dist,
+    Explicit,
     FunctionSpec,
     Halfspace,
     Indicator,
@@ -319,6 +321,84 @@ def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0():
     computed = [k for k, entry in enumerate(log) if entry[0] == "value"]
     assert [k for k in computed if log[k][3] <= 0.0] == [k - 1 for k in asked]
     assert asked and any(log[k][3] > 0.0 for k in computed)
+
+
+class AskedDist(Dist):
+    """A Dist that owns its value and its margin and logs both on the class, as
+    (kind, id, x bytes, value)."""
+
+    log = []
+
+    def value(self, x):
+        v = Dist.value(self, x)
+        AskedDist.log.append(("value", id(self), x.tobytes(), v))
+        return v
+
+    def _margin(self, x, v):
+        AskedDist.log.append(("margin", id(self), x.tobytes(), v))
+        return Dist._margin(self, x, v)
+
+
+def test_the_constraint_just_cut_at_lambda_at_most_1_is_never_asked(monkeypatch):
+    # x_{n+1} = x + lam (G x - x) with lam <= 1 lies outside the interior of the cutting
+    # halfspace, which holds lev f: no radius exists there, so none is asked.  Every other
+    # value <= 0 computed at a new iterate is asked, the cut one too at lam = 1.5.  Two
+    # tangent balls and a small one at their contact point, in an order that pairs every
+    # constraint with every relaxation.
+    monkeypatch.setattr(AskedDist, "log", [])
+    fs = [AskedDist(Ball([0.0, 0.0], 1.0)), AskedDist(Ball([2.0, 0.0], 1.0)),
+          AskedDist(Ball([1.0, 0.0], 0.1))]
+    p = Problem(dimension=2, functions=fs, x0=[5.0, 5.0], control=Explicit([0, 1, 2, 0, 1]),
+                relaxation=[0.5, 1.0, 1.5], tol=1e-6, max_iter=400)
+    _x, trace = solve(p)
+    log = AskedDist.log
+    at_x0 = p.x0.tobytes()
+    iterates = list(dict.fromkeys(entry[2] for entry in log if entry[2] != at_x0))
+    moved = [row for row in trace.rows if row.step_norm > 0.0]
+    assert len(iterates) == len(moved)
+    seen = {"cut at 1.5 asked": 0, "cut at most 1 at most 0": 0, "other asked": 0}
+    for at, row in zip(iterates, moved):
+        cut = id(fs[row.index])
+        computed = [entry for entry in log if entry[0] == "value" and entry[2] == at]
+        asked = {entry[1] for entry in log if entry[0] == "margin" and entry[2] == at}
+        assert cut in {entry[1] for entry in computed}
+        expected = {k for _kind, k, _at, v in computed
+                    if v <= 0.0 and (row.lam > 1.0 or k != cut)}
+        assert asked == expected
+        seen["cut at 1.5 asked"] += row.lam == 1.5 and cut in asked
+        seen["cut at most 1 at most 0"] += row.lam <= 1.0 and any(
+            k == cut and v <= 0.0 for _kind, k, _at, v in computed)
+        seen["other asked"] += row.lam <= 1.0 and bool(asked - {cut})
+    assert {row.lam for row in moved} == {0.5, 1.0, 1.5}
+    assert min(seen.values()) >= 10, seen
+
+
+def test_each_set_is_trusted_once_per_solve(monkeypatch):
+    # The block resolves the set's ownership when it binds its radius, not at each ask:
+    # a set under Dist, SqDist, an Indicator in an envelope and a Dist in a power.
+    import subproj.functions as functions
+
+    asks = {}
+    trusted = functions._trusted
+
+    def counted(obj, fast, *oracles):
+        if fast == "_margin" and not isinstance(obj, FunctionSpec):
+            asks[id(obj)] = asks.get(id(obj), 0) + 1
+        return trusted(obj, fast, *oracles)
+
+    monkeypatch.setattr(functions, "_trusted", counted)
+    rng = np.random.default_rng(4)
+    w = rng.normal(0.0, 0.3, 3)
+    sets = [Ball(w + 0.3, 1.0), Box(w - 1.0, w + 1.0), Ball(w - 0.2, 0.8),
+            Halfspace([1.0, 2.0, -1.0], float(np.vdot([1.0, 2.0, -1.0], w)) + 0.5),
+            Ball(w + [1.0, 0.0, 0.0], 1.0), Ball(w - [1.0, 0.0, 0.0], 1.0)]
+    fs = [MoreauEnv(1.0, Indicator(sets[0])), Dist(sets[1]), SqDist(sets[2]),
+          PowerComp(0.5, Dist(sets[3])), Dist(sets[4]), Dist(sets[5])]
+    p = Problem(dimension=3, functions=fs, x0=w + 5.0 * rng.standard_normal(3),
+                relaxation=[1.0, 1.5, 1.2], tol=1e-4, max_iter=500)
+    _x, trace = solve(p)
+    assert trace.iterations == 500
+    assert asks == {id(s): 1 for s in sets}
 
 
 # -- what the screen must not trust ----------------------------------------------------------

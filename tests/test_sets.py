@@ -60,3 +60,37 @@ def test_construction_validation():
         Halfspace([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         Box([1.0, 0.0], [0.0, 1.0])
+
+
+def eager_halfspace_project(s, x):
+    """Halfspace.project with its pad computed up front, before the first membership check."""
+    excess = float(np.vdot(x, s.normal)) - s.offset
+    if excess <= 0.0:
+        return np.array(x, dtype=float)
+    t = excess / s._n2
+    p = x - t * s.normal
+    pad = 4.0 * 2.0 ** -52 * (abs(s.offset) + np.sqrt(float(np.vdot(x, x))) * s._length) / s._n2
+    while float(np.vdot(p, s.normal)) > s.offset:
+        p = x - (t + pad) * s.normal
+        pad *= 2.0
+    return p
+
+
+def test_halfspace_pads_only_a_step_left_outside_and_keeps_its_bits():
+    # The pad is read only where the plain step leaves the point outside; there the
+    # padded loop runs, and its result is the eager formula's, inside the halfspace.
+    rng = np.random.default_rng(29)
+    padded = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        s = Halfspace(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+                      float(rng.standard_normal()) * 10.0 ** rng.integers(-3, 4))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        excess = float(np.vdot(x, s.normal)) - s.offset
+        if excess > 0.0:
+            plain = x - (excess / s._n2) * s.normal
+            padded += float(np.vdot(plain, s.normal)) > s.offset
+        p = s.project(x)
+        assert p.tobytes() == eager_halfspace_project(s, x).tobytes()
+        assert s.contains(p)
+    assert padded >= 20

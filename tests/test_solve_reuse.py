@@ -180,6 +180,11 @@ CASES = {
     "mixed-quasicyclic": lambda: mixed(2, control=QuasiCyclic([7, 8, 9, 7, 8, 9, 10])),
     "two-balls-schedule": lambda: two_balls(relaxation=[1.0, 1.5, 0.7], tol=1e-6),
     "two-balls-feasible-start": lambda: two_balls(x0=[0.75, 0.0]),
+    # Steps at lam <= 1, where the constraint just cut is asked no radius, and beyond.
+    "two-balls-cut-schedule": lambda: two_balls(
+        functions=[Dist(Ball([0.0, 0.0], 1.0)), Dist(Ball([2.0, 0.0], 1.0))],  # tangent
+        feasible_witness=[1.0, 0.0], relaxation=[0.5, 1.0, 1.5], tol=1e-6, max_iter=600),
+    "mixed-cut-schedule": lambda: mixed(3, relaxation=[0.5, 1.0, 1.5]),
     "affinemax-linear-1d": lambda: Problem(
         dimension=1, functions=[AffineMax([([1.0], -1.0), ([2.0], -3.0)]), Linear([-1.0])],
         x0=[40.0], control=Explicit([1, 0, 0]), relaxation=[0.5, 1.0]),
