@@ -133,27 +133,35 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
     return block
 
 
-def _trusted(obj, fast: str, *oracles: str) -> bool:
-    """True where the class that defines method ``fast`` on obj is, for each of
-    ``oracles``, the class that defines it or a subclass of it, and obj itself assigns
-    none of them: the one ownership rule for a fast path.
+def _trusted(obj, *names: str) -> bool:
+    """True where the class that defines method ``fast`` on obj, ``names = (fast,
+    *oracles)``, is, for each of ``oracles``, the class that defines it or a subclass of
+    it, and obj itself assigns none of them: the one ownership rule for a fast path.
 
     A subclass that overrides an oracle but inherits ``fast`` gets False, and so does
     an instance whose own attribute replaces any of them, so the fast path cannot
-    stand in for an oracle that it was not written for.
+    stand in for an oracle that it was not written for.  Each name is read through
+    ``getattr``: it must give a method bound to obj itself whose function is the
+    class's, so a method borrowed from another instance is refused too.  Reading
+    ``obj.__dict__`` instead would build every checked object's instance dict.
     """
-    own = obj.__dict__  # tested name by name: a (fast, *oracles) tuple costs 0.2 us more
-    for oracle in oracles:
-        if oracle in own:
-            return False
-    return fast not in own and _owners_agree(type(obj), fast, oracles)
+    cls = type(obj)
+    try:
+        for name in names:
+            method = getattr(obj, name)
+            if method.__self__ is not obj or method.__func__ is not getattr(cls, name):
+                return False
+    except AttributeError:  # no method: an instance attribute such as a lambda
+        return False
+    return _owners_agree(cls, names)
 
 
 @lru_cache(maxsize=256)
-def _owners_agree(cls: type, fast: str, oracles: tuple[str, ...]) -> bool:
+def _owners_agree(cls: type, names: tuple[str, ...]) -> bool:
     def owner(name):
         return next(c for c in cls.__mro__ if name in vars(c))
-    return all(issubclass(owner(fast), owner(oracle)) for oracle in oracles)
+    fast = owner(names[0])
+    return all(issubclass(fast, owner(oracle)) for oracle in names[1:])
 
 
 def _reach(gap: float, scale: float, n: int) -> float:

@@ -451,7 +451,11 @@ def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=Non
 
 class _AffineBlock:
     """The screens of a solve: the constraints that expose an affine row, screened
-    together, and a margin budget for each of the others.
+    together, and a margin budget for each of the others.  It is the one place that
+    resolves a constraint's three fast paths, each once per solve under
+    ``core._trusted``: its affine row, its radius oracle (``functions._margin_oracle``)
+    and, in ``fused[i]``, whether ``solve`` may cut it by ``FunctionSpec._cut_normal``
+    from the value it holds, in place of ``subgradient``.
 
     ``values(x, step)`` gives the residual of ``_values``, bit for bit, and the
     values the solve uses.  The affine screen takes them from one matrix-vector
@@ -470,9 +474,9 @@ class _AffineBlock:
 
     The margin screen covers every constraint that the affine screen does not:
     the others, or all of them where the screen is never used.  Each one that states a
-    radius has a budget: the radius its oracle (``functions._margin_oracle``, trusted
-    against ``value`` and bound here, once per solve) last gave at a value <= 0 from
-    ``value``, less a bound on each step since (``_evaluate``).
+    radius (``FunctionSpec._bind_margin``, trusted against ``value``) has a budget: the
+    radius its oracle last gave at a value <= 0 from ``value``, less a bound on each
+    step since (``_evaluate``).
     The computed step norm of an n-vector difference understates its length by at most
     (n/2 + 3) u and an underflow term, which ``_stretch`` and ``_tiny`` cover.
     A constraint with budget left is <= 0 within its radius, where its value
@@ -482,6 +486,9 @@ class _AffineBlock:
     def __init__(self, p: Problem):
         self.p = p
         m, n = len(p.functions), p.dimension
+        # One byte per constraint (a list of bound methods would hold about 64 B more
+        # each), resolved before the row buffer exists, so that its ask adds no peak.
+        self.fused = bytes(_trusted(f, "_cut_normal", "subgradient", "value") for f in p.functions)
         # Filled in place, so no second copy of the rows exists; at most m x n
         # doubles, as when every constraint is affine.
         rows = np.empty((m, n))
@@ -567,12 +574,10 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         return x, SolveTrace([], "Converged", x, res)
     x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
     dist = None if witness is None else norm(x - witness)
-    # One byte per constraint: whether its cut normal may come from the value the solve
-    # holds (FunctionSpec._cut_normal), asked once per solve.
-    fused = bytes(_trusted(f, "_cut_normal", "subgradient", "value") for f in p.functions)
     # x0 runs the plain loop, which calls every value oracle: the block's affine screen
     # settles a row without calling value, so an oracle replaced on its own class (a
-    # Dist.value set to NaN) could go unseen there.
+    # Dist.value set to NaN) could go unseen there.  The block is built at the first
+    # projected step, before its cut, which reads the block's fused[i].
     block = None
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
@@ -585,9 +590,11 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             fx = values[i] = p.functions[i].value(x)
         step = 0.0
         if fx > 0.0:
+            if block is None:
+                block = _AffineBlock(p)
             f = p.functions[i]
             # Passed straight to _cut: a normal bound to a local would outlive the step.
-            point, step_scale = _cut(x, f._cut_normal(x, fx) if fused[i]
+            point, step_scale = _cut(x, f._cut_normal(x, fx) if block.fused[i]
                                      else f.subgradient(x, p.selections[i]), fx)
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
@@ -597,8 +604,6 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             step = norm(x_next - x)
             if not math.isfinite(step) and not np.isfinite(x_next).all():
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
-            if block is None:
-                block = _AffineBlock(p)
             # At lam <= 1 the step stops at or short of the cut: f_i has no radius there.
             res, values = block.values(x_next, step, i if lam <= 1.0 else None)
             if witness is not None:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from types import MethodType
 from typing import Callable, Optional
 
 import numpy as np
@@ -189,42 +188,27 @@ class FunctionSpec:
         """
         return None
 
-    def _margin(self, x: np.ndarray, v: float) -> float:
-        """A radius rho >= 0 at x, where v = ``value(x)`` <= 0 was computed by the caller,
-        with this contract: the computed ``value`` is <= 0 at every point within rho of x,
-        and a spec with a closed-form prox returns each such point unchanged from it.  So
-        a value within rho raises nothing, and the solve may skip it while the steps since
-        x sum to less than rho.
-
-        It asks the oracle that ``_bind_margin`` returns, 0.0 where that is None; a class
-        states its radius by either method.  A radius is read only under ``core._trusted``
-        against ``value`` (``_margin_oracle``), so a subclass that overrides ``value``
-        states none.
-        """
-        margin = self._bind_margin()
-        return margin(x, v) if margin is not None else 0.0
-
     def _bind_margin(self) -> Optional[Callable[[np.ndarray, float], float]]:
-        """``_margin`` as an oracle (x, v) -> rho for a solve that asks it many times, with
-        each premise it rests on beyond ``value`` (the ownership of a set's or an inner
-        spec's oracles) resolved once, here; None where every radius is 0.0.  The base
-        class states none."""
+        """The one radius method: an oracle (x, v) -> rho >= 0, asked only where v =
+        ``value(x)`` <= 0 was just computed, with this contract: the computed ``value`` is
+        <= 0 at every point within rho of x, and a spec with a closed-form prox returns
+        each such point unchanged from it.  So a value within rho raises nothing, and the
+        solve may skip it while the steps since x sum to less than rho.  None where every
+        radius is 0.0; the base class states none.  Each premise beyond ``value`` (the
+        ownership of a set's ``ConvexSet._depth`` or of an inner spec's oracles) is resolved
+        here, once per solve, where ``_AffineBlock`` resolves the fast paths."""
         return None
 
     def _cut_normal(self, x: np.ndarray, fx: float) -> np.ndarray:
         """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx = ``value(x)``
-        > 0; the solve reads it under ``core._trusted`` against ``subgradient`` and ``value``."""
+        > 0; ``_AffineBlock`` trusts it against ``subgradient`` and ``value`` (``core._trusted``)."""
         raise NotImplementedError
 
 
 def _margin_oracle(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
-    """f's radius as an oracle (x, v) -> rho with its premises resolved once, or None where
-    f states none: the oracle ``_bind_margin`` returns where f's class owns that method for
-    ``_margin``, ``value`` and each of ``oracles`` (``core._trusted``), else ``_margin``
-    itself where the class owns that for ``value`` and each of ``oracles``."""
-    if _trusted(f, "_bind_margin", "_margin", "value", *oracles):
-        return f._bind_margin()
-    return f._margin if _trusted(f, "_margin", "value", *oracles) else None
+    """The oracle that f's ``_bind_margin`` returns, where f's class owns that method for
+    ``value`` and each of ``oracles`` (``core._trusted``), else None."""
+    return f._bind_margin() if _trusted(f, "_bind_margin", "value", *oracles) else None
 
 
 def _inner_margin(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
@@ -239,11 +223,6 @@ def _inner_margin(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarr
         u = f.value(x)
         return margin(x, u) if u <= 0.0 else 0.0
     return radius
-
-
-def _depth(depth: Callable[[np.ndarray], float], x: np.ndarray, v: float) -> float:
-    """A set atom's radius at x: its set's depth there, ``depth(x)``, whatever its value v."""
-    return depth(x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +274,13 @@ class _SetAtom(FunctionSpec):
         return self.set.project(x)
 
     def _bind_depth(self) -> Optional[Callable[[np.ndarray, float], float]]:
-        """The set's depth (``ConvexSet._margin``) as a radius oracle, where the set's class
-        defines it for its own ``distance``, ``contains`` and ``project``, else None.  Within
-        it the distance is 0.0, the set contains each point and projects it to itself, so it
-        is the radius of every set atom; each binds it as its own ``_bind_margin``, since
-        ``core._trusted`` asks the atom's class to own that."""
+        """The set's depth, ``ConvexSet._depth`` itself, as the radius oracle, where the
+        set's class defines it for its own ``distance``, ``contains`` and ``project``, else
+        None.  Within it the distance is 0.0, the set contains each point and projects it to
+        itself, so it is the radius of every set atom; each binds it as its own
+        ``_bind_margin``, since ``core._trusted`` asks the atom's class to own that."""
         s = self.set
-        if _trusted(s, "_margin", "distance", "contains", "project"):
-            # A method bound to the set's own depth: a closure holds 170 B more per constraint.
-            return MethodType(_depth, s._margin)
-        return None
+        return s._depth if _trusted(s, "_depth", "distance", "contains", "project") else None
 
     def _hessian(self, x, what: str, outside: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Zeros inside S, NotTwiceDifferentiable on its boundary, else ``outside(x)``."""

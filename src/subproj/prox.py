@@ -99,7 +99,7 @@ class MoreauEnv(FunctionSpec):
 
     def _bind_margin(self):
         # Where a nonnegative f is <= 0 it is 0, and its closed form returns the point
-        # itself (FunctionSpec._margin), so the envelope is f(z) + 0 = 0 there and every
+        # itself (FunctionSpec._bind_margin), so the envelope is f(z) + 0 = 0 there and every
         # competitor of the audit is >= 0: f's radius holds for the envelope too.
         return _inner_margin(self.inner, "_prox_map")
 

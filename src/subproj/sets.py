@@ -45,11 +45,12 @@ class ConvexSet:
         """
         return None
 
-    def _margin(self, x: np.ndarray) -> float:
+    def _depth(self, x: np.ndarray, v: float = 0.0) -> float:
         """A depth >= 0 with this contract: at every point z within depth of x, the
         computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)`` returns
         z.  It is the distance to the complement, shrunk by a forward-error bound
-        (``core._reach``).  The base class states none.
+        (``core._reach``).  The base class states none.  v is not read: it makes the depth
+        a radius oracle (x, v) -> rho, which a set atom binds as its radius as it is.
         """
         return 0.0
 
@@ -90,7 +91,7 @@ class Ball(ConvexSet):
     def distance(self, x):
         return max(norm(x - self.center) - self.radius, 0.0)
 
-    def _margin(self, x):
+    def _depth(self, x, v=0.0):
         # distance, contains and project all compare this one n = ||x - c|| with r.  Below
         # SCREEN_MAX no point of the ball has a squared offset that overflows.
         n, r = norm(x - self.center), self.radius
@@ -149,7 +150,7 @@ class Halfspace(ConvexSet):
         excess = float(np.vdot(x, self.normal)) - self.offset
         return max(excess, 0.0) / self._length
 
-    def _margin(self, x):
+    def _depth(self, x, v=0.0):
         # distance, contains and project all test this one excess against 0, and an excess
         # >= 0 leaves no depth.  Where the gap and ||normal|| ||x|| together stay below
         # SCREEN_MAX**2, no partial sum of normal . z overflows within the depth.
@@ -197,7 +198,7 @@ class Box(ConvexSet):
     def distance(self, x):
         return norm(x - np.clip(x, self.lo, self.hi))
 
-    def _margin(self, x):
+    def _depth(self, x, v=0.0):
         # Within the smallest face gap every coordinate stays between its bounds, which
         # distance, contains and project (the clip) all compare exactly; outside, it is < 0.
         return _reach(float(min((x - self.lo).min(), (self.hi - x).min())), 0.0, 1)

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from types import MethodType
 
 import numpy as np
 import pytest
 
 from subproj import (
+    Ball,
     DegenerateMoreau,
     DimensionMismatch,
+    Dist,
     Halfspace,
     Linear,
     ZeroSubgradient,
@@ -270,3 +274,40 @@ def _assigning(obj, **attrs):
         "instance-second-oracle"])
 def test_a_fast_path_is_trusted_only_where_its_class_owns_the_oracle(obj, oracles, trusted):
     assert _trusted(obj, "affine_row", *oracles) is trusted
+
+
+# The three fast paths of a solve: the affine row, the radius and the fused cut normal.
+_FAST_PATHS = [("affine_row", ("value",)), ("_bind_margin", ("value",)),
+               ("_cut_normal", ("subgradient", "value"))]
+
+
+@pytest.mark.parametrize("fast, oracles", _FAST_PATHS, ids=["row", "radius", "cut-normal"])
+def test_a_method_borrowed_from_another_instance_is_not_trusted(fast, oracles):
+    # g.value = h.value keeps the class's own function, but bound to h, on another
+    # halfspace: g's row, radius or cut normal would speak for h's oracle.  A function
+    # of its own bound to g itself is refused too.
+    for name in (fast, *oracles):
+        for borrowed in ("other instance", "other function"):
+            g, h = Dist(Halfspace([1.0, 0.0], 0.0)), Dist(Halfspace([0.0, 1.0], 3.0))
+            assert _trusted(g, fast, *oracles)
+            method = getattr(type(g), name)
+            setattr(g, name, getattr(h, name) if borrowed == "other instance" else
+                    MethodType(lambda self, *args, method=method: method(self, *args), g))
+            assert not _trusted(g, fast, *oracles), (name, borrowed)
+
+
+def test_trust_builds_no_instance_dict():
+    # Reading obj.__dict__ built one per checked object, 62 B for a Dist on CPython 3.11.
+    fs = [Dist(Ball([0.0, 0.0], 1.0)) for _ in range(1000)]
+    for fast, oracles in _FAST_PATHS:  # fills the owner cache outside the count
+        _trusted(Dist(Ball([0.0, 0.0], 1.0)), fast, *oracles)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f in fs:
+            for fast, oracles in _FAST_PATHS:
+                _trusted(f, fast, *oracles)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 8 * len(fs)

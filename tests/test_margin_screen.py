@@ -1,15 +1,16 @@
 """The margin screen skips only what the plain loop would find <= 0.
 
-An atom's ``_margin(x, v)``, asked where its value v = ``value(x)`` is <= 0,
-returns a radius rho: the computed value is <= 0 at every point within rho of x.
-The solve keeps, per constraint, rho less a bound on each step since, and skips
-the constraint while some is left.  These tests check the radii of every atom
-and set that states one, at scales from 1e-150 to 1e150 and at points exactly
-rho away along the direction that leaves soonest; the block against the plain
-loop along random walks, and that it asks a radius only at a value it computed,
-never of the constraint just cut at lambda <= 1, and trusts each set once per
-solve; and that a subclass, an instance or a class that replaces ``value`` is
-never skipped.
+An atom's radius oracle (``_bind_margin()``), asked at x where its value
+v = ``value(x)`` is <= 0, returns a radius rho: the computed value is <= 0 at
+every point within rho of x.  The solve keeps, per constraint, rho less a bound
+on each step since, and skips the constraint while some is left.  These tests
+check the radii of every atom and set that states one, at scales from 1e-150 to
+1e150 and at points exactly rho away along the direction that leaves soonest;
+the block against the plain loop along random walks, and that it asks a radius
+only at a value it computed, never of the constraint just cut at lambda <= 1,
+and trusts each set once per solve; the rounding guards of the budgets in exact
+arithmetic; and that a subclass, an instance or a class that replaces ``value``
+is never skipped.
 """
 
 import math
@@ -46,8 +47,9 @@ from subproj import (
     solve,
     sproj_deriv_1d,
 )
-from subproj.core import SCREEN_MIN_ROWS
-from subproj.feasibility import _AffineBlock, _values
+from subproj.core import SCREEN_MIN_ROWS, norm
+from subproj.feasibility import _AffineBlock, _evaluate, _values
+from subproj.functions import _margin_oracle
 
 SOUND = settings(max_examples=60, deadline=None, database=None)
 
@@ -102,9 +104,11 @@ def probes(x, rho, worst, rng):
 
 
 def radius(f, x):
-    """f's radius at x as the block asks it: at the value f computes there, where <= 0."""
+    """f's radius at x as the block asks it: through the oracle the block binds, at the
+    value f computes there, where <= 0."""
+    margin = _margin_oracle(f)
     v = f.value(x)
-    return f._margin(x, v) if v <= 0.0 else 0.0
+    return margin(x, v) if margin is not None and v <= 0.0 else 0.0
 
 
 def check_margin(f, x, worst, rng):
@@ -119,7 +123,7 @@ def check_margin(f, x, worst, rng):
 
 def check_depth(s, x, worst, rng):
     """A set's depth: within it distance is 0.0, contains holds and project returns the point."""
-    depth = s._margin(x)
+    depth = s._depth(x)
     assert depth >= 0.0
     if depth > 0.0:
         for z in probes(x, depth, worst, rng):
@@ -188,7 +192,7 @@ def test_an_atom_on_a_set_keeps_its_value_at_most_0_within_its_radius(s, n, scal
     f = {"dist": lambda: Dist(S), "sqdist": lambda: SqDist(S),
          "powercomp": lambda: PowerComp(rng.uniform(0.2, 3.0), SqDist(S)),
          "moreau": lambda: MoreauEnv(rng.uniform(0.1, 10.0) * scale, Indicator(S))}[atom]()
-    assert check_margin(f, x, worst, rng) == S._margin(x)
+    assert check_margin(f, x, worst, rng) == S._depth(x)
 
 
 @seed(25)
@@ -224,8 +228,7 @@ def test_atoms_without_a_radius_state_none():
     for f in [Linear([1.0, 2.0]), Dist(Point([0.25, -0.5])), SqDist(Point([0.25, -0.5])),
               Scale(2.0, Dist(ball)), RightLinear([[0.0, 2.0], [-2.0, 0.0]], Dist(ball)),
               AffineMax([([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)])]:  # too few pieces
-        v = f.value(x)
-        assert v <= 0.0 and f._margin(x, v) == 0.0
+        assert f.value(x) <= 0.0 and radius(f, x) == 0.0
 
 
 # -- the block against the plain loop -------------------------------------------------------
@@ -324,7 +327,7 @@ def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0():
 
 
 class AskedDist(Dist):
-    """A Dist that owns its value and its margin and logs both on the class, as
+    """A Dist that owns its value and its radius method and logs both on the class, as
     (kind, id, x bytes, value)."""
 
     log = []
@@ -334,9 +337,13 @@ class AskedDist(Dist):
         AskedDist.log.append(("value", id(self), x.tobytes(), v))
         return v
 
-    def _margin(self, x, v):
-        AskedDist.log.append(("margin", id(self), x.tobytes(), v))
-        return Dist._margin(self, x, v)
+    def _bind_margin(self):
+        depth = Dist._bind_margin(self)
+
+        def margin(x, v):
+            AskedDist.log.append(("margin", id(self), x.tobytes(), v))
+            return depth(x, v)
+        return margin
 
 
 def test_the_constraint_just_cut_at_lambda_at_most_1_is_never_asked(monkeypatch):
@@ -382,7 +389,7 @@ def test_each_set_is_trusted_once_per_solve(monkeypatch):
     trusted = functions._trusted
 
     def counted(obj, fast, *oracles):
-        if fast == "_margin" and not isinstance(obj, FunctionSpec):
+        if fast == "_depth" and not isinstance(obj, FunctionSpec):
             asks[id(obj)] = asks.get(id(obj), 0) + 1
         return trusted(obj, fast, *oracles)
 
@@ -399,6 +406,42 @@ def test_each_set_is_trusted_once_per_solve(monkeypatch):
     _x, trace = solve(p)
     assert trace.iterations == 500
     assert asks == {id(s): 1 for s in sets}
+
+
+# -- the rounding guards of the budgets --------------------------------------------------------
+
+def test_a_budget_after_a_step_is_at_most_what_is_exactly_left():
+    # fl(b - s) rounds above the exact b - s about half the time; the budget kept is
+    # shrunk after the subtraction, so that no skip outlasts the radius it came from.
+    rng = np.random.default_rng(26)
+    f = Dist(Ball([0.0], 1.0))
+    margins = {0: f._bind_margin()}
+    rounded_up = 0
+    for _ in range(2000):
+        b = 10.0 ** rng.uniform(-6.0, 6.0)
+        s = b * rng.uniform(0.0, 1.0)
+        budget = {0: b}
+        _evaluate([(0, f)], np.zeros(1), [1.0], margins, budget, s)
+        exact = Fraction(b) - Fraction(s)
+        assert exact > 0 and Fraction(budget[0]) <= exact
+        rounded_up += Fraction(b - s) > exact
+    assert rounded_up > 100
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_a_step_is_spent_at_no_less_than_its_exact_length(n):
+    # The computed norm of a step understates its exact length about half the time;
+    # the block stretches it, so that a budget is spent at least as fast as it runs out.
+    rng = np.random.default_rng(n)
+    block = _AffineBlock(Problem(dimension=n, functions=[Dist(Ball(np.zeros(n), 1.0))],
+                                 x0=np.zeros(n)))
+    understated = 0
+    for _ in range(1000):
+        d = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+        exact = sum(Fraction(v) ** 2 for v in d.tolist())
+        assert Fraction(norm(d) * block._stretch + block._tiny) ** 2 >= exact
+        understated += Fraction(norm(d)) ** 2 < exact
+    assert understated > 100
 
 
 # -- what the screen must not trust ----------------------------------------------------------
@@ -484,8 +527,8 @@ class LoweredIndicator(FunctionSpec):
     def _prox_map(self):
         return lambda gamma, x: self.set.project(x)
 
-    def _margin(self, x, v):
-        return self.set._margin(x)
+    def _bind_margin(self):
+        return self.set._depth
 
 
 def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius():
@@ -499,7 +542,7 @@ def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius():
 
 
 def test_an_oracle_replaced_on_its_own_class_is_evaluated(monkeypatch):
-    # Dist still owns both value and _margin, so the margin is trusted; the value
+    # Dist still owns both value and _bind_margin, so the margin is trusted; the value
     # it speaks for is computed all the same, and its NaN is met.  A margin that
     # stood in for the value would end this solve as Converged at [2, 0].
     value = Dist.value

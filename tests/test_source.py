@@ -151,18 +151,26 @@ def test_the_solver_finds_affine_rows_only_through_the_spec():
     assert {"Dist", "Halfspace", "Linear", "AffineMax"} & set(_names(tree)) == set()
 
 
+def _table_key(node):
+    """The key of a trust table named by ``node``: ``T`` for a name T, ``.T`` for an
+    attribute ``obj.T`` of any object (built as ``self.T``, read as ``block.T``)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return "." + node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _owner_check(test, receiver, fast, tables=None):
     """Whether ``test`` is, or is an ``and`` of, a call ``_trusted(receiver, fast, ...)``,
     or, with ``tables`` (``_trust_tables``), an entry ``T[k]`` of a trust table T over
     seq where the receiver is ``seq[k]`` or a name bound to it."""
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
         return any(_owner_check(value, receiver, fast, tables) for value in test.values)
-    if tables and isinstance(test, ast.Subscript) and isinstance(test.value, ast.Name):
+    if tables and isinstance(test, ast.Subscript):
         seqs, binds = tables
-        if test.value.id not in seqs:
+        key = _table_key(test.value)
+        if key not in seqs:
             return False
-        entry = ast.dump(ast.Subscript(value=seqs[test.value.id], slice=test.slice,
-                                       ctx=ast.Load()))
+        entry = ast.dump(ast.Subscript(value=seqs[key], slice=test.slice, ctx=ast.Load()))
         return ast.dump(receiver) == entry or (
             isinstance(receiver, ast.Name) and (receiver.id, entry) in binds)
     return (isinstance(test, ast.Call) and len(test.args) >= 2
@@ -173,21 +181,22 @@ def _owner_check(test, receiver, fast, tables=None):
 
 
 def _trust_tables(tree, fast):
-    """({T: seq}, binds): each ``T = bytes(_trusted(v, "<fast>", ...) for v in seq)``, one
-    trust answer per item of seq, and the (name, value) pair of every name assignment."""
+    """({key: seq}, binds): each ``T = bytes(_trusted(v, "<fast>", ...) for v in seq)``, one
+    trust answer per item of seq, keyed by ``_table_key(T)`` (T a name or an attribute),
+    and the (name, value) pair of every name assignment."""
     seqs = {}
     binds = {(t.id, ast.dump(node.value)) for node in ast.walk(tree)
              if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+                and _table_key(node.targets[0]) and isinstance(node.value, ast.Call)
                 and isinstance(node.value.func, ast.Name) and node.value.func.id == "bytes"
                 and len(node.value.args) == 1 and isinstance(node.value.args[0], ast.GeneratorExp)):
             continue
         (loop, *more), item = node.value.args[0].generators, node.value.args[0].elt
         if (not more and not loop.ifs and isinstance(loop.target, ast.Name)
                 and _owner_check(item, ast.Name(id=loop.target.id, ctx=ast.Load()), fast)):
-            seqs[node.targets[0].id] = loop.iter
+            seqs[_table_key(node.targets[0])] = loop.iter
     return seqs, binds
 
 
@@ -244,28 +253,45 @@ def test_every_affine_row_is_read_behind_the_ownership_rule():
     assert found == []
 
 
-@pytest.mark.parametrize("source, found", [
-    ("v, rho = f._margin(x)", 1),
-    ("margin = f._margin if _trusted(f, '_margin', 'value') else None", 0),
-    ("rho = f._margin(x, v) if _trusted(f, '_margin', 'value') else 0.0", 0),
-    ("v = f._margin(x) if core._trusted(f, '_margin', 'value') else (f.value(x), 0.0)", 0),
-    ("v = (f.value(x), 0.0) if _trusted(f, '_margin', 'value') else f._margin(x)", 1),
-    ("v = f._margin(x) if _trusted(g, '_margin', 'value') else None", 1),
-    ("v = f._margin(x) if _trusted(f, 'affine_row', 'value') else None", 1),
-    ("v = f._margin(x) if not _trusted(f, '_margin', 'value') else None", 1),
-    ("if env <= 0.0 and _trusted(f, '_margin', 'value'):\n    rho = f._margin(x)[1]", 0),
-    ("if _trusted(s, '_margin', 'distance'):\n    pass\nelse:\n    d = s._margin(x)", 1),
-    ("d = _trusted(self.set, '_margin', 'distance') and self.set._margin(x)", 0),
-    ("d = self.set._margin(x) and _trusted(self.set, '_margin', 'distance')", 1),
-    ("rhos = [g._margin(x)[1] for g in fs]", 1),
-    ("fast = super()._margin", 1),
-    ("def _margin(self, x, v):\n    return 0.0", 0),
-    ("_margin = _SetAtom._depth", 0),
-    ("ok = bytes(_trusted(g, '_margin', 'value') for g in fs)\nr = fs[i]._margin(x, v) if ok[i] else 0", 0),
-    ("ok = bytes(_trusted(g, '_margin', 'value') for g in fs)\nr = fs[i]._margin(x, v) if ok[j] else 0", 1),
+_RADII = ("_bind_margin", "_depth")  # a spec's one radius method and a set's depth
+
+
+@pytest.mark.parametrize("source, fast, found", [
+    ("v, rho = f._bind_margin()", "_bind_margin", 1),
+    ("margin = f._bind_margin() if _trusted(f, '_bind_margin', 'value') else None", "_bind_margin", 0),
+    ("rho = f._bind_margin()(x, v) if _trusted(f, '_bind_margin', 'value') else 0.0", "_bind_margin", 0),
+    ("m = f._bind_margin() if core._trusted(f, '_bind_margin', 'value') else (f.value(x), 0.0)",
+     "_bind_margin", 0),
+    ("m = (f.value(x), 0.0) if _trusted(f, '_bind_margin', 'value') else f._bind_margin()",
+     "_bind_margin", 1),
+    ("m = f._bind_margin() if _trusted(g, '_bind_margin', 'value') else None", "_bind_margin", 1),
+    ("m = f._bind_margin() if _trusted(f, 'affine_row', 'value') else None", "_bind_margin", 1),
+    ("m = f._bind_margin() if not _trusted(f, '_bind_margin', 'value') else None", "_bind_margin", 1),
+    ("if env <= 0.0 and _trusted(f, '_bind_margin', 'value'):\n    rho = f._bind_margin()(x, v)",
+     "_bind_margin", 0),
+    ("if _trusted(s, '_depth', 'distance'):\n    pass\nelse:\n    d = s._depth(x)", "_depth", 1),
+    ("d = _trusted(self.set, '_depth', 'distance') and self.set._depth(x)", "_depth", 0),
+    ("d = self.set._depth(x) and _trusted(self.set, '_depth', 'distance')", "_depth", 1),
+    ("rhos = [g._bind_margin()(x, v) for g in fs]", "_bind_margin", 1),
+    ("fast = super()._bind_margin", "_bind_margin", 1),
+    ("def _bind_margin(self):\n    return None", "_bind_margin", 0),
+    ("_bind_margin = _SetAtom._bind_depth", "_bind_margin", 0),
+    ("ok = bytes(_trusted(g, '_bind_margin', 'value') for g in fs)\n"
+     "r = fs[i]._bind_margin() if ok[i] else None", "_bind_margin", 0),
+    ("ok = bytes(_trusted(g, '_bind_margin', 'value') for g in fs)\n"
+     "r = fs[i]._bind_margin() if ok[j] else None", "_bind_margin", 1),
+    # A radius wrapper that binds the oracle again at each ask, unguarded.
+    ("def _margin(self, x, v):\n    margin = self._bind_margin()\n"
+     "    return margin(x, v) if margin is not None else 0.0", "_bind_margin", 1),
+    ("return s._depth if _trusted(s, '_depth', 'distance', 'contains', 'project') else None",
+     "_depth", 0),
+    ("return s._depth if _trusted(s, '_bind_margin', 'value') else None", "_depth", 1),
+    ("return s._depth if _trusted(t, '_depth', 'distance') else None", "_depth", 1),
+    ("return MethodType(_depth, s._depth)", "_depth", 1),
+    ("def _depth(self, x, v=0.0):\n    return 0.0", "_depth", 0),
 ])
-def test_margin_rule_sees_every_spelling(source, found):
-    assert len(list(_unguarded(ast.parse(source), "_margin"))) == found
+def test_margin_rule_sees_every_spelling(source, fast, found):
+    assert len(list(_unguarded(ast.parse(source), fast))) == found
 
 
 def test_every_margin_is_read_behind_the_ownership_rule():
@@ -273,18 +299,20 @@ def test_every_margin_is_read_behind_the_ownership_rule():
     # subclass overrides the oracle it speaks for and inherits the radius.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
-             for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_margin")]
+             for fast in _RADII
+             for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), fast)]
     assert found == []
 
 
 _FUSED = "fused = bytes(_trusted(g, '_cut_normal', 'subgradient', 'value') for g in p.functions)\n"
+_BLOCK = "self." + _FUSED
 
 
 @pytest.mark.parametrize("source, found", [
     ("u = f._cut_normal(x, fx)", 1),
     ("u = f._cut_normal(x, fx) if _trusted(f, '_cut_normal', 'subgradient', 'value') else None", 0),
     ("u = None if _trusted(f, '_cut_normal', 'subgradient', 'value') else f._cut_normal(x, fx)", 1),
-    ("u = f._cut_normal(x, fx) if _trusted(f, '_margin', 'value') else None", 1),
+    ("u = f._cut_normal(x, fx) if _trusted(f, '_bind_margin', 'value') else None", 1),
     ("u = f._cut_normal(x, fx) if _trusted(g, '_cut_normal', 'subgradient') else None", 1),
     (_FUSED + "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else f.subgradient(x)", 0),
     (_FUSED + "u = p.functions[i]._cut_normal(x, fx) if fused[i] else None", 0),
@@ -293,12 +321,21 @@ _FUSED = "fused = bytes(_trusted(g, '_cut_normal', 'subgradient', 'value') for g
     (_FUSED + "f = q.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
     (_FUSED + "f = p.functions[i]\nu = None if fused[i] else f._cut_normal(x, fx)", 1),
     (_FUSED + "f = p.functions[i]\nu = f._cut_normal(x, fx) if other[i] else None", 1),
-    ("fused = bytes(_trusted(g, '_margin', 'value') for g in p.functions)\n"
+    ("fused = bytes(_trusted(g, '_bind_margin', 'value') for g in p.functions)\n"
      "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
     ("fused = bytes(g.ok for g in p.functions)\n"
      "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
     ("fused = bytes(_trusted(g, '_cut_normal', 'value') for g in p.functions if g)\n"
      "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    (_BLOCK + "f = p.functions[i]\nu = f._cut_normal(x, fx) if block.fused[i] else f.subgradient(x)", 0),
+    (_BLOCK + "u = p.functions[i]._cut_normal(x, fx) if self.fused[i] else None", 0),
+    (_BLOCK + "f = p.functions[i]\nu = f._cut_normal(x, fx) if block.other[i] else None", 1),
+    (_BLOCK + "f = p.functions[i]\nu = f._cut_normal(x, fx) if fused[i] else None", 1),
+    (_FUSED + "f = p.functions[i]\nu = f._cut_normal(x, fx) if block.fused[i] else None", 1),
+    (_BLOCK + "f = p.functions[j]\nu = f._cut_normal(x, fx) if block.fused[i] else None", 1),
+    (_BLOCK + "f = p.functions[i]\nu = None if block.fused[i] else f._cut_normal(x, fx)", 1),
+    ("self.fused = bytes(_trusted(g, '_bind_margin', 'value') for g in p.functions)\n"
+     "f = p.functions[i]\nu = f._cut_normal(x, fx) if block.fused[i] else None", 1),
     ("normals = [g._cut_normal for g in fs]", 1),
     ("def _cut_normal(self, x, fx):\n    return x / fx", 0),
 ])
@@ -325,20 +362,20 @@ def _returns_tuple(node) -> bool:
         _returns_tuple(node.body) or _returns_tuple(node.orelse))
 
 
-def _margins_with_a_value(tree):
-    """Definitions of ``_margin`` that return a tuple (a value with the radius), or bind
-    it to a property: a def, a lambda, a ``property(...)`` call, or a name of a property
-    that the module defines."""
+def _margins_with_a_value(tree, name):
+    """Definitions of ``name`` (a radius method or a depth) that return a tuple (a value
+    with the radius), or bind it to a property: a def, a lambda, a ``property(...)`` call,
+    or a name of a property that the module defines."""
     properties = {node.name for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
                   and any(map(_is_property, node.decorator_list))}
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_margin":
+        if isinstance(node, ast.FunctionDef) and node.name == name:
             if any(map(_is_property, node.decorator_list)) or any(
                     isinstance(r, ast.Return) and _returns_tuple(r.value) for r in ast.walk(node)):
                 yield node
         elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_margin" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             v = node.value
             if (isinstance(v, ast.Call) and _is_property(v.func)
                     or isinstance(v, ast.Lambda) and _returns_tuple(v.body)
@@ -347,32 +384,39 @@ def _margins_with_a_value(tree):
                 yield node
 
 
-@pytest.mark.parametrize("source, found", [
-    ("def _margin(self, x):\n    return self.value(x), 0.0", 1),
-    ("def _margin(self, x, v):\n    return 0.0", 0),
-    ("def _margin(self, x, v):\n    if v < 0.0:\n        return (v, 1.0)\n    return 0.0", 1),
-    ("def _margin(self, x, v):\n    return (v, 1.0) if v < 0.0 else 0.0", 1),
-    ("def _margin(self, x, v):\n    return self._rows.reach(x, v)", 0),
-    ("@property\ndef _margin(self):\n    return self.set._margin", 1),
-    ("@functools.cached_property\ndef _margin(self):\n    return None", 1),
-    ("_margin = property(lambda self: self.set._margin)", 1),
-    ("_margin = lambda self, x, v: (v, 0.0)", 1),
-    ("_margin = lambda self, x, v: 0.0", 0),
-    ("@property\ndef _distance(self):\n    return None\n_margin = _SetAtom._distance", 1),
-    ("@property\ndef _distance(self):\n    return None\n_margin = _distance", 1),
-    ("def _depth(self, x, v):\n    return 0.0\n_margin = _SetAtom._depth", 0),
-    ("def _top(self, x):\n    return 1.0, {}", 0),
+@pytest.mark.parametrize("source, name, found", [
+    ("def _depth(self, x):\n    return self.distance(x), 0.0", "_depth", 1),
+    ("def _depth(self, x, v=0.0):\n    return 0.0", "_depth", 0),
+    ("def _depth(self, x, v=0.0):\n    if v < 0.0:\n        return (v, 1.0)\n    return 0.0", "_depth", 1),
+    ("def _depth(self, x, v=0.0):\n    return (v, 1.0) if v < 0.0 else 0.0", "_depth", 1),
+    ("def _depth(self, x, v=0.0):\n    return _reach(-excess, scale, self.dim)", "_depth", 0),
+    ("@property\ndef _depth(self):\n    return self.set._depth", "_depth", 1),
+    ("@functools.cached_property\ndef _depth(self):\n    return None", "_depth", 1),
+    ("_depth = property(lambda self: self._gap)", "_depth", 1),
+    ("_depth = lambda self, x, v=0.0: (v, 0.0)", "_depth", 1),
+    ("_depth = lambda self, x, v=0.0: 0.0", "_depth", 0),
+    ("@property\ndef _gap(self):\n    return None\n_depth = ConvexSet._gap", "_depth", 1),
+    ("@property\ndef _gap(self):\n    return None\n_depth = _gap", "_depth", 1),
+    ("def _gap(self, x, v=0.0):\n    return 0.0\n_depth = ConvexSet._gap", "_depth", 0),
+    ("def _top(self, x):\n    return 1.0, {}", "_depth", 0),
+    ("@property\ndef _bind_margin(self):\n    return self._rows.reach", "_bind_margin", 1),
+    ("def _bind_margin(self):\n    return self._rows.reach", "_bind_margin", 0),
+    ("def _bind_margin(self):\n    return self.set._depth, 0.0", "_bind_margin", 1),
+    ("_bind_margin = _SetAtom._bind_depth", "_bind_margin", 0),
+    ("@property\ndef _bind_depth(self):\n    return None\n_bind_margin = _SetAtom._bind_depth",
+     "_bind_margin", 1),
 ])
-def test_margin_definition_rule_sees_every_spelling(source, found):
-    assert len(list(_margins_with_a_value(ast.parse(source)))) == found
+def test_margin_definition_rule_sees_every_spelling(source, name, found):
+    assert len(list(_margins_with_a_value(ast.parse(source), name))) == found
 
 
 def test_a_margin_states_only_a_radius():
-    # Every value the solve uses comes from value; a _margin that returned one too
-    # would be a second computation of it, which the two could let drift apart.
+    # Every value the solve uses comes from value; a radius or a depth that returned
+    # one too would be a second computation of it, which the two could let drift apart.
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py"))
-             for node in _margins_with_a_value(ast.parse(path.read_text(encoding="utf-8")))]
+             for name in _RADII
+             for node in _margins_with_a_value(ast.parse(path.read_text(encoding="utf-8")), name)]
     assert found == []
 
 
