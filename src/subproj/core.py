@@ -141,27 +141,38 @@ def _trusted(obj, *names: str) -> bool:
     A subclass that overrides an oracle but inherits ``fast`` gets False, and so does
     an instance whose own attribute replaces any of them, so the fast path cannot
     stand in for an oracle that it was not written for.  Each name is read through
-    ``getattr``: it must give a method bound to obj itself whose function is the
-    class's, so a method borrowed from another instance is refused too.  Reading
-    ``obj.__dict__`` instead would build every checked object's instance dict.
+    ``getattr``: it must give a method bound to obj itself whose function is the one
+    the class's verdict was drawn for, so a method borrowed from another instance is
+    refused too.  Reading ``obj.__dict__`` instead would build every checked object's
+    instance dict.  Where the class holds another function than its verdict's, one
+    assigned to it or to a base since, every verdict is drawn again.
     """
     cls = type(obj)
+    agree, pairs = _owners_agree(cls, names)
     try:
-        for name in names:
+        for name, func in pairs:
             method = getattr(obj, name)
-            if method.__self__ is not obj or method.__func__ is not getattr(cls, name):
-                return False
+            if method.__self__ is not obj or method.__func__ is not func:
+                break
+        else:
+            return agree
     except AttributeError:  # no method: an instance attribute such as a lambda
         return False
-    return _owners_agree(cls, names)
+    if method.__self__ is not obj or method.__func__ is not getattr(cls, name, None):
+        return False
+    # The class's function is not the verdict's: the verdict is stale.  Clearing
+    # the cache draws it again from the functions that the check reads.
+    _owners_agree.cache_clear()
+    return _trusted(obj, *names)
 
 
 @lru_cache(maxsize=256)
-def _owners_agree(cls: type, names: tuple[str, ...]) -> bool:
-    def owner(name):
-        return next(c for c in cls.__mro__ if name in vars(c))
-    fast = owner(names[0])
-    return all(issubclass(fast, owner(oracle)) for oracle in names[1:])
+def _owners_agree(cls: type, names: tuple[str, ...]) -> tuple[bool, tuple]:
+    """Whether the classes on cls's MRO that define ``names`` agree (see _trusted), and
+    the pairs (name, what the name reads on cls, or None) that the verdict was drawn for."""
+    owners = [next((c for c in cls.__mro__ if name in vars(c)), None) for name in names]
+    agree = None not in owners and all(issubclass(owners[0], c) for c in owners[1:])
+    return agree, tuple((name, getattr(cls, name, None)) for name in names)
 
 
 def _reach(gap: float, scale: float, n: int) -> float:

@@ -141,8 +141,8 @@ class QuasiCyclic(ControlSequence):
     that has waited longest, the smallest index first; once visited it has
     waited least.  So the indices of one window are visited in turn, in
     increasing order, and a step compares only the next index of each
-    distinct window.  The next index depends only on the waits, so its phase
-    is 1.
+    distinct window, whose last visit it keeps, starting from the first
+    window's.  The next index depends only on the waits, so its phase is 1.
     """
 
     def __init__(self, window_bounds: Sequence[int]):
@@ -156,16 +156,21 @@ class QuasiCyclic(ControlSequence):
         heads, bounds, after = _turns(windows)
         del windows  # the frame keeps only what a step reads
         last = [-1] * m
+        due = [-1] * len(heads)  # the last visit of each distinct window's head
+        rest = range(1, len(heads))
         for n in count():
-            best, ratio, wait, j = m, -1.0, 0, 0
-            for k, i in enumerate(heads):
-                w = n - last[i]
-                r = w / bounds[k]
-                if r > ratio or r == ratio and (w > wait or w == wait and i < best):
-                    best, ratio, wait, j = i, r, w, k
+            best, wait, j = heads[0], n - due[0], 0
+            ratio = wait / bounds[0]
+            for k in rest:
+                r = (n - due[k]) / bounds[k]
+                if r >= ratio:  # the wait is formed again only for a contender
+                    w = n - due[k]
+                    if r > ratio or w > wait or w == wait and heads[k] < best:
+                        best, ratio, wait, j = heads[k], r, w, k
             yield best
             last[best] = n
-            heads[j] = after[best]
+            heads[j] = i = after[best]
+            due[j] = last[i]
 
     def __repr__(self):
         return f"QuasiCyclic(window_bounds={self.window_bounds})"
@@ -214,11 +219,26 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     outside [0, m) raises InvalidControl, naming the index and its step.
 
     The control's phase Q says that index n depends only on n mod Q and the
-    waits n - last[i], so the walk finds where the stream repeats by Brent's
-    cycle detection on that state: it copies ``last`` after c = 1, 2, 4, ...
-    indices, and waits equal to the copy's after k indices, with k - c a
-    multiple of Q, give a period P = k - c from some step T <= c on.  The
-    stream is then walked only over its first L = k + W indices, W the
+    waits n - last[i], so the walk finds where the stream repeats by cycle
+    detection on that state.  It keeps two checkpoints, each a copy of
+    ``last`` after some c indices: Brent's, taken at c = 1, 2, 4, ... (Brent,
+    BIT 20(2), 1980), and a finer one, retaken every ``step`` indices from Q
+    on, step being Q times a power of two that doubles while 16 step <= c.
+    Where the stream starts to repeat at step T, Brent's copy may lie almost
+    2T in, the finer one about T/8 past T; the finer one finds only a period
+    of at most one step, and Brent's any other, as before.
+
+    A match against either checkpoint is a period.  Say that after k indices,
+    with k - c a multiple of Q, each index's last visit lies k - c after the
+    copy's.  Then each wait k - last[i] equals the wait c - saved[i] at c,
+    and k mod Q equals c mod Q, so index k is index c.  Visiting it at k and
+    at c leaves the waits equal again, so by induction index k + j is index
+    c + j for every j >= 0: the stream repeats with period P = k - c from
+    some step T <= c on.  Nothing in this rests on how c was chosen.  Brent's
+    checkpoint is kept as it was, so the walk finds a period no later than
+    with it alone.
+
+    The stream is then walked only over its first L = k + W indices, W the
     largest declared window, when that prefix misses no window (a
     presence-only index: when it appears in the prefix).  A window missed
     anywhere in the horizon is missed within L: one that starts at or after
@@ -241,6 +261,10 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     # last before it; waits equal to the copy's need that same index last.
     saved, c, mark = None, 0, -1
     check = horizon if phase is None else 1  # the next step count to take stock at
+    # The finer checkpoint, the same after c2 indices, retaken every step indices
+    # from Q on; with no phase, at step 0, which the walk never reaches.
+    saved2, c2, mark2 = None, 0, -1
+    step = retake = 0 if phase is None else phase
     last = [-1] * m
     violations = []
     k = 0
@@ -252,9 +276,17 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
         last[i] = k
         k += 1
         if (i == mark and (k - c) % phase == 0
-                and all(a - b == k - c for a, b in zip(last, saved))):
-            # The stream repeats from c on: take stock of the prefix W indices later.
-            mark, phase, check = -1, None, min(horizon, k + widest)
+                and all(a - b == k - c for a, b in zip(last, saved))
+                or i == mark2 and (k - c2) % phase == 0
+                and all(a - b == k - c2 for a, b in zip(last, saved2))):
+            # The stream repeats from c or c2 on: take stock of the prefix W indices later.
+            mark = mark2 = -1
+            phase, check, retake = None, min(horizon, k + widest), 0
+        if k == retake:
+            saved2, c2, mark2 = last[:], k, i
+            while step * 16 <= k:
+                step *= 2
+            retake = k + step
         if k == check:
             if phase is not None:  # a checkpoint
                 saved, c, mark, check = last[:], k, i, 2 * k

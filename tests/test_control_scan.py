@@ -1,12 +1,12 @@
 """Property tests: the one-pass control scan agrees with a per-index occurrence-list scan,
-also where it stops at a repeating stream's prefix, and QuasiCyclic breaks ties by the
-smallest index."""
+also where it stops at a repeating stream's prefix, never pulls more of a stream than
+Brent's checkpoint alone would, and QuasiCyclic breaks ties by the smallest index."""
 
 import random
-from itertools import chain, cycle
+from itertools import chain, count, cycle, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from subproj import (
@@ -214,23 +214,50 @@ def test_waits_that_repeat_off_the_phase_are_not_a_period():
     assert violations == reference_validate(control, 2, 36)
 
 
-def counted(base):
-    """A subclass of ``base`` that counts the indices its streams yield and
-    restates base's phase, so that validation may stop at the prefix."""
+class FifthToZero(ControlSequence):
+    """Every fifth step, from step 4, visits index 0; every other step the index that
+    has waited longest, the smaller first.  Index n depends on n mod 5 and the waits."""
 
-    class Counted(base):
-        pulled = 0
+    window_bounds = [2, 2]
 
-        def _stream(self, m):
-            def counting(stream):
-                for i in stream:
-                    self.pulled += 1
-                    yield i
+    def _stream(self, m):
+        def stream():
+            last = [-1] * m
+            for n in count():
+                i = 0 if n % 5 == 4 else min(range(m), key=lambda a: (last[a], a))
+                yield i
+                last[i] = n
 
-            stream, phase = super()._stream(m)
-            return counting(stream), phase
+        return stream(), 5
 
-    return Counted
+
+def test_waits_that_repeat_off_the_phase_of_the_finer_checkpoint_are_not_a_period():
+    # The stream is 0 1 0 1 0, then 1 0 1 0 0 repeated.  The finer checkpoint is
+    # taken after 5 indices; after 7 the waits are the same, with 0 visited last,
+    # but 7 - 5 is no multiple of the phase.  Taken as a period, it would end the
+    # walk at a clean prefix of 9 indices; index 1 first waits 3, from step 7 to 10.
+    violations = validate_control(FifthToZero(), 2, 60)
+    assert violations[0] == ControlViolation(1, 8, 2)
+    assert violations == reference_validate(FifthToZero(), 2, 60)
+
+
+class Counting(ControlSequence):
+    """Any control, with a count of the indices that its streams yield."""
+
+    def __init__(self, control):
+        self.control, self.pulled = control, 0
+
+    def windows(self, m):
+        return self.control.windows(m)
+
+    def _stream(self, m):
+        def counting(stream):
+            for i in stream:
+                self.pulled += 1
+                yield i
+
+        stream, phase = self.control._stream(m)
+        return counting(stream), phase
 
 
 @pytest.mark.parametrize("base, args", [(Cyclic, ()),
@@ -239,7 +266,7 @@ def counted(base):
 def test_validation_pulls_do_not_grow_with_max_iter(base, args):
     # x0 is feasible, so the solve pulls only what validation pulls.
     def pulls(max_iter):
-        control = counted(base)(*args)
+        control = Counting(base(*args))
         fs = [Dist(Ball([0.0], 1.0 + i)) for i in range(20)]
         _x, trace = solve(Problem(dimension=1, functions=fs, x0=[0.0], control=control,
                                   max_iter=max_iter))
@@ -247,3 +274,93 @@ def test_validation_pulls_do_not_grow_with_max_iter(base, args):
         return control.pulled
 
     assert pulls(10**3) == pulls(10**7) < 10**3
+
+
+def walked(check, control, m, horizon):
+    """What ``check`` gives on control, and the count of indices it pulled of its stream."""
+    counting = Counting(control)
+    return outcome(check, counting, m, horizon), counting.pulled
+
+
+@pytest.mark.parametrize("control, m, most, brent", [
+    (QuasiCyclic([20 + i % 5 for i in range(20)]), 20, 396, 556),
+    (Cyclic(), 64, 192, 192),
+    (Explicit([0, 5, 1, 6, 2, 3, 4]), 7, 15, 15),
+], ids=["QuasiCyclic-bench", "Cyclic-64", "Explicit-mixed-oracles"])
+def test_a_repeating_control_is_validated_within_a_short_prefix(control, m, most, brent):
+    # The QuasiCyclic control repeats every 20 indices from step 340 on.  Brent's
+    # checkpoint alone finds that at 532, from its copy at 512, and the walk ends
+    # 24 indices later, at 556; the finer checkpoint, retaken every 32 indices
+    # there, finds it at 372.
+    result, pulled = walked(validate_control, control, m, 5000)
+    assert result == ("ok", []) and pulled <= most
+    assert walked(brent_validate, control, m, 5000) == (result, brent)
+
+
+def brent_validate(control, m, horizon):
+    """The control scan with Brent's checkpoint alone: a copy of last after 1, 2, 4, ...
+    indices, and nothing else."""
+    if m < 1:
+        raise InvalidControl("need at least one function")
+    windows = control.windows(m)
+    if any(w is not None and w > horizon for w in windows):
+        raise ValueError("horizon must cover the largest declared window")
+    bound = [horizon if w is None else w for w in windows]
+    widest = max((w for w in windows if w is not None), default=0)
+    stream, phase = control._stream(m)
+    saved, c, mark = None, 0, -1
+    check = horizon if phase is None else 1
+    last = [-1] * m
+    violations = []
+    k = 0
+    for i in islice(stream, horizon):
+        if not 0 <= i < m:
+            raise InvalidControl(f"control index {i} at step {k} is outside [0, {m})")
+        if k - last[i] > bound[i]:
+            violations.append(ControlViolation(i, last[i] + 1, bound[i]))
+        last[i] = k
+        k += 1
+        if (i == mark and (k - c) % phase == 0
+                and all(a - b == k - c for a, b in zip(last, saved))):
+            mark, phase, check = -1, None, min(horizon, k + widest)
+        if k == check:
+            if phase is not None:
+                saved, c, mark, check = last[:], k, i, 2 * k
+            elif not violations and all(k - a <= min(b, k) for a, b in zip(last, bound)):
+                return []
+    for i in range(m):
+        if horizon - last[i] > bound[i]:
+            violations.append(ControlViolation(i, last[i] + 1, bound[i]))
+    violations.sort(key=lambda v: v.index)
+    return violations
+
+
+@st.composite
+def repeating_cases(draw):
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["quasicyclic", "quasicyclic-few", "explicit",
+                                 "explicit-windows", "cyclic"]))
+    if kind == "cyclic":
+        control = Cyclic()
+    elif kind.startswith("quasicyclic"):
+        # Few distinct windows, as on the bench, or any, some of which cannot be met.
+        pool = draw(st.lists(st.integers(m, 2 * m + 4), min_size=1, max_size=3)) \
+            if kind == "quasicyclic-few" else None
+        bounds = st.sampled_from(pool) if pool else st.integers(1, 3 * m + 4)
+        control = QuasiCyclic(draw(st.lists(bounds, min_size=m, max_size=m)))
+    else:
+        index_list = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4 * m))
+        windows = draw(st.lists(st.integers(1, 3 * m), min_size=m, max_size=m)) \
+            if kind == "explicit-windows" else None
+        control = Explicit(index_list, windows)
+    return control, m, draw(st.integers(3 * m + 4, 3000))
+
+
+@seed(27)
+@settings(max_examples=400, deadline=None, database=None)
+@given(repeating_cases())
+def test_the_walk_never_pulls_more_than_brents_checkpoint_alone(case):
+    control, m, horizon = case
+    result, pulled = walked(validate_control, control, m, horizon)
+    expected, brent = walked(brent_validate, control, m, horizon)
+    assert result == expected and pulled <= brent

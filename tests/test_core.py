@@ -296,6 +296,14 @@ def test_a_method_borrowed_from_another_instance_is_not_trusted(fast, oracles):
             assert not _trusted(g, fast, *oracles), (name, borrowed)
 
 
+def test_a_fast_path_that_only_the_instance_defines_is_not_trusted():
+    # No class defines the name: the instance's own method, bound to it, is refused,
+    # and asking raises nothing.
+    g = Dist(Halfspace([1.0, 0.0], 0.0))
+    g.own_row = MethodType(lambda self: None, g)
+    assert not _trusted(g, "own_row", "value")
+
+
 def test_trust_builds_no_instance_dict():
     # Reading obj.__dict__ built one per checked object, 62 B for a Dist on CPython 3.11.
     fs = [Dist(Ball([0.0, 0.0], 1.0)) for _ in range(1000)]

@@ -182,6 +182,19 @@ def test_a_set_depth_keeps_every_point_inside(s, n, scale, kind):
     check_depth(S, x, worst, rng)
 
 
+@seed(27)
+@SOUND
+@given(s=seeds, n=st.integers(1, 6), scale=st.integers(-545, -525).map(lambda k: 2.0 ** k),
+       kind=st.sampled_from(SETS))
+def test_a_set_depth_keeps_every_point_inside_where_squares_underflow(s, n, scale, kind):
+    # Near 2**-537 a squared entry of x - c rounds to a multiple of 2**-1074 and may
+    # round up, so the computed distance to the centre can exceed the exact one by
+    # far more than the relative shrink of a radius; core._REACH_TINY covers that.
+    rng = np.random.default_rng(s)
+    S, x, worst = kind(rng, n, scale)
+    check_depth(S, x, worst, rng)
+
+
 @seed(23)
 @SOUND
 @given(s=seeds, n=st.integers(1, 6), scale=scales, kind=st.sampled_from(SETS),
@@ -442,6 +455,15 @@ def test_a_step_is_spent_at_no_less_than_its_exact_length(n):
         assert Fraction(norm(d) * block._stretch + block._tiny) ** 2 >= exact
         understated += Fraction(norm(d)) ** 2 < exact
     assert understated > 100
+    # Steps near 2**-560 and below, whose squared entries underflow: there the
+    # computed norm loses most of the length, or all of it, which only _tiny covers.
+    lost = 0
+    for _ in range(200):
+        d = rng.standard_normal(n) * 2.0 ** rng.uniform(-580.0, -530.0)
+        exact = sum(Fraction(v) ** 2 for v in d.tolist())
+        assert Fraction(norm(d) * block._stretch + block._tiny) ** 2 >= exact
+        lost += norm(d) == 0.0
+    assert lost > 20
 
 
 # -- what the screen must not trust ----------------------------------------------------------
@@ -556,6 +578,26 @@ def test_an_oracle_replaced_on_its_own_class_is_evaluated(monkeypatch):
     with pytest.raises(NonFiniteValue) as info:
         solve(p)
     assert str(info.value) == "Dist value is NaN"
+
+
+def test_an_oracle_assigned_to_a_subclass_after_its_first_check_is_evaluated():
+    # Nine Linear rows and one row of a subclass whose value is assigned only after
+    # the subclass was trusted once.  A verdict kept for the class, and not for its
+    # functions, once proved that row <= 0 at [0, -1] and returned Converged with
+    # final_residual 0.0 where residual reads 2.0.
+    class Sub(Linear):
+        pass
+
+    fs = [Linear(np.array([1.0, 0.0])) for _ in range(9)] + [Sub(np.array([0.0, 1.0]))]
+    p = Problem(dimension=2, functions=fs, x0=[1.0, -1.0], max_iter=50)
+    x, trace = solve(p)
+    assert trace.status == "Converged" and np.array_equal(x, [0.0, -1.0])
+    Sub.value = lambda self, x: float(np.vdot(x, self.u)) + 3.0
+    x, trace = solve(p)
+    assert trace.status == "Converged"
+    assert np.array_equal(x, [0.0, -3.0])
+    assert residual(p, x) == trace.final_residual == 0.0
+
 
 # -- NegLog's Hessian --------------------------------------------------------------------------
 
