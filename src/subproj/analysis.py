@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import as_vector, norm, norm2
+from .core import as_vector, dot, norm, norm2
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -143,14 +143,12 @@ def monotonicity_probe(f: FunctionSpec, pairs: Sequence[tuple],
         b = as_vector(b, dim=f.dim)
         out_a = sproj(f, a, strategy)
         out_b = sproj(f, b, strategy)
-        inner = float(np.vdot(out_a.point - out_b.point, a - b))
+        inner = dot(out_a.point - out_b.point, a - b)
         worst_inner = min(worst_inner, inner)
         count += 1
         if out_a.f_value > 0.0 and out_b.f_value > 0.0:
             ua, ub = out_a.subgradient_used, out_b.subgradient_used
-            lhs = float(np.vdot(
-                a - b,
-                out_a.f_value * ua / norm2(ua) - out_b.f_value * ub / norm2(ub)))
+            lhs = dot(a - b, out_a.f_value * ua / norm2(ua) - out_b.f_value * ub / norm2(ub))
             worst_margin = min(worst_margin, norm(a - b) ** 2 - lhs)
             n_pos += 1
     if count == 0:

@@ -73,14 +73,26 @@ def finite_float(v, what: str, error: type[Exception] = ValueError) -> float:
     return v
 
 
+# numpy's C vdot, bound past the __array_function__ dispatcher (NEP 18) that np.vdot
+# puts in front of it, which costs about a quarter of a short call; np.vdot itself
+# where numpy exposes no such routine.
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D vectors as a plain float: numpy's vdot, the same bits,
+    and +-inf, with no warning, where it overflows."""
+    return float(_vdot(a, b))
+
+
 def norm2(x: np.ndarray) -> float:
-    """Squared Euclidean norm as a plain float; +inf, with no warning, where it overflows."""
-    return float(np.vdot(x, x))
+    """Squared Euclidean norm ``dot(x, x)``; +inf, with no warning, where it overflows."""
+    return dot(x, x)
 
 
 def norm(x: np.ndarray) -> float:
-    """Euclidean norm as a plain float."""
-    return math.sqrt(norm2(x))
+    """Euclidean norm as a plain float: the square root of ``norm2(x)``."""
+    return math.sqrt(_vdot(x, x))
 
 
 def nonzero_norm2(n2: float, error: type[Exception], message: str) -> float:
@@ -242,7 +254,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = FD_STEP) -> np.n
 class AffineRows:
     """Affine rows r_k . x - c_k evaluated by one matrix-vector product, with error bounds.
 
-    The product sums in another order than a per-row ``np.vdot``, so its values
+    The product sums in another order than a per-row ``dot``, so its values
     may differ from the per-row ones in the last bits.  ``bounds`` brackets the
     value w that an oracle computes for a row: one n-term dot product, an
     offset and at most three more roundings.  Both w and the block value g

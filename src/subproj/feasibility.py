@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count, cycle, islice
 from numbers import Integral, Real
 from typing import Iterator, Optional, Sequence
@@ -99,12 +100,15 @@ def _window_bounds(window_bounds: Sequence[int]) -> list[int]:
     return bounds
 
 
-def _turns(windows: list[int]) -> tuple[list[int], list[int], list[int]]:
+@lru_cache(maxsize=16)
+def _turns(windows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The order in which QuasiCyclic visits the indices of each distinct window.
 
     ``heads[j]`` is the first index of the j-th distinct window ``bounds[j]``,
     and ``after[i]`` the index of i's window visited after i: the next larger
-    one, or the smallest after the largest.
+    one, or the smallest after the largest.  Cached, so that the two streams of
+    a solve, validation's and the run's, group the windows once; the tuples
+    are shared, and a schedule copies the heads it moves.
     """
     groups: dict[int, list[int]] = {}
     for i, w in enumerate(windows):
@@ -113,7 +117,7 @@ def _turns(windows: list[int]) -> tuple[list[int], list[int], list[int]]:
     for g in groups.values():
         for a, b in zip(g, g[1:] + g[:1]):
             after[a] = b
-    return [g[0] for g in groups.values()], list(groups), after
+    return tuple(g[0] for g in groups.values()), tuple(groups), tuple(after)
 
 
 class Cyclic(ControlSequence):
@@ -149,11 +153,12 @@ class QuasiCyclic(ControlSequence):
         self.window_bounds = _window_bounds(window_bounds)
 
     def _stream(self, m):
-        return self._schedule(m, self.windows(m)), 1
+        return self._schedule(m, tuple(self.windows(m))), 1
 
     @staticmethod
     def _schedule(m, windows):
         heads, bounds, after = _turns(windows)
+        heads = list(heads)  # moved at every step
         del windows  # the frame keeps only what a step reads
         last = [-1] * m
         due = [-1] * len(heads)  # the last visit of each distinct window's head
@@ -392,12 +397,14 @@ def _lam(v) -> float:
     return float(v)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRow:
     """One executed iteration: x_{n+1} statistics under constraint i(n).
 
     Slotted: a solve keeps one row per iteration, so the trace is most of the
-    memory a long solve holds.
+    memory a long solve holds.  Not frozen: a frozen dataclass sets each field
+    through ``object.__setattr__``, which costs a row several times as much to
+    build.  A row is therefore mutable and unhashable, like the trace's list.
     """
 
     n: int
@@ -641,7 +648,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             if witness is not None:
                 dist = norm(x_next - witness)
             x = x_next
-        # Positional: keyword arguments cost a frozen row a third more to build.
+        # Positional: keyword arguments cost a row twice as much to build.
         rows.append(TraceRow(n, i, lam, res, step, dist))
         if res <= p.tol:
             status = "Converged"

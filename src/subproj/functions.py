@@ -42,6 +42,7 @@ from .core import (
     _audit,
     _trusted,
     as_vector,
+    dot,
     finite_float,
     norm,
     norm2,
@@ -238,7 +239,7 @@ class Linear(FunctionSpec):
         self._level = Halfspace(self.u, 0.0) if norm2(self.u) > 0.0 else None
 
     def value(self, x):
-        return float(np.vdot(x, self.u))
+        return dot(x, self.u)
 
     def affine_row(self):
         return self.u, 0.0
@@ -495,7 +496,7 @@ class Hyperbolic(FunctionSpec):
 class AffineMax(FunctionSpec):
     """x -> max_i <a_i, x> + b_i over finitely many affine pieces.
 
-    A piece's value is ``float(np.vdot(a_i, x)) + b_i``.  Where ``core.AffineRows``
+    A piece's value is ``dot(a_i, x) + b_i``.  Where ``core.AffineRows``
     takes the pieces (enough of them, each within its range), ``value`` and
     ``active_indices`` screen them with one matrix-vector product and compute
     only those its rounding bound cannot settle, so they return what the
@@ -522,7 +523,7 @@ class AffineMax(FunctionSpec):
         return AffineRows(self.slopes, -np.array(self.offsets))
 
     def _piece(self, i, x) -> float:
-        return float(np.vdot(self.slopes[i], x)) + self.offsets[i]
+        return dot(self.slopes[i], x) + self.offsets[i]
 
     def _top(self, x) -> tuple[float, dict[int, float], Optional[np.ndarray]]:
         """The largest piece value, the values of the screen's contenders computed

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_vector, nonzero_norm2, norm, norm2
+from .core import as_vector, dot, nonzero_norm2, norm, norm2
 from .errors import (
     DomainError,
     InfeasibleWitness,
@@ -162,7 +162,7 @@ def class_t_witness(f: FunctionSpec, x, y,
     _checked(f, fy)  # only NaN is left to reject
     out = sproj(f, x, strategy)
     g = out.point
-    return float(np.vdot(y - g, as_vector(x, dim=f.dim) - g))
+    return dot(y - g, as_vector(x, dim=f.dim) - g)
 
 
 def fejer_gap(x, p, y) -> float:

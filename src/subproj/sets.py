@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import SCREEN_MAX, _reach, as_vector, finite_float, norm, norm2
+from .core import SCREEN_MAX, _reach, as_vector, dot, finite_float, norm, norm2
 from .errors import NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -130,31 +130,31 @@ class Halfspace(ConvexSet):
         self._length = math.sqrt(self._n2)
 
     def project(self, x):
-        excess = float(np.vdot(x, self.normal)) - self.offset
+        excess = dot(x, self.normal) - self.offset
         if excess <= 0.0:
             return np.array(x, dtype=float)
         t = excess / self._n2
         p = x - t * self.normal
-        if float(np.vdot(p, self.normal)) <= self.offset:
+        if dot(p, self.normal) <= self.offset:
             return p
         # As for the ball: keep the result inside despite rounding, padding
         # the step by an escalating few ulps of the operating scale.
         pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * self._length) / self._n2
         p = x - (t + pad) * self.normal
-        while float(np.vdot(p, self.normal)) > self.offset:
+        while dot(p, self.normal) > self.offset:
             pad *= 2.0
             p = x - (t + pad) * self.normal
         return p
 
     def distance(self, x):
-        excess = float(np.vdot(x, self.normal)) - self.offset
+        excess = dot(x, self.normal) - self.offset
         return max(excess, 0.0) / self._length
 
     def _depth(self, x, v=0.0):
         # distance, contains and project all test this one excess against 0, and an excess
         # >= 0 leaves no depth.  Where the gap and ||normal|| ||x|| together stay below
         # SCREEN_MAX**2, no partial sum of normal . z overflows within the depth.
-        excess = float(np.vdot(x, self.normal)) - self.offset
+        excess = dot(x, self.normal) - self.offset
         scale = self._length * norm(x)
         rho = _reach(-excess, scale, self.dim) if scale - excess < SCREEN_MAX ** 2 else 0.0
         return rho / self._length
@@ -167,10 +167,10 @@ class Halfspace(ConvexSet):
         return self.normal / self._length, self.offset / self._length
 
     def contains(self, x):
-        return float(np.vdot(x, self.normal)) <= self.offset
+        return dot(x, self.normal) <= self.offset
 
     def interior_contains(self, x):
-        return float(np.vdot(x, self.normal)) < self.offset
+        return dot(x, self.normal) < self.offset
 
     def dist_hessian(self, x):
         return np.zeros((self.dim, self.dim))

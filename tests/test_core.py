@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from types import MethodType
+import warnings
+from types import BuiltinFunctionType, MethodType
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from subproj import (
     inv_jacobian,
     sproj_moreau,
 )
+from subproj import core
 from subproj.core import _audit, _probe_block, _trusted
 
 
@@ -122,6 +124,47 @@ def test_as_vector_validation():
         as_vector([1.0, 2.0], dim=3)
     with pytest.raises(DimensionMismatch):
         as_vector(np.zeros((2, 2)))
+
+
+def _bits(v: float) -> str:
+    return v.hex() if v == v else "nan"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 64, 200])
+def test_dot_is_vdot_bit_for_bit_from_1e_minus_300_to_1e300(n):
+    # One C routine behind both, so every bit agrees, also where a product or the sum
+    # underflows or overflows; norm2 and norm are the same inner product of x with x.
+    rng = np.random.default_rng(2800 + n)
+    scales = 10.0 ** rng.uniform(-300.0, 300.0, (2000, 2))
+    for sa, sb in scales:
+        a, b = rng.standard_normal(n) * sa, rng.standard_normal(n) * sb
+        got = core.dot(a, b)
+        assert type(got) is float
+        assert _bits(got) == _bits(float(np.vdot(a, b)))
+        assert _bits(core.norm2(a)) == _bits(float(np.vdot(a, a)))
+        assert _bits(core.norm(a)) == _bits(math.sqrt(float(np.vdot(a, a))))
+
+
+def test_dot_overflows_to_inf_silently_and_propagates_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert core.dot(np.array([1e200, 1.0]), np.array([1e200, 1.0])) == math.inf
+        assert core.dot(np.array([-1e200]), np.array([1e200])) == -math.inf
+        assert core.norm2(np.array([1e200, 1e200])) == math.inf
+        assert core.norm(np.array([1e200, 1e200])) == math.inf
+        assert math.isnan(core.dot(np.array([math.nan, 1.0]), np.ones(2)))
+        assert math.isnan(core.norm(np.array([1.0, math.nan])))
+
+
+def test_dot_calls_numpys_c_vdot_past_its_dispatcher():
+    # np.vdot is an __array_function__ dispatcher in front of a C builtin; where numpy
+    # exposes no builtin behind it, the kernel falls back on np.vdot itself.
+    wrapped = getattr(np.vdot, "__wrapped__", None)
+    if wrapped is None:
+        assert core._vdot is np.vdot
+    else:
+        assert core._vdot is wrapped
+        assert type(core._vdot) is BuiltinFunctionType
 
 
 def _probes(x, seed, dim):

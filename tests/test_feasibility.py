@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
-from itertools import cycle
+from itertools import cycle, islice
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -32,11 +34,13 @@ from subproj import (
     SqDist,
     SqrtShift,
     StalledStep,
+    TraceRow,
     residual,
     solve,
     sproj,
     validate_control,
 )
+from subproj.feasibility import _turns
 
 
 def two_ball_problem(**kwargs):
@@ -384,6 +388,46 @@ def test_solve_builds_the_index_sequence_once():
     assert trace.status == "Converged"
     assert streams == [[500], [trace.iterations]]
     assert listed == []
+
+
+def test_quasicyclic_groups_its_windows_once_per_solve():
+    # Validation's stream and the run's share one grouping of the windows, and each
+    # stream moves a copy of the heads, so two streams walked in turn are the stream.
+    _turns.cache_clear()
+    _x, trace = solve(two_ball_problem(control=QuasiCyclic([2, 3]), max_iter=500))
+    assert trace.status == "Converged" and trace.iterations > 1
+    info = _turns.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    control = QuasiCyclic([3, 2, 3, 5, 2, 7])
+    alone = control.indices(6, 300)
+    pairs = list(islice(zip(control._stream(6)[0], control._stream(6)[0]), 300))
+    assert [a for a, _ in pairs] == [b for _, b in pairs] == alone
+
+
+def test_a_trace_row_is_a_slotted_mutable_dataclass():
+    # The same fields, order, equality and repr as the frozen row it replaced, and no
+    # larger than any slotted dataclass of six fields: a tuple row costs 16 B more.
+    names = ["n", "index", "lam", "residual", "step_norm", "dist_to_witness"]
+    assert [f.name for f in dataclasses.fields(TraceRow)] == names
+    row = TraceRow(3, 1, 1.5, 0.25, 0.5)
+    assert row == TraceRow(n=3, index=1, lam=1.5, residual=0.25, step_norm=0.5,
+                           dist_to_witness=None)
+    assert row != TraceRow(3, 1, 1.5, 0.25, 0.5, 0.0)
+    assert repr(row) == ("TraceRow(n=3, index=1, lam=1.5, residual=0.25, step_norm=0.5, "
+                         "dist_to_witness=None)")
+    assert TraceRow.__slots__ == tuple(names)
+    assert not hasattr(row, "__dict__")
+
+    @dataclasses.dataclass(slots=True)
+    class Six:
+        a: int
+        b: int
+        c: float
+        d: float
+        e: float
+        f: Optional[float] = None
+
+    assert sys.getsizeof(row) <= sys.getsizeof(Six(3, 1, 1.5, 0.25, 0.5))
 
 
 @pytest.mark.parametrize("control", [Cyclic(), QuasiCyclic([2, 3]), Explicit([1, 0, 1])], ids=repr)

@@ -47,7 +47,7 @@ from subproj import (
     solve,
     sproj_deriv_1d,
 )
-from subproj.core import SCREEN_MIN_ROWS, norm
+from subproj.core import SCREEN_MIN_ROWS, dot, norm
 from subproj.feasibility import _AffineBlock, _evaluate, _values
 from subproj.functions import _margin_oracle
 
@@ -219,6 +219,33 @@ def test_affinemax_keeps_every_piece_at_most_0_within_its_radius(s, n, pieces, s
     b = -(A @ x) - 2.0 * depth(rng, pieces) * np.linalg.norm(A, axis=1) * scale
     f = AffineMax(list(zip(A, b)))
     check_margin(f, x, list(A), rng)
+
+
+def test_affinemax_radius_stops_short_where_the_computed_top_is_rounded_down():
+    # Offsets that cancel the computed a_i . x to within a few roundings of it: the
+    # computed top is then below 0 by about that much, while the exact values differ
+    # from it by the dot product's own rounding, up to n u ||a|| ||x||.  A radius of
+    # -top / length with no slack reaches points where a piece computes > 0; the draws
+    # hold some, and the radius AffineRows.reach states, with its slack, reaches none.
+    witnesses = 0
+    for s in range(300):
+        rng = np.random.default_rng(s)
+        A = rng.standard_normal((8, 20))
+        x = rng.standard_normal(20)
+        tiny = 2.0 ** -52 * np.linalg.norm(A, axis=1) * np.linalg.norm(x)
+        f = AffineMax([(a, -(dot(a, x) + t)) for a, t in zip(A, tiny * rng.uniform(0.0, 4.0, 8))])
+        top = f.value(x)
+        if not top < 0.0:
+            continue
+        rho, unslacked = radius(f, x), -top / f._rows._worst[2]
+        z = farthest(x, unit(A[max(range(8), key=lambda i: f._piece(i, x))]), unslacked)
+        if f.value(z) > 0.0:
+            d2 = sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(z.tolist(), x.tolist()))
+            assert Fraction(rho) ** 2 < d2 <= Fraction(unslacked) ** 2
+            witnesses += 1
+            if witnesses == 3:
+                return
+    pytest.fail(f"{witnesses} of 3 points within the unslacked radius compute > 0")
 
 
 @pytest.mark.parametrize("inner", [

@@ -32,13 +32,17 @@ def test_gradient_is_defined_only_on_the_base_class():
 
 
 def _self_products(tree):
-    """Nodes forming x.x: np.dot(v, v), np.vdot(v, v), v.dot(v) or v @ v."""
+    """Nodes forming x.x: np.dot(v, v), np.vdot(v, v), v.dot(v), v @ v, or the kernel's
+    dot(v, v) and core.dot(v, v)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             pair = [node.left, node.right]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("dot", "vdot")):
             pair = node.args if len(node.args) == 2 else [node.func.value, *node.args]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "dot"):
+            pair = node.args
         else:
             continue
         if len(pair) == 2 and ast.dump(pair[0]) == ast.dump(pair[1]):
@@ -46,7 +50,7 @@ def _self_products(tree):
 
 
 def _dot_calls(tree):
-    """Calls of np.dot or of an array's .dot method; 1-D inner products use np.vdot."""
+    """Calls of np.dot or of an array's .dot method; 1-D inner products use core.dot."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "dot"):
@@ -62,7 +66,7 @@ def _eps_norm_uses(tree):
 
 
 @pytest.mark.parametrize("source", ["np.dot(v, v)", "np.vdot(v, v)", "v.dot(v)", "v @ v",
-                                    "np.dot(u.w, u.w)"])
+                                    "np.dot(u.w, u.w)", "dot(v, v)", "core.dot(v, v)"])
 def test_self_product_rule_sees_every_spelling(source):
     assert len(list(_self_products(ast.parse(source)))) == 1
 
@@ -90,12 +94,40 @@ def test_dot_rule_sees_every_dot_call(source, found):
 
 
 def test_inner_products_use_vdot():
-    # np.dot warns "overflow encountered in dot" where np.vdot returns the same
-    # +-inf silently, and both give the same bits on 1-D operands; matrix
-    # products are written with @.
+    # np.dot and ndarray.dot warn "overflow encountered in dot" where np.vdot returns
+    # the same +-inf silently, and all give the same bits on 1-D operands; every inner
+    # product is core.dot, called by its bare name, and matrix products are written with @.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _dot_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def _vdot_uses(tree):
+    """Mentions of numpy's vdot: np.vdot, numpy.vdot and from numpy import vdot."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "vdot"
+                or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "vdot" for alias in node.names)):
+            yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.vdot(x, u)", 1), ("numpy.vdot(a, b)", 1), ("from numpy import vdot", 1),
+    ("from numpy import vdot as inner", 1), ("f = np.vdot", 1), ("dot(x, u)", 0),
+    ("core.dot(x, u)", 0), ("from numpy import dot", 0),
+])
+def test_vdot_rule_sees_every_spelling(source, found):
+    assert len(list(_vdot_uses(ast.parse(source)))) == found
+
+
+def test_numpys_vdot_is_bound_only_in_core():
+    # core.dot reaches numpy's C vdot past its __array_function__ dispatcher, with the
+    # same bits and the same silent +-inf; a second spelling elsewhere would put the
+    # dispatcher back on that call.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+             for node in _vdot_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
 
 
