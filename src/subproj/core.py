@@ -1,7 +1,7 @@
 """Dense vector arithmetic, the generalized inverse map, finite-difference oracles,
 the seeded optimality audit of a claimed minimizer, the rounding screen of a
-block of affine rows and the ownership rule that lets a fast path stand in for
-an oracle.
+block of affine rows and the trust rule that lets a fast path stand in for an
+oracle.
 
 Vectors are 1-D float64 numpy arrays.  All operations treat their inputs as
 immutable values and return fresh arrays; nothing in this package mutates a
@@ -66,8 +66,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def finite_float(v, what: str, error: type[Exception] = ValueError) -> float:
-    """``float(v)``, raising ``error`` when it is NaN or infinite."""
-    v = float(v)
+    """``float(v)``, raising ``error`` when it is NaN or infinite, or an integer beyond
+    every float."""
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
     if not math.isfinite(v):
         raise error(f"{what} must be finite")
     return v
@@ -145,46 +149,35 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
     return block
 
 
-def _trusted(obj, *names: str) -> bool:
-    """True where the class that defines method ``fast`` on obj, ``names = (fast,
-    *oracles)``, is, for each of ``oracles``, the class that defines it or a subclass of
-    it, and obj itself assigns none of them: the one ownership rule for a fast path.
+# The prefix of the package's modules, whose classes alone _trusted vouches for (__init__ has none).
+_PACKAGE = __package__ + "."
 
-    A subclass that overrides an oracle but inherits ``fast`` gets False, and so does
-    an instance whose own attribute replaces any of them, so the fast path cannot
-    stand in for an oracle that it was not written for.  Each name is read through
-    ``getattr``: it must give a method bound to obj itself whose function is the one
-    the class's verdict was drawn for, so a method borrowed from another instance is
-    refused too.  Reading ``obj.__dict__`` instead would build every checked object's
-    instance dict.  Where the class holds another function than its verdict's, one
-    assigned to it or to a base since, every verdict is drawn again.
+
+def _trusted(obj, *names: str) -> bool:
+    """True where obj's class is one of this package's own and each of ``names = (fast,
+    *oracles)`` reads on obj as the function that class holds, bound to obj itself: the
+    one rule for a fast path.
+
+    Every fast path of the package is an exact shortcut for the oracles it is asked
+    against, so a class of its own may take it.  A class defined elsewhere, a subclass
+    or a new atom, is evaluated by its own oracles, whatever it defines.  A method
+    replaced on a library class itself (a tracer's wrapper) stays trusted, as the class
+    holds it.  An instance attribute under any of the names (a lambda, a method borrowed
+    from another instance, a foreign function bound to obj) is refused, and so is a name
+    that obj lacks.  Each name is read through ``getattr``: reading ``obj.__dict__``
+    instead would build every checked object's instance dict.
     """
     cls = type(obj)
-    agree, pairs = _owners_agree(cls, names)
+    if not cls.__module__.startswith(_PACKAGE):
+        return False
     try:
-        for name, func in pairs:
-            method = getattr(obj, name)
-            if method.__self__ is not obj or method.__func__ is not func:
-                break
-        else:
-            return agree
-    except AttributeError:  # no method: an instance attribute such as a lambda
+        for name in names:
+            method = getattr(obj, name, None)
+            if method.__self__ is not obj or method.__func__ is not getattr(cls, name):
+                return False
+    except AttributeError:  # no method: a missing name, or an instance attribute such as a lambda
         return False
-    if method.__self__ is not obj or method.__func__ is not getattr(cls, name, None):
-        return False
-    # The class's function is not the verdict's: the verdict is stale.  Clearing
-    # the cache draws it again from the functions that the check reads.
-    _owners_agree.cache_clear()
-    return _trusted(obj, *names)
-
-
-@lru_cache(maxsize=256)
-def _owners_agree(cls: type, names: tuple[str, ...]) -> tuple[bool, tuple]:
-    """Whether the classes on cls's MRO that define ``names`` agree (see _trusted), and
-    the pairs (name, what the name reads on cls, or None) that the verdict was drawn for."""
-    owners = [next((c for c in cls.__mro__ if name in vars(c)), None) for name in names]
-    agree = None not in owners and all(issubclass(owners[0], c) for c in owners[1:])
-    return agree, tuple((name, getattr(cls, name, None)) for name in names)
+    return True
 
 
 def _reach(gap: float, scale: float, n: int) -> float:
@@ -262,7 +255,8 @@ class AffineRows:
     summation order (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., section 3.1), so |w - g| <= (2n + 5) u (||r|| ||x|| + |c|) to first
     order, with u = 2**-53.  The slack is 8 (n + 4) u times the same, more than
-    twice that, plus the underflow allowance.
+    twice that, with ||x|| raised by the most its computed length can lose to
+    underflow, plus the underflow allowance of the products.
     """
 
     def __init__(self, rows: np.ndarray, offsets: np.ndarray):
@@ -276,7 +270,10 @@ class AffineRows:
                          and size.max() < SCREEN_MAX)
         rel = 8.0 * (n + 4) * 2.0 ** -53
         self._per_norm = rel * row_norms
-        self._fixed = rel * size + (n + 4) * _SCREEN_TINY
+        # Where the squares of x underflow, its computed length falls short of its exact
+        # one by at most sqrt(n) _REACH_TINY, which the per-norm term then misses.
+        self._fixed = (rel * size + (n + 4) * _SCREEN_TINY
+                       + self._per_norm * (math.sqrt(n) * _REACH_TINY))
 
     @cached_property
     def _worst(self) -> tuple[float, float, float]:

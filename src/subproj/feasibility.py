@@ -327,10 +327,16 @@ class Problem:
     feasible_witness: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # A bool is refused as the problem-file reader refuses it, not taken as 1 or 0.
-        for name in ("dimension", "epsilon", "tol", "max_iter"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
+        # Plain Python numbers, so that the record holds what the problem-file reader
+        # takes back; a bool is refused as that reader refuses it, not taken as 1 or 0.
+        for name, kind, what in _NUMBER_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)):
                 raise InvalidSpec(f"{name} must be a number, not a bool")
+            if not isinstance(v, kind):
+                raise InvalidSpec(f"{name} must be {what}")
+            object.__setattr__(self, name, int(v) if kind is Integral
+                               else finite_float(v, name, InvalidSpec))
         if not self.functions:
             raise InvalidSpec("a problem needs at least one function")
         object.__setattr__(self, "x0", as_vector(self.x0, dim=self.dimension))
@@ -343,9 +349,6 @@ class Problem:
                     "the iteration requires real-valued constraints")
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidSpec("epsilon must lie in (0, 1]")
-        finite_float(self.tol, "tol", InvalidSpec)
-        if not isinstance(self.max_iter, Integral):
-            raise InvalidSpec("max_iter must be an integer")
         if self.tol <= 0.0 or self.max_iter < 1:
             raise InvalidSpec("tol must be positive and max_iter >= 1")
         if isinstance(self.selections, SelectionStrategy):
@@ -373,6 +376,11 @@ class Problem:
         base = self._relaxation_base()
         reps = -(-horizon // len(base))
         return (base * reps)[:horizon]
+
+
+# Problem's number fields: the type each must have, kept as int or float.
+_NUMBER_FIELDS = (("dimension", Integral, "an integer"), ("epsilon", Real, "a real number"),
+                  ("tol", Real, "a real number"), ("max_iter", Integral, "an integer"))
 
 
 def _relaxation(value) -> float | list[float]:
@@ -492,9 +500,10 @@ class _AffineBlock:
     """The screens of a solve: the constraints that expose an affine row, screened
     together, and a margin budget for each of the others.  It is the one place that
     resolves a constraint's three fast paths, each once per solve under
-    ``core._trusted``: its affine row, its radius oracle (``functions._margin_oracle``)
-    and, in ``fused[i]``, whether ``solve`` may cut it by ``FunctionSpec._cut_normal``
-    from the value it holds, in place of ``subgradient``.
+    ``core._trusted``, which vouches only for the package's own classes: its affine
+    row, its radius oracle (``functions._margin_oracle``) and, in ``fused[i]``, whether
+    ``solve`` may cut it by ``Dist._cut_normal`` from the value it holds, in place of
+    ``subgradient``.
 
     ``values(x, step)`` gives the residual of ``_values``, bit for bit, and the
     values the solve uses.  The affine screen takes them from one matrix-vector
@@ -507,9 +516,9 @@ class _AffineBlock:
     an affine oracle cannot raise within the screen's range, so any error is the
     plain loop's.  Where the screen is not used (too few affine rows, one row or
     offset, or the iterate, as long as ``core.SCREEN_MAX``), the plain loop runs
-    instead.  A row is taken only from a constraint whose ``affine_row`` is
-    defined where its ``value`` is, or below (``core._trusted``); one whose class
-    overrides ``value`` alone is one of the others.
+    instead.  A row is taken only where ``core._trusted`` vouches for ``affine_row``
+    against ``value``; a constraint of a class defined outside the package, a
+    subclass too, is one of the others.
 
     The margin screen covers every constraint that the affine screen does not:
     the others, or all of them where the screen is never used.  Each one that states a

@@ -178,7 +178,8 @@ class FunctionSpec:
         ``value`` computes one rounding w of r . x - c (one n-term dot product of x with r
         or a multiple of r, then at most three more roundings) and returns w where w > 0
         and a value <= 0 elsewhere.  ``core.AffineRows`` checks those lengths and brackets
-        w; an implementation checks only its own oracle's arithmetic limits.
+        w; an implementation checks only its own oracle's arithmetic limits.  The solve
+        reads the row only where ``core._trusted`` vouches for it against ``value``.
         """
         return None
 
@@ -196,34 +197,26 @@ class FunctionSpec:
         each such point unchanged from it.  So a value within rho raises nothing, and the
         solve may skip it while the steps since x sum to less than rho.  None where every
         radius is 0.0; the base class states none.  Each premise beyond ``value`` (the
-        ownership of a set's ``ConvexSet._depth`` or of an inner spec's oracles) is resolved
-        here, once per solve, where ``_AffineBlock`` resolves the fast paths."""
-        return None
+        trust of a set's ``_depth`` or of an inner spec's oracles) is resolved here, once
+        per solve, where ``_AffineBlock`` resolves the fast paths.
 
-    def _cut_normal(self, x: np.ndarray, fx: float) -> np.ndarray:
-        """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx = ``value(x)``
-        > 0; ``_AffineBlock`` trusts it against ``subgradient`` and ``value`` (``core._trusted``)."""
-        raise NotImplementedError
+        Of the package's own nonnegative specs, only the set atoms and the combinators over
+        them state a radius, and each such radius is a set's depth at x, which reads no
+        value: so a combinator asks its inner spec's radius at its own v, and the inner
+        value is not computed again (``_inner_margin``)."""
+        return None
 
 
 def _margin_oracle(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
-    """The oracle that f's ``_bind_margin`` returns, where f's class owns that method for
-    ``value`` and each of ``oracles`` (``core._trusted``), else None."""
+    """The oracle that f's ``_bind_margin`` returns, where ``core._trusted`` vouches for it
+    against ``value`` and each of ``oracles``, else None."""
     return f._bind_margin() if _trusted(f, "_bind_margin", "value", *oracles) else None
 
 
 def _inner_margin(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
-    """A combinator's radius oracle: its inner f's radius, asked at f's own value at x.  None
-    unless f is ``nonnegative`` and states a radius for ``value`` and each of ``oracles``
-    (``_margin_oracle``)."""
-    margin = _margin_oracle(f, *oracles) if f.nonnegative else None
-    if margin is None:
-        return None
-
-    def radius(x, v):
-        u = f.value(x)
-        return margin(x, u) if u <= 0.0 else 0.0
-    return radius
+    """A combinator's radius oracle: its inner f's own, where f is ``nonnegative`` and
+    states one for ``value`` and each of ``oracles`` (``_margin_oracle``), else None."""
+    return _margin_oracle(f, *oracles) if f.nonnegative else None
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +267,16 @@ class _SetAtom(FunctionSpec):
     def level_set_project(self, x):
         return self.set.project(x)
 
-    def _bind_depth(self) -> Optional[Callable[[np.ndarray, float], float]]:
-        """The set's depth, ``ConvexSet._depth`` itself, as the radius oracle, where the
-        set's class defines it for its own ``distance``, ``contains`` and ``project``, else
-        None.  Within it the distance is 0.0, the set contains each point and projects it to
-        itself, so it is the radius of every set atom; each binds it as its own
-        ``_bind_margin``, since ``core._trusted`` asks the atom's class to own that."""
+    def _bind_margin(self):
+        """The set's depth as the radius oracle, where ``core._trusted`` vouches for it
+        against the set's ``distance``, ``contains`` and ``project``, else None.
+
+        A set that has one (``Ball``, ``Halfspace``, ``Box``) states its depth as
+        ``_depth(x, v=0.0)``, a depth >= 0 with this contract: at every point z within depth
+        of x, the computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)``
+        returns z.  It is the distance to the complement, shrunk by a forward-error bound
+        (``core._reach``).  So it is the radius of every set atom, bound as it is: v is not
+        read, and no value is computed."""
         s = self.set
         return s._depth if _trusted(s, "_depth", "distance", "contains", "project") else None
 
@@ -304,9 +301,10 @@ class Dist(_SetAtom):
     def affine_row(self):
         return self.set.affine_row() if _trusted(self.set, "affine_row", "distance") else None
 
-    _bind_margin = _SetAtom._bind_depth
-
     def _cut_normal(self, x, fx):
+        """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx =
+        ``value(x)`` > 0; ``_AffineBlock`` takes it where ``core._trusted`` vouches for it
+        against ``subgradient`` and ``value``."""
         return (x - self.set.project(x)) / fx
 
     def subgradient(self, x, strategy=LEAST_INDEX):
@@ -328,8 +326,6 @@ class SqDist(_SetAtom):
     def value(self, x):
         d = self.set.distance(x)
         return d * d
-
-    _bind_margin = _SetAtom._bind_depth
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return 2.0 * (x - self.set.project(x))
@@ -585,8 +581,6 @@ class Indicator(_SetAtom):
 
     def value(self, x):
         return 0.0 if self.set.contains(x) else INF
-
-    _bind_margin = _SetAtom._bind_depth
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         raise UnsupportedAtom("indicator atoms only support projection through a Moreau envelope")

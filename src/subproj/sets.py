@@ -45,15 +45,6 @@ class ConvexSet:
         """
         return None
 
-    def _depth(self, x: np.ndarray, v: float = 0.0) -> float:
-        """A depth >= 0 with this contract: at every point z within depth of x, the
-        computed ``distance(z)`` is 0.0, ``contains(z)`` is True and ``project(z)`` returns
-        z.  It is the distance to the complement, shrunk by a forward-error bound
-        (``core._reach``).  The base class states none.  v is not read: it makes the depth
-        a radius oracle (x, v) -> rho, which a set atom binds as its radius as it is.
-        """
-        return 0.0
-
     def dist_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the distance at a point outside the set."""
         raise NotTwiceDifferentiable("no distance Hessian oracle for this set")

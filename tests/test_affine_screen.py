@@ -164,29 +164,35 @@ def test_block_matches_the_plain_loop(data, n, m, x_scale, row_scale, on_boundar
             assert v_s.hex() == v.hex()
 
 
-class CountedDist(Dist):
-    """A Dist that records its value calls.  It defines its row beside its value, so
-    the screen trusts the row."""
-
-    def __init__(self, s, calls):
-        super().__init__(s)
-        self.calls = calls
-
-    def value(self, x):
-        self.calls.append(self)
-        return super().value(x)
-
-    def affine_row(self):
-        return super().affine_row()
+def test_bounds_bracket_each_row_where_the_squares_of_x_underflow():
+    # At x = [2.2e-310, 4.9e-324] the computed ||x||^2 is 0.0, and with rows near 1e146
+    # the row values near 1e-164 are still far above underflow: a slack with no term
+    # for the length that the squares lost left the oracle's value outside the bracket.
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        x = np.array([rng.uniform(1e-310, 2e-308), 5e-324])
+        rows = rng.standard_normal((SCREEN_MIN_ROWS, 2)) * 1e146
+        assert norm2(x) == 0.0
+        _g, lo, hi = AffineRows(rows, np.zeros(SCREEN_MIN_ROWS)).bounds(x)
+        for k, r in enumerate(rows):
+            assert lo[k] <= Linear(r).value(x) <= hi[k]
 
 
-def test_block_settles_most_rows_by_the_bound():
+def test_block_settles_most_rows_by_the_bound(monkeypatch):
     # 64 halfspaces in R^64 at a point off most of them: the block computes
-    # only the rows that could hold the largest value.
+    # only the rows that could hold the largest value.  The spy replaces
+    # Dist.value on the class, which the screen still trusts for its row.
     rng = np.random.default_rng(3)
     A = rng.standard_normal((64, 64))
     calls = []
-    fs = [CountedDist(Halfspace(A[k], 1.0), calls) for k in range(64)]
+    value = Dist.value
+
+    def counted(self, x):
+        calls.append(self)
+        return value(self, x)
+
+    monkeypatch.setattr(Dist, "value", counted)
+    fs = [Dist(Halfspace(A[k], 1.0)) for k in range(64)]
     p = Problem(dimension=64, functions=fs, x0=np.zeros(64))
     x = rng.standard_normal(64)
     res, values = _AffineBlock(p).values(x)

@@ -11,6 +11,7 @@ from subproj import (
     DegenerateMoreau,
     DimensionMismatch,
     Dist,
+    FunctionSpec,
     Halfspace,
     Linear,
     ZeroSubgradient,
@@ -294,28 +295,49 @@ class _OwnDistance(Halfspace):
         return super().distance(x)
 
 
+class _OwnAtom(FunctionSpec):
+    """A new atom, defined outside the package, with its own value and row."""
+
+    dim = 1
+
+    def value(self, x):
+        return float(x[0])
+
+    def affine_row(self):
+        return np.ones(1), 0.0
+
+
 def _assigning(obj, **attrs):
     """obj with attrs assigned on the instance itself."""
     vars(obj).update(attrs)
     return obj
 
 
-@pytest.mark.parametrize("obj, oracles, trusted", [
-    (Linear([1.0]), ["value"], True),
-    (_OwnValue([1.0]), ["value"], False),  # the row was written for Linear.value
-    (_OwnRow([1.0]), ["value"], True),  # a row defined below the value answers for it
-    (_OwnBoth([1.0]), ["value"], True),
-    (Halfspace([1.0], 0.0), ["distance"], True),
-    (_OwnDistance([1.0], 0.0), ["distance"], False),
-    (_OwnRow([1.0]), ["value", "_prox_map"], True),
-    (_OwnValue([1.0]), ["_prox_map", "value"], False),  # every oracle must agree
-    (_assigning(Linear([1.0]), affine_row=lambda: (np.ones(1), 1.0)), ["value"], False),
-    (_assigning(Linear([1.0]), value=lambda x: 1.0), ["value"], False),
-    (_assigning(_OwnRow([1.0]), _prox_map=lambda: None), ["value", "_prox_map"], False),
+# A class outside the package is evaluated by its own oracles, whatever it defines.
+@pytest.mark.parametrize("obj, oracles, trusted, on_class", [
+    (Linear([1.0]), ["value"], True, {}),
+    (_OwnValue([1.0]), ["value"], False, {}),  # the row was written for Linear.value
+    (_OwnRow([1.0]), ["value"], False, {}),
+    (_OwnBoth([1.0]), ["value"], False, {}),
+    (Halfspace([1.0], 0.0), ["distance"], True, {}),
+    (_OwnDistance([1.0], 0.0), ["distance"], False, {}),
+    (_OwnRow([1.0]), ["value", "_prox_map"], False, {}),
+    (_OwnValue([1.0]), ["_prox_map", "value"], False, {}),  # every oracle must agree
+    (_assigning(Linear([1.0]), affine_row=lambda: (np.ones(1), 1.0)), ["value"], False, {}),
+    (_assigning(Linear([1.0]), value=lambda x: 1.0), ["value"], False, {}),
+    (_assigning(_OwnRow([1.0]), _prox_map=lambda: None), ["value", "_prox_map"], False, {}),
+    (_OwnAtom(), ["value"], False, {}),
+    (type("Near", (Linear,), {"__module__": "subprojects"})([1.0]), ["value"], False, {}),
+    # A library oracle replaced on its own class, as a tracer's wrapper is, is the
+    # function the class holds.
+    (Linear([1.0]), ["value"], True, {"value": lambda self, x, value=Linear.value: value(self, x)}),
 ], ids=["linear", "own-value", "own-row", "own-both", "halfspace", "own-distance",
         "two-oracles", "one-of-two-overridden", "instance-row", "instance-value",
-        "instance-second-oracle"])
-def test_a_fast_path_is_trusted_only_where_its_class_owns_the_oracle(obj, oracles, trusted):
+        "instance-second-oracle", "own-atom", "near-name", "class-value"])
+def test_a_fast_path_is_trusted_only_on_the_packages_own_classes(monkeypatch, obj, oracles,
+                                                                  trusted, on_class):
+    for name, func in on_class.items():
+        monkeypatch.setattr(type(obj), name, func)
     assert _trusted(obj, "affine_row", *oracles) is trusted
 
 
@@ -350,7 +372,7 @@ def test_a_fast_path_that_only_the_instance_defines_is_not_trusted():
 def test_trust_builds_no_instance_dict():
     # Reading obj.__dict__ built one per checked object, 62 B for a Dist on CPython 3.11.
     fs = [Dist(Ball([0.0, 0.0], 1.0)) for _ in range(1000)]
-    for fast, oracles in _FAST_PATHS:  # fills the owner cache outside the count
+    for fast, oracles in _FAST_PATHS:  # a first ask of each, outside the count
         _trusted(Dist(Ball([0.0, 0.0], 1.0)), fast, *oracles)
     tracemalloc.start()
     try:

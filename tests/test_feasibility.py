@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -41,6 +42,7 @@ from subproj import (
     validate_control,
 )
 from subproj.feasibility import _turns
+from subproj.serialize import problem_from_record, problem_to_record
 
 
 def two_ball_problem(**kwargs):
@@ -160,6 +162,43 @@ def test_problem_refuses_a_bool_for_a_number(name, flag):
     with pytest.raises(InvalidSpec) as info:
         Problem(**fields)
     assert str(info.value) == f"{name} must be a number, not a bool"
+
+
+@pytest.mark.parametrize("name, value, what", [
+    ("dimension", 1.0, "an integer"), ("dimension", "1", "an integer"),
+    ("max_iter", np.float64(5.0), "an integer"), ("max_iter", None, "an integer"),
+    ("epsilon", None, "a real number"), ("epsilon", "0.5", "a real number"),
+    ("tol", "1e-8", "a real number"), ("tol", 1e-8j, "a real number"),
+], ids=repr)
+def test_problem_refuses_a_number_of_another_type(name, value, what):
+    # dimension 1.0 was kept and written to the record as 1.0, which the problem-file
+    # reader refuses; tol "1e-8" and epsilon None raised a bare TypeError.
+    fields = dict(dimension=1, functions=[Dist(Ball([0.0], 1.0))], x0=[3.0])
+    fields[name] = value
+    with pytest.raises(InvalidSpec) as info:
+        Problem(**fields)
+    assert str(info.value) == f"{name} must be {what}"
+
+
+@pytest.mark.parametrize("name, value, kept", [
+    ("dimension", np.int64(1), 1), ("max_iter", np.int64(5), 5), ("max_iter", np.uint8(5), 5),
+    ("epsilon", np.float64(0.5), 0.5), ("epsilon", np.float32(0.5), 0.5), ("tol", 1, 1.0),
+], ids=repr)
+def test_problem_keeps_its_numbers_as_plain_python_numbers(name, value, kept):
+    fields = dict(dimension=1, functions=[Dist(Ball([0.0], 1.0))], x0=[3.0])
+    fields[name] = value
+    got = getattr(Problem(**fields), name)
+    assert got == kept and type(got) is type(kept)
+
+
+def test_a_problem_of_numpy_numbers_round_trips_through_its_json_record():
+    # np.int64 fields survived into the record, where json.dumps raised TypeError.
+    p = Problem(dimension=np.int64(2), functions=[Dist(Ball([0.0, 0.0], 1.0))], x0=[3.0, 0.0],
+                epsilon=np.float64(0.25), tol=np.float32(0.5), max_iter=np.int64(5))
+    text = json.dumps(problem_to_record(p))
+    q = problem_from_record(json.loads(text))
+    assert (q.dimension, q.epsilon, q.tol, q.max_iter) == (2, 0.25, 0.5, 5)
+    assert json.dumps(problem_to_record(q)) == text
 
 
 def test_problem_refuses_an_empty_relaxation_schedule():
@@ -476,6 +515,10 @@ def _problem_with(**kwargs):
      "left composition requires phi(0) = 0"),
     (_problem_with(tol=math.nan), InvalidSpec, "tol must be finite"),
     (_problem_with(tol=math.inf), InvalidSpec, "tol must be finite"),
+    (_problem_with(tol=10**400), InvalidSpec, "tol must be finite"),
+    (_problem_with(epsilon=10**400), InvalidSpec, "epsilon must be finite"),
+    (_problem_with(epsilon=math.nan), InvalidSpec, "epsilon must be finite"),
+    (lambda: Ball([0.0, 0.0], 10**400), ValueError, "ball radius must be finite"),
     (_problem_with(tol=0.0), InvalidSpec, "tol must be positive and max_iter >= 1"),
     (_problem_with(max_iter=2.5), InvalidSpec, "max_iter must be an integer"),
 ])

@@ -195,6 +195,33 @@ def test_a_set_depth_keeps_every_point_inside_where_squares_underflow(s, n, scal
     check_depth(S, x, worst, rng)
 
 
+def test_a_halfspace_depth_covers_a_dot_product_that_rounds_every_small_term_one_way():
+    # normal . x sums 1448^2, 18 terms just under half the spacing q of doubles there, and
+    # -1448^2: each small term rounds away, so the computed excess falls short of the exact
+    # one by about 4.5 u ||normal|| ||x||.  At z, each term just over half of q, the sum
+    # overshoots by as much.  A depth shrunk by u (gap + scale) alone holds z unless the
+    # offset exceeds 17 q, while contains(z) is False below 18 q.  The nonzero entries sit
+    # 64 apart, so that a dot product with up to 64 accumulators sums them in one, in order.
+    stride, k = 64, 18
+    q = 2.0 ** -32  # the spacing of doubles at 1448^2 = 2096704, just below 2^21
+    x, a = np.zeros(stride * (k + 2)), np.zeros(stride * (k + 2))
+    x[0] = a[0] = x[-stride] = 1448.0
+    a[-stride] = -1448.0
+    small = stride * np.arange(1, k + 1)
+    a[small] = 1.0
+    x[small] = q / 2 - 2.0 ** -60
+    z = x.copy()
+    z[small] = q / 2 + 2.0 ** -60
+    step2 = sum((Fraction(v) - Fraction(w)) ** 2 for v, w in zip(z.tolist(), x.tolist()))
+    within = 0
+    for c in [2.5, 4.0, 8.0, 17.0, 20.0, 1e4, 1e6]:
+        S = Halfspace(a, c * q)
+        if step2 < Fraction(S._depth(x)) ** 2:
+            within += 1
+            assert S.distance(z) == 0.0 and S.contains(z) and np.array_equal(S.project(z), z)
+    assert within >= 1
+
+
 @seed(23)
 @SOUND
 @given(s=seeds, n=st.integers(1, 6), scale=scales, kind=st.sampled_from(SETS),
@@ -366,39 +393,36 @@ def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0():
     assert asked and any(log[k][3] > 0.0 for k in computed)
 
 
-class AskedDist(Dist):
-    """A Dist that owns its value and its radius method and logs both on the class, as
-    (kind, id, x bytes, value)."""
-
-    log = []
-
-    def value(self, x):
-        v = Dist.value(self, x)
-        AskedDist.log.append(("value", id(self), x.tobytes(), v))
-        return v
-
-    def _bind_margin(self):
-        depth = Dist._bind_margin(self)
-
-        def margin(x, v):
-            AskedDist.log.append(("margin", id(self), x.tobytes(), v))
-            return depth(x, v)
-        return margin
-
-
 def test_the_constraint_just_cut_at_lambda_at_most_1_is_never_asked(monkeypatch):
     # x_{n+1} = x + lam (G x - x) with lam <= 1 lies outside the interior of the cutting
     # halfspace, which holds lev f: no radius exists there, so none is asked.  Every other
     # value <= 0 computed at a new iterate is asked, the cut one too at lam = 1.5.  Two
     # tangent balls and a small one at their contact point, in an order that pairs every
-    # constraint with every relaxation.
-    monkeypatch.setattr(AskedDist, "log", [])
-    fs = [AskedDist(Ball([0.0, 0.0], 1.0)), AskedDist(Ball([2.0, 0.0], 1.0)),
-          AskedDist(Ball([1.0, 0.0], 0.1))]
+    # constraint with every relaxation.  The spies replace Dist.value and
+    # Dist._bind_margin on the class, which the block still trusts, and log both as
+    # (kind, id, x bytes, value).
+    log = []
+    value, bind = Dist.value, Dist._bind_margin
+
+    def logged_value(self, x):
+        v = value(self, x)
+        log.append(("value", id(self), x.tobytes(), v))
+        return v
+
+    def logged_bind(self):
+        depth = bind(self)
+
+        def margin(x, v):
+            log.append(("margin", id(self), x.tobytes(), v))
+            return depth(x, v)
+        return margin
+
+    monkeypatch.setattr(Dist, "value", logged_value)
+    monkeypatch.setattr(Dist, "_bind_margin", logged_bind)
+    fs = [Dist(Ball([0.0, 0.0], 1.0)), Dist(Ball([2.0, 0.0], 1.0)), Dist(Ball([1.0, 0.0], 0.1))]
     p = Problem(dimension=2, functions=fs, x0=[5.0, 5.0], control=Explicit([0, 1, 2, 0, 1]),
                 relaxation=[0.5, 1.0, 1.5], tol=1e-6, max_iter=400)
     _x, trace = solve(p)
-    log = AskedDist.log
     at_x0 = p.x0.tobytes()
     iterates = list(dict.fromkeys(entry[2] for entry in log if entry[2] != at_x0))
     moved = [row for row in trace.rows if row.step_norm > 0.0]
@@ -421,7 +445,7 @@ def test_the_constraint_just_cut_at_lambda_at_most_1_is_never_asked(monkeypatch)
 
 
 def test_each_set_is_trusted_once_per_solve(monkeypatch):
-    # The block resolves the set's ownership when it binds its radius, not at each ask:
+    # The block resolves the set's trust when it binds its radius, not at each ask:
     # a set under Dist, SqDist, an Indicator in an envelope and a Dist in a power.
     import subproj.functions as functions
 
@@ -563,36 +587,64 @@ def test_an_inner_with_its_own_closed_form_gives_no_radius():
     assert radius(f, x) == 0.0
 
 
-class LoweredIndicator(FunctionSpec):
-    """-1 on a ball and +inf outside: prox-friendly (its prox is the projection), with
-    a radius of its own, and negative."""
-
-    def __init__(self, ball):
-        self.set, self.dim = ball, ball.dim
-
-    def value(self, x):
-        return -1.0 if self.set.contains(x) else math.inf
-
-    def _prox_map(self):
-        return lambda gamma, x: self.set.project(x)
-
-    def _bind_margin(self):
-        return self.set._depth
-
-
-def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius():
+def test_the_envelope_of_an_inner_that_can_go_negative_states_no_radius(monkeypatch):
     # The envelope's radius rests on every audit competitor being >= 0, which
-    # only a nonnegative inner promises.
-    f = LoweredIndicator(Ball([0.0, 0.0], 2.0))
-    x = np.array([0.1, 0.0])
+    # only a nonnegative inner promises.  Linear can go negative: given on its class a
+    # true radius of its own, -v / ||u||, it states it, and its envelope still states none.
+    monkeypatch.setattr(Linear, "_bind_margin", lambda self: lambda x, v: -v / norm(self.u))
+    f = Linear([-1.0, 0.0])
+    x = np.array([1.0, 0.0])
     assert not f.nonnegative and f.value(x) == -1.0 and radius(f, x) > 0.0
     env = MoreauEnv(1.0, f)
-    assert env.value(x) == -1.0 and radius(env, x) == 0.0
+    assert env.value(x) == -1.5 and radius(env, x) == 0.0
+
+
+def _radius_specs(S):
+    """Every package spec over S that states a radius: the set atoms, and the combinators
+    over them that pass their inner's on."""
+    atoms = [Dist(S), SqDist(S), Indicator(S)]
+    return atoms + [PowerComp(0.5, g) for g in atoms] + [
+        MoreauEnv(1.0, Indicator(S)), PowerComp(2.0, PowerComp(0.5, Dist(S)))]
+
+
+@pytest.mark.parametrize("kind", SETS, ids=["ball", "halfspace", "box"])
+def test_every_radius_is_the_depth_and_reads_no_value(kind):
+    # Each radius a package spec states is its set's depth at x, which reads no value:
+    # asked at any v it gives the same bits, so a combinator may ask its inner's
+    # radius at its own v in place of computing the inner value again.
+    rng = np.random.default_rng(30)
+    deep = 0
+    for _ in range(20):
+        S, x, _worst = kind(rng, 3, 1.0)
+        for f in _radius_specs(S):
+            margin = _margin_oracle(f)
+            for z in (x, x + 1e3, x - 1e3):
+                assert {margin(z, v).hex() for v in (0.0, -0.5, -1e300)} == {S._depth(z).hex()}
+            deep += margin(x, 0.0) > 0.0
+    assert deep >= 100
+
+
+def test_a_combinator_asks_its_inner_radius_without_its_value(monkeypatch):
+    # The spies replace the set atoms' value on their classes, which the block still
+    # trusts: a radius ask of a power or an envelope computes no inner value.
+    calls = []
+    for cls in (Dist, SqDist, Indicator):
+        monkeypatch.setattr(cls, "value",
+                            lambda self, x, value=cls.value: calls.append(self) or value(self, x))
+    ball = Ball([0.0, 0.0], 2.0)
+    x = np.array([0.1, 0.0])
+    for f in [PowerComp(0.5, Dist(ball)), PowerComp(2.0, SqDist(ball)),
+              MoreauEnv(1.0, Indicator(ball)), PowerComp(2.0, PowerComp(0.5, Dist(ball)))]:
+        v = f.value(x)
+        margin = _margin_oracle(f)
+        calls.clear()
+        assert v <= 0.0 and margin(x, v) > 0.0
+        assert calls == []
 
 
 def test_an_oracle_replaced_on_its_own_class_is_evaluated(monkeypatch):
-    # Dist still owns both value and _bind_margin, so the margin is trusted; the value
-    # it speaks for is computed all the same, and its NaN is met.  A margin that
+    # Dist is the package's own class and holds the replaced value, so the margin is
+    # trusted; the value it speaks for is computed all the same, and its NaN is met.  A margin that
     # stood in for the value would end this solve as Converged at [2, 0].
     value = Dist.value
 

@@ -232,17 +232,13 @@ def test_random_halfspace_and_ball_problems_match_the_reference_loop(seed, m, n,
 class CountingDist(Dist):
     """Dist with its oracle calls counted, and the iterates its value was computed at.
 
-    With ``screened`` false it exposes no affine row, so the solve computes it
-    at every moved iterate; with it true, the solve's affine block screens it.
+    Defined outside the package, so the solve trusts none of its fast paths: it
+    exposes no affine row, and the solve computes it at every moved iterate.
     """
 
-    def __init__(self, s, counts, screened=False):
+    def __init__(self, s, counts):
         super().__init__(s)
         self.counts = counts
-        self.screened = screened
-
-    def affine_row(self):
-        return super().affine_row() if self.screened else None
 
     def value(self, x):
         self.counts["value"] += 1
@@ -254,12 +250,11 @@ class CountingDist(Dist):
         return super().subgradient(x, strategy)
 
 
-def counting_problem(counts, screened):
+def counting_problem(make=Dist):
     m, n = 16, 8
     rng = np.random.default_rng(7)
     A = rng.standard_normal((m, n))
     b = rng.uniform(1.0, 2.0, m)
-    make = Dist if counts is None else (lambda s: CountingDist(s, counts, screened))
     return Problem(dimension=n, functions=[make(Halfspace(A[i], b[i])) for i in range(m)],
                    x0=10.0 * np.ones(n), relaxation=1.5, tol=1e-6)
 
@@ -267,22 +262,40 @@ def counting_problem(counts, screened):
 def test_each_constraint_is_evaluated_once_per_distinct_iterate():
     m = 16
     counts = {"value": 0, "subgradient": 0}
-    _x, _rows, _status, _res, statuses = reference_solve(counting_problem(None, False))
+    _x, _rows, _status, _res, statuses = reference_solve(counting_problem())
     big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
     assert 0 < big_p < big_n
-    _x, trace = solve(counting_problem(counts, screened=False))
+    _x, trace = solve(counting_problem(lambda s: CountingDist(s, counts)))
     assert trace.iterations == big_n
     assert (counts["value"], counts["subgradient"]) == (m * (1 + big_p), big_p)
 
 
-def test_the_affine_block_computes_few_values_and_none_twice():
+def test_the_affine_block_computes_few_values_and_none_twice(monkeypatch):
     # Screened, a constraint is computed where the bound cannot settle it:
-    # where it could hold the residual, or when a step visits it.
+    # where it could hold the residual, or when a step visits it.  The spies
+    # replace Dist's oracles on the class, which the block still trusts; the
+    # fused cut normal counts as the subgradient it stands in for.
     m = 16
     counts = {"value": 0, "subgradient": 0}
-    _x, _rows, _status, _res, statuses = reference_solve(counting_problem(None, False))
+    _x, _rows, _status, _res, statuses = reference_solve(counting_problem())
     big_n, big_p = len(statuses), statuses.count(ProjStatus.PROJECTED)
-    _x, trace = solve(counting_problem(counts, screened=True))
+    value = Dist.value
+
+    def counted_value(self, x):
+        counts["value"] += 1
+        counts.setdefault("at", []).append((id(self), x.tobytes()))
+        return value(self, x)
+
+    def counted(oracle):
+        def normal(self, *args):
+            counts["subgradient"] += 1
+            return oracle(self, *args)
+        return normal
+
+    monkeypatch.setattr(Dist, "value", counted_value)
+    monkeypatch.setattr(Dist, "subgradient", counted(Dist.subgradient))
+    monkeypatch.setattr(Dist, "_cut_normal", counted(Dist._cut_normal))
+    _x, trace = solve(counting_problem())
     assert trace.iterations == big_n
     assert counts["subgradient"] == big_p
     assert len(set(counts["at"])) == len(counts["at"])

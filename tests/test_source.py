@@ -278,7 +278,8 @@ def test_affine_row_rule_sees_every_spelling(source, found):
 
 def test_every_affine_row_is_read_behind_the_ownership_rule():
     # A row stands in for an oracle (value, or a set's distance); core._trusted
-    # refuses it where a subclass overrides that oracle and inherits the row.
+    # refuses it for a class from outside the package, a subclass that overrides
+    # that oracle too.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "affine_row")]
@@ -327,8 +328,8 @@ def test_margin_rule_sees_every_spelling(source, fast, found):
 
 
 def test_every_margin_is_read_behind_the_ownership_rule():
-    # A radius lets the solve skip a value; core._trusted refuses it where a
-    # subclass overrides the oracle it speaks for and inherits the radius.
+    # A radius lets the solve skip a value; core._trusted refuses it for a class
+    # from outside the package, a subclass that overrides the oracle it speaks for too.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
              for fast in _RADII
@@ -377,7 +378,7 @@ def test_fused_normal_rule_sees_every_spelling(source, found):
 
 def test_every_fused_normal_is_read_behind_the_ownership_rule():
     # A cut normal stated from the held value stands in for subgradient at that value;
-    # core._trusted refuses it where a subclass overrides either oracle.
+    # core._trusted refuses it for a class from outside the package.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_cut_normal")]
@@ -449,6 +450,78 @@ def test_a_margin_states_only_a_radius():
              for path in sorted(PACKAGE.glob("*.py"))
              for name in _RADII
              for node in _margins_with_a_value(ast.parse(path.read_text(encoding="utf-8")), name)]
+    assert found == []
+
+
+_FAST_PATH_NAMES = {"affine_row", "_bind_margin", "_cut_normal", "_depth"}
+
+
+def _class_body_bindings(cls):
+    """(node, name) for each name that cls's body binds itself, outside the scopes of its
+    functions, lambdas, comprehensions and nested classes: each Name stored (an
+    assignment of any form, a loop or with target, a walrus), each import alias, and
+    each def or class statement."""
+    stack = list(cls.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node, node.id
+        elif isinstance(node, ast.alias):
+            yield node, node.asname or node.name.split(".")[0]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif not isinstance(node, (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _fast_paths_bound_by_assignment(tree):
+    """Fast-path names that a class body binds other than by a def at its top level."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node, name in _class_body_bindings(cls):
+                if name in _FAST_PATH_NAMES and not (
+                        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node in cls.body):
+                    yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class A:\n    _bind_margin = _SetAtom._bind_depth", 1),
+    ("class A:\n    def _bind_margin(self):\n        return None", 0),
+    ("class A:\n    async def _depth(self, x, v=0.0):\n        return 0.0", 0),
+    ("class A:\n    affine_row: object = None", 1),
+    ("class A:\n    _cut_normal = staticmethod(normal)", 1),
+    ("class A:\n    _depth, gap = depth, 0.0", 1),
+    ("class A:\n    [*_depth] = depths", 1),
+    ("class A:\n    _bind_margin += 1", 1),
+    ("class A:\n    if fast:\n        _depth = depth", 1),
+    ("class A:\n    if fast:\n        def _depth(self, x, v=0.0):\n            return 0.0", 1),
+    ("class A:\n    for _depth in depths:\n        pass", 1),
+    ("class A:\n    with rows() as affine_row:\n        pass", 1),
+    ("class A:\n    (affine_row := row)", 1),
+    ("class A:\n    from .sets import _depth", 1),
+    ("class A:\n    import affine_row", 1),
+    ("class A:\n    class B:\n        _cut_normal = normal", 1),
+    ("class A:\n    class _depth:\n        pass", 1),
+    ("class A:\n    def f(self):\n        affine_row = self.row\n        return affine_row", 0),
+    ("class A:\n    rows = [affine_row for affine_row in rows]", 0),
+    ("class A:\n    depth = lambda self, _depth: _depth", 0),
+    ("class A:\n    value = Dist.value", 0),
+    ("_depth = depth", 0),
+    ("def f():\n    _bind_margin = None", 0),
+])
+def test_fast_path_definition_rule_sees_every_spelling(source, found):
+    assert len(list(_fast_paths_bound_by_assignment(ast.parse(source)))) == found
+
+
+def test_a_fast_path_is_defined_only_by_def():
+    # core._trusted takes the function that a class holds for its own.  A fast path bound
+    # by assignment (_bind_margin = _SetAtom._bind_depth) borrows one written for another
+    # name; each is stated where it is defined, and a subclass inherits it by name.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _fast_paths_bound_by_assignment(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
 
 
