@@ -25,7 +25,7 @@ from .errors import (
     ZeroFunctionValue,
 )
 from .functions import INF, LEAST_INDEX, FunctionSpec, SelectionStrategy
-from .projector import _normal, _value, sproj
+from .projector import _normal, _overflow, _value, sproj
 
 
 def _positive_value(f: FunctionSpec, x: np.ndarray, message: str) -> float:
@@ -66,11 +66,14 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     u = f.gradient(x)
     h = _hessian(f, x)
     u, n2 = _normal(u, x)
+    t = fx / n2
+    if t == INF:
+        raise _overflow(fx, n2)
     eye = np.eye(f.dim)
     hu = h @ u
     return (eye
             - np.outer(u, u) / n2
-            - (fx / n2) * h
+            - t * h
             + (2.0 * fx / (n2 * n2)) * np.outer(u, hu))
 
 

@@ -593,11 +593,73 @@ class _AffineBlock:
 def _check_control(p: Problem, m: int) -> None:
     """Raise InvalidControl, naming the first five missed windows, where the control
     misses one within max(max_iter, largest declared window) steps.  A function of
-    its own, so that nothing of the check stays alive through the run."""
-    declared = [w for w in p.control.windows(m) if w is not None]
-    violations = validate_control(p.control, m, max([p.max_iter] + declared))
-    if violations:
-        raise InvalidControl("; ".join(str(v) for v in violations[:5]))
+    its own, so that nothing of the check stays alive through the run.
+
+    The verdict depends only on the control, m and the horizon, so for the package's
+    three controls it is kept per process (``_verdict``) under a snapshot of all that
+    the walk reads: a repeat solve of an equal control does no walk, and a control
+    changed since gives a new key.  Any other control is walked at every call."""
+    control = p.control
+    declared = [w for w in control.windows(m) if w is not None]
+    horizon = max([p.max_iter] + declared)
+    key = _verdict_key(control, m, horizon)
+    message = _violations(control, m, horizon) if key is None else _verdict(*key)
+    if message:
+        raise InvalidControl(message)
+
+
+def _violations(control: ControlSequence, m: int, horizon: int) -> str:
+    """The first five windows that the control misses over the horizon, as one message
+    ("" where it misses none)."""
+    return "; ".join(str(v) for v in validate_control(control, m, horizon)[:5])
+
+
+# The controls whose verdict is kept, each with the instance attributes its walk reads.
+_STATE = {Cyclic: (), QuasiCyclic: ("window_bounds",), Explicit: ("index_list", "window_bounds")}
+# A control with a list longer than _STATE_MAX, or an entry that is not an int of
+# magnitude below _BIG, or a horizon of _BIG or more, is walked at every solve.  Such an
+# int takes at most 32 B, so a key holds at most 2 * _STATE_MAX of them in two tuples,
+# about 82 KB, and a message five missed windows, under 600 B: 32 verdicts hold at most
+# about 2.7 MB.
+_STATE_MAX = 1024
+_BIG = 2 ** 60
+
+
+def _verdict_key(control: ControlSequence, m: int, horizon: int) -> Optional[tuple]:
+    """Everything the walk of ``control`` reads, as a hashable snapshot, or None where
+    the verdict is not kept: the exact class, one of ``_STATE``'s; the class functions
+    that the walk calls, as read now; the instance's state as tuples of ints, where the
+    instance holds exactly those attributes, in that order, so that none shadows a
+    class function; m and the horizon.  Values equal to an int but of another type
+    (True, 2.0) print and index otherwise, so only exact ints are kept."""
+    cls = type(control)
+    state = vars(control)
+    if _STATE.get(cls) != tuple(state) or not horizon < _BIG:
+        return None
+    snapshot = []
+    for value in state.values():
+        if value is not None:
+            if type(value) not in (list, tuple) or len(value) > _STATE_MAX:
+                return None
+            value = tuple(value)
+            if not all(type(v) is int and -_BIG < v < _BIG for v in value):
+                return None
+        snapshot.append(value)
+    return (cls, cls._stream, cls.windows, getattr(cls, "_schedule", None), tuple(snapshot),
+            m, horizon)
+
+
+@lru_cache(maxsize=32)
+def _verdict(cls, _stream, _windows, _schedule, state, m, horizon) -> str:
+    """``_violations`` of the control that ``_verdict_key`` snapshotted, rebuilt with its
+    state as lists and walked; the class functions are arguments only to be part of the
+    key.  The rebuild bypasses the constructor, which would refuse a list mutated since
+    (a window bound of 0) where the walk does not.  An exception of the walk propagates
+    and is not kept.  At most 32 verdicts are kept, the least recently used dropped
+    first."""
+    control = cls.__new__(cls)
+    vars(control).update(zip(_STATE[cls], (None if v is None else list(v) for v in state)))
+    return _violations(control, m, horizon)
 
 
 def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
@@ -606,7 +668,14 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     Raises InvalidControl when the control sequence misses its coverage
     windows over the horizon, StalledStep when a positive residual can no
     longer move the iterate (step size underflow), and NonFiniteValue when an
-    iterate overflows.
+    iterate or a step scale overflows.
+
+    The control is checked over max(max_iter, largest window) steps before the
+    first iteration.  For ``Cyclic``, ``QuasiCyclic`` and ``Explicit`` the verdict
+    is kept per process, keyed by the exact class, the class functions the check
+    calls, the control's lists, m and the horizon, so a repeat solve of an equal
+    control does not walk it again; any other control, a subclass too, is walked
+    at every solve.  ``validate_control`` always walks.
     """
     m = len(p.functions)
     _check_control(p, m)

@@ -74,10 +74,18 @@ def halfspace_project(x, u, fx: float) -> np.ndarray:
 
 
 def _cut(x: np.ndarray, u, fx: float) -> tuple[np.ndarray, float]:
-    """x - t u for fx > 0, with its step scale t = fx / ||u||^2 (0 where ||u||^2 overflows)."""
+    """x - t u for fx > 0, with its step scale t = fx / ||u||^2 (0 where ||u||^2 overflows),
+    raising NonFiniteValue where t overflows."""
     u, n2 = _normal(u, x)
     t = fx / n2
+    if t == INF:
+        raise _overflow(fx, n2)
     return x - t * u, t
+
+
+def _overflow(fx: float, n2: float) -> NonFiniteValue:
+    """The error for a step scale fx / ||u||^2 beyond the doubles."""
+    return NonFiniteValue(f"the step scale f(x) / ||u||^2 = {fx:.3e} / {n2:.3e} overflows")
 
 
 def _normal(u, x: np.ndarray) -> tuple[np.ndarray, float]:

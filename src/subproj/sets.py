@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import SCREEN_MAX, _reach, as_vector, dot, finite_float, norm, norm2
-from .errors import NotTwiceDifferentiable
+from .errors import NonFiniteValue, NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
 
@@ -131,6 +131,8 @@ class Halfspace(ConvexSet):
         # As for the ball: keep the result inside despite rounding, padding
         # the step by an escalating few ulps of the operating scale.
         pad = 4.0 * 2.0 ** -52 * (abs(self.offset) + norm(x) * self._length) / self._n2
+        if not pad > 0.0:  # 0 where it underflows, NaN where _n2 overflowed
+            return self._edge(x, excess)
         p = x - (t + pad) * self.normal
         while dot(p, self.normal) > self.offset:
             pad *= 2.0
@@ -140,6 +142,36 @@ class Halfspace(ConvexSet):
     def distance(self, x):
         excess = dot(x, self.normal) - self.offset
         return max(excess, 0.0) / self._length
+
+    def _edge(self, x, excess):
+        """The projection where the padded step scale underflows: x less s times the
+        unit normal a / ||a||, s the distance d = excess / ||a|| padded from its own
+        spacing, doubling, until the point lies in the set.  The pad starts at 2**-1074
+        or more, so within about 2,100 steps s is +inf; a step that leaves the doubles
+        raises NonFiniteValue, so the loop ends on any finite x.
+
+        The point p satisfies ``contains(p)``, and with n the dimension, u = 2**-53,
+        d = ``distance(x)``, b the offset and e = (n + 2) (8 u + 2**-1074 / ||a||^2):
+        | ||p - x|| - d | <= e (d + ||x|| + |b| / ||a||) + 4 (n + 2) 2**-1074 (1 + 1 / ||a||).
+        That is rounding at the operating scale, that of a subnormal ||a||^2, and
+        underflow; a test checks it in exact arithmetic.
+        """
+        if self._n2 == math.inf:
+            raise NonFiniteValue(
+                "Halfspace normal's squared length overflows; its projection is undefined here")
+        unit = self.normal / self._length
+        d = excess / self._length
+        s, pad = d, math.ulp(d)
+        while s < math.inf:
+            with np.errstate(over="ignore"):
+                p = x - s * unit
+            if not np.isfinite(p).all():
+                break
+            if dot(p, self.normal) <= self.offset:
+                return p
+            s = d + pad
+            pad *= 2.0
+        raise NonFiniteValue("Halfspace projection leaves the doubles")
 
     def _depth(self, x, v=0.0):
         # distance, contains and project all test this one excess against 0, and an excess

@@ -779,9 +779,14 @@ def test_overflowing_power_exits_3_naming_the_error(tmp_path, capsys, command):
         "error: NonFiniteValue: NormPow power 10.0 ** 400.0 overflows\n"
 
 
-def test_overflowing_iterate_exits_3_naming_the_iteration(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["solve"], ["project"], ["analyze", "jacobian"]],
+                         ids=["solve", "project", "analyze-jacobian"])
+def test_overflowing_step_scale_exits_3_naming_it(tmp_path, capsys, command):
+    # f(x) / ||u||^2 = 1e290 / 1e-20 is beyond the doubles.  analyze jacobian used to
+    # take sproj's overflowed point to its finite differences and exit 1 on a bare
+    # ValueError; each command now exits 3 naming the step scale.
     path = write(tmp_path, "p.json", neglog_record(functions=[{"type": "linear", "u": [1e-10]}],
                                                    x0=[1e300]))
-    assert main(["solve", "--file", path]) == 3
-    assert capsys.readouterr().err == \
-        "error: NonFiniteValue: iteration 0 produced a non-finite iterate\n"
+    assert main(command + ["--file", path]) == 3
+    assert capsys.readouterr().err == ("error: NonFiniteValue: the step scale f(x) / ||u||^2 = "
+                                       "1.000e+290 / 1.000e-20 overflows\n")

@@ -1,8 +1,11 @@
 """Property tests: the one-pass control scan agrees with a per-index occurrence-list scan,
 also where it stops at a repeating stream's prefix, never pulls more of a stream than
-Brent's checkpoint alone would, and QuasiCyclic breaks ties by the smallest index."""
+Brent's checkpoint alone would, and QuasiCyclic breaks ties by the smallest index; and
+the solve's kept verdicts are the walk's."""
 
+import copy
 import random
+import sys
 from itertools import chain, count, cycle, islice
 
 import pytest
@@ -22,6 +25,7 @@ from subproj import (
     solve,
     validate_control,
 )
+from subproj.feasibility import _STATE_MAX, _verdict, _verdict_key
 
 
 def reference_windows(control, m):
@@ -364,3 +368,148 @@ def test_the_walk_never_pulls_more_than_brents_checkpoint_alone(case):
     result, pulled = walked(validate_control, control, m, horizon)
     expected, brent = walked(brent_validate, control, m, horizon)
     assert result == expected and pulled <= brent
+
+
+# -- the verdict cache in front of the solve's check ----------------------------------
+
+def feasible_problem(control, m, max_iter=500):
+    """m constraints that x0 satisfies: a solve runs the control check and no step."""
+    return Problem(dimension=1, functions=[Dist(Ball([0.0], 1.0)) for _ in range(m)],
+                   x0=[0.0], control=control, max_iter=max_iter)
+
+
+def solve_outcome(control, m, max_iter=500):
+    try:
+        _x, trace = solve(feasible_problem(control, m, max_iter))
+    except InvalidControl as exc:
+        return "raised", str(exc)
+    assert trace.iterations == 0
+    return "ok", None
+
+
+def expected_outcome(control, m, horizon):
+    """What the check raises on control: validate_control's first five violations."""
+    violations = validate_control(control, m, horizon)
+    return ("raised", "; ".join(str(v) for v in violations[:5])) if violations else ("ok", None)
+
+
+@pytest.mark.parametrize("make, m", [(lambda: QuasiCyclic([1, 1, 2]), 3),
+                                     (lambda: Explicit([0, 0, 0, 1], [2, 2]), 2)],
+                         ids=["QuasiCyclic", "Explicit"])
+def test_a_kept_verdict_raises_what_the_walk_raises(make, m):
+    _verdict.cache_clear()
+    first = solve_outcome(make(), m)
+    assert _verdict.cache_info()[:2] == (0, 1)
+    second = solve_outcome(make(), m)
+    assert _verdict.cache_info()[:2] == (1, 1)
+    assert first == second == expected_outcome(make(), m, 500)
+    assert first[0] == "raised"
+
+
+@pytest.mark.parametrize("make, m, name, at, bad", [
+    (lambda: QuasiCyclic([3, 3, 3]), 3, "window_bounds", 0, 1),
+    (lambda: Explicit([0, 1, 2]), 3, "index_list", 2, 0),
+    (lambda: Explicit([0, 1, 2], [3, 3, 3]), 3, "window_bounds", 1, 2),
+], ids=["QuasiCyclic-windows", "Explicit-indices", "Explicit-windows"])
+def test_a_control_changed_after_a_solve_is_checked_again(make, m, name, at, bad):
+    control = make()
+    values = getattr(control, name)
+    good = values[at]
+    assert solve_outcome(control, m) == ("ok", None)
+    values[at] = bad  # in place
+    assert solve_outcome(control, m) == expected_outcome(control, m, 500)
+    assert solve_outcome(control, m)[0] == "raised"
+    values[at] = good
+    assert solve_outcome(control, m) == ("ok", None)
+    setattr(control, name, values[:at] + [bad] + values[at + 1:])  # a new list
+    assert solve_outcome(control, m)[0] == "raised"
+    setattr(control, name, values)
+    assert solve_outcome(control, m) == ("ok", None)
+
+
+class SubCyclic(Cyclic):
+    """A subclass: its verdict is not kept, whatever it overrides."""
+
+
+@pytest.mark.parametrize("make", [lambda: Counting(QuasiCyclic([20 + i % 5 for i in range(20)])),
+                                  lambda: Counting(Cyclic()), SubCyclic],
+                         ids=["Counting-QuasiCyclic", "Counting-Cyclic", "subclass"])
+def test_another_control_class_is_walked_at_every_solve(make):
+    control = make()
+    info = _verdict.cache_info()
+    assert solve_outcome(control, 20) == ("ok", None)
+    first = getattr(control, "pulled", None)  # a count of both solves' pulls
+    assert solve_outcome(control, 20) == ("ok", None)
+    assert _verdict.cache_info() == info
+    if first is not None:
+        assert first > 0 and control.pulled == 2 * first
+
+
+def only_zeros(*_args):
+    return cycle([0])
+
+
+@pytest.mark.parametrize("name, replacement", [
+    ("_stream", lambda self, m: (only_zeros(), 1)),
+    ("_schedule", staticmethod(lambda m, windows: only_zeros())),
+    ("windows", lambda self, m: [1] * m),
+], ids=["_stream", "_schedule", "windows"])
+def test_a_class_function_replaced_after_a_solve_misses_the_cache(monkeypatch, name,
+                                                                   replacement):
+    def make():
+        return QuasiCyclic([3, 3, 3])
+
+    assert solve_outcome(make(), 3) == ("ok", None)
+    misses = _verdict.cache_info().misses
+    monkeypatch.setattr(QuasiCyclic, name, replacement)
+    assert solve_outcome(make(), 3) == expected_outcome(make(), 3, 500)
+    assert solve_outcome(make(), 3)[0] == "raised"
+    assert _verdict.cache_info().misses == misses + 1
+    monkeypatch.undo()
+    assert solve_outcome(make(), 3) == ("ok", None)
+    assert _verdict.cache_info().misses == misses + 1
+
+
+def test_the_verdict_cache_holds_no_more_than_its_bound():
+    _verdict.cache_clear()
+    assert _verdict.cache_info().maxsize == 32
+    for k in range(40):
+        solve_outcome(Explicit([0, 1] * (k + 1)), 2)
+        assert _verdict.cache_info().currsize <= 32
+    assert _verdict.cache_info().currsize == 32
+    # A list longer than _STATE_MAX, an entry that is not an int or one of 2**60 or
+    # more, and a horizon of 2**60 or more are walked, not kept.
+    _verdict.cache_clear()
+    long_list = Explicit([0, 1] * (_STATE_MAX // 2) + [0])
+    assert solve_outcome(Explicit([0, 1] * (_STATE_MAX // 2)), 2) == ("ok", None)
+    assert _verdict.cache_info().currsize == 1
+    mixed = Explicit([0, 1])
+    mixed.index_list[1] = True  # indexes as 1, but prints as True
+    wide = QuasiCyclic([2, 2])
+    wide.window_bounds[0] = 2 ** 60
+    for control, max_iter in [(long_list, 500), (mixed, 500), (wide, 500),
+                              (Cyclic(), 2 ** 60)]:
+        assert _verdict_key(control, 2, max(max_iter, 2)) is None
+    assert solve_outcome(long_list, 2) == ("ok", None)
+    assert solve_outcome(mixed, 2) == ("ok", None)
+    assert _verdict.cache_info().currsize == 1
+    # The largest key that is kept: two lists of _STATE_MAX ints below 2**60, each a
+    # 32 B int, about 82 KB; 32 of them are the stated 2.7 MB.
+    entries = list(range(2 ** 59, 2 ** 59 + _STATE_MAX))
+    big = Explicit(entries, entries)
+    key = _verdict_key(big, _STATE_MAX, 2 ** 59 + _STATE_MAX)
+    assert key is not None
+    size = sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in key[4])
+    assert size <= 82_000 and 32 * (size + 600) < 2.7e6
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None, database=None)
+@given(repeating_cases())
+def test_solving_twice_gives_the_walks_verdict_both_times(case):
+    control, m, horizon = case
+    expected = expected_outcome(control, m, horizon)
+    _verdict.cache_clear()
+    assert solve_outcome(control, m, horizon) == expected
+    assert solve_outcome(copy.deepcopy(control), m, horizon) == expected
+    assert _verdict.cache_info()[:2] == (1, 1)

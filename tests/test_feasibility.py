@@ -41,7 +41,7 @@ from subproj import (
     sproj,
     validate_control,
 )
-from subproj.feasibility import _turns
+from subproj.feasibility import _turns, _verdict
 from subproj.serialize import problem_from_record, problem_to_record
 
 
@@ -432,11 +432,20 @@ def test_solve_builds_the_index_sequence_once():
 def test_quasicyclic_groups_its_windows_once_per_solve():
     # Validation's stream and the run's share one grouping of the windows, and each
     # stream moves a copy of the heads, so two streams walked in turn are the stream.
+    # The verdict cache is cleared too: an earlier solve of an equal control would
+    # leave this solve no validation walk.
     _turns.cache_clear()
+    _verdict.cache_clear()
     _x, trace = solve(two_ball_problem(control=QuasiCyclic([2, 3]), max_iter=500))
     assert trace.status == "Converged" and trace.iterations > 1
     info = _turns.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # An equal control from a feasible x0 runs no step, and its verdict is kept: no
+    # stream is made, so the grouping is not asked again.
+    _x, trace = solve(two_ball_problem(control=QuasiCyclic([2, 3]), max_iter=500,
+                                       x0=[0.75, 0.0]))
+    assert trace.status == "Converged" and trace.iterations == 0
+    assert _turns.cache_info()[:2] == info[:2]
     control = QuasiCyclic([3, 2, 3, 5, 2, 7])
     alone = control.indices(6, 300)
     pairs = list(islice(zip(control._stream(6)[0], control._stream(6)[0]), 300))

@@ -29,6 +29,7 @@ from subproj import (
     halfspace_project,
     relax,
     sproj,
+    sproj_jacobian,
     sproj_set,
     subgradient,
 )
@@ -350,3 +351,15 @@ def test_an_overflowing_cut_norm_leaves_the_point_with_a_zero_step_scale():
     point, t = _cut(np.array([1.0, 2.0]), np.array([1e200, -1e200]), 2.0)
     assert t == 0.0
     assert point.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("u, x", [([1e-10, 0.0], [1e300, 0.0]), ([1e-10], [1e300]),
+                                  ([-1e-10], [-1e300])], ids=["2-d", "1-d", "negative"])
+def test_an_overflowing_step_scale_raises_naming_it(u, x):
+    # f(x) / ||u||^2 = 1e290 / 1e-20 is +inf: the point came back as [-inf, nan] or
+    # [-inf], PROJECTED, with a numpy warning where u has a zero entry.
+    with pytest.raises(NonFiniteValue, match=r"^the step scale f\(x\) / \|\|u\|\|\^2 = "
+                                             r"1\.000e\+290 / 1\.000e-20 overflows$"):
+        sproj(Linear(u), x)
+    with pytest.raises(NonFiniteValue, match="step scale"):
+        sproj_jacobian(Linear(u), x)

@@ -304,22 +304,24 @@ def test_the_affine_block_computes_few_values_and_none_twice(monkeypatch):
     assert m + big_p - 1 <= counts["value"] <= m + 2 * big_p
 
 
-@pytest.mark.parametrize("u, x0", [([1e-10], [1e300]), ([-1e-10], [-1e300])],
-                         ids=["-inf", "+inf"])
-def test_overflowing_iterate_raises_naming_the_iteration(u, x0):
-    # f(x) = 1e290 over ||u||^2 = 1e-20 overflows the step scale to +inf, which
-    # sends the iterate to -inf or to +inf.  No numpy warning may arise on the way.
-    p = Problem(dimension=1, functions=[Linear(u)], x0=x0)
+@pytest.mark.parametrize("u, x0", [([1e-10], [1e300]), ([-1e-10], [-1e300]),
+                                   ([1e-10, 0.0], [1e300, 0.0])],
+                         ids=["-inf", "+inf", "nan"])
+def test_an_overflowing_step_scale_raises_naming_it(u, x0):
+    # f(x) = 1e290 over ||u||^2 = 1e-20 overflows the step scale to +inf, which would
+    # send the iterate to -inf or to +inf, and a zero entry of u to inf * 0, a NaN.  The
+    # cut refuses that scale before it forms a point, so no numpy warning arises.
+    p = Problem(dimension=len(u), functions=[Linear(u)], x0=x0)
     with pytest.raises(NonFiniteValue) as info:
         solve(p)
-    assert str(info.value) == "iteration 0 produced a non-finite iterate"
+    assert str(info.value) == "the step scale f(x) / ||u||^2 = 1.000e+290 / 1.000e-20 overflows"
 
 
-def test_a_nan_iterate_raises_naming_the_iteration():
-    # The overflowed step scale times u's zero entry is inf * 0, a NaN entry;
-    # numpy warns of that product in the cut, so only that warning is let pass.
-    p = Problem(dimension=2, functions=[Linear([1e-10, 0.0])], x0=[1e300, 0.0])
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue) as info:
+def test_an_overflowing_iterate_raises_naming_the_iteration():
+    # The step scale 1.7e308 is finite, but the relaxed step 1.9 * 1.7e308 overflows;
+    # numpy warns of that product, so only that warning is let pass.
+    p = Problem(dimension=1, functions=[Linear([1.0])], x0=[1.7e308], relaxation=1.9)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue) as info:
         solve(p)
     assert str(info.value) == "iteration 0 produced a non-finite iterate"
 
