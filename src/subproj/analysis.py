@@ -59,7 +59,7 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
         I - u u^T / ||u||^2 - f(x) H / ||u||^2 + 2 f(x) u (H u)^T / ||u||^4.
 
     Matches central finite differences of the projector away from the level
-    boundary, where the operator is smooth.
+    boundary, where the operator is smooth; NonFiniteValue where it overflows.
     """
     x = as_vector(x, dim=f.dim)
     fx = _positive_value(f, x, "the Jacobian formula applies where f(x) > 0")
@@ -69,12 +69,16 @@ def sproj_jacobian(f: FunctionSpec, x) -> np.ndarray:
     t = fx / n2
     if t == INF:
         raise _overflow(fx, n2)
-    eye = np.eye(f.dim)
     hu = h @ u
-    return (eye
-            - np.outer(u, u) / n2
-            - t * h
-            + (2.0 * fx / (n2 * n2)) * np.outer(u, hu))
+    c = 2.0 * fx / (n2 * n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Where c overflows, u (H u)^T is scaled by 1 / ||u||^2 and then t, so 0 stays 0.
+        last = c * np.outer(u, hu) if c < INF else 2.0 * (np.outer(u, hu) / n2 * t)
+        jac = np.eye(f.dim) - np.outer(u, u) / n2 - t * h + last
+    if not np.isfinite(jac).all():
+        raise NonFiniteValue(f"the projector Jacobian at f(x) = {fx:.3e}, ||u||^2 = {n2:.3e} "
+                             "overflows")
+    return jac
 
 
 def sproj_deriv_1d(f: FunctionSpec, x: float) -> float:

@@ -153,31 +153,19 @@ def _probe_block(seed: int, dim: int) -> np.ndarray:
 _PACKAGE = __package__ + "."
 
 
-def _trusted(obj, *names: str) -> bool:
-    """True where obj's class is one of this package's own and each of ``names = (fast,
-    *oracles)`` reads on obj as the function that class holds, bound to obj itself: the
-    one rule for a fast path.
+def _trusted(obj, fast: str) -> bool:
+    """True where obj's class is one of this package's own and defines ``fast``: the one
+    rule for a fast path.
 
     Every fast path of the package is an exact shortcut for the oracles it is asked
     against, so a class of its own may take it.  A class defined elsewhere, a subclass
     or a new atom, is evaluated by its own oracles, whatever it defines.  A method
     replaced on a library class itself (a tracer's wrapper) stays trusted, as the class
-    holds it.  An instance attribute under any of the names (a lambda, a method borrowed
-    from another instance, a foreign function bound to obj) is refused, and so is a name
-    that obj lacks.  Each name is read through ``getattr``: reading ``obj.__dict__``
-    instead would build every checked object's instance dict.
+    holds it.  The package's atoms, sets and controls are slotted, so no instance can
+    shadow a method with an attribute of its own: the class alone decides.
     """
     cls = type(obj)
-    if not cls.__module__.startswith(_PACKAGE):
-        return False
-    try:
-        for name in names:
-            method = getattr(obj, name, None)
-            if method.__self__ is not obj or method.__func__ is not getattr(cls, name):
-                return False
-    except AttributeError:  # no method: a missing name, or an instance attribute such as a lambda
-        return False
-    return True
+    return cls.__module__.startswith(_PACKAGE) and hasattr(cls, fast)
 
 
 def _reach(gap: float, scale: float, n: int) -> float:

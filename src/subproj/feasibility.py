@@ -20,6 +20,7 @@ trace, since it cannot be verified numerically for user-supplied oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, cycle, islice
@@ -57,8 +58,8 @@ class ControlSequence:
     for m functions, with its phase.  ``indices`` is a view of the sequence,
     and the solver walks it.
     """
-
-    window_bounds: Optional[list[int]] = None  # None: every index need only appear
+    __slots__ = ()
+    window_bounds: Optional[tuple[int, ...]] = None  # None: every index need only appear
 
     def _stream(self, m: int) -> tuple[Iterator[int], Optional[int]]:
         """``(stream, phase)``: the endless index sequence for m functions, checked
@@ -82,22 +83,16 @@ class ControlSequence:
         return list(self.window_bounds)
 
 
-def _integers(values: Sequence[int], what: str) -> list[int]:
-    """``values`` as a list of ints, raising InvalidControl on any that is not an integer."""
-    out = list(values)
+def _integers(values: Sequence[int], what: str, least: float = -math.inf) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; InvalidControl on one not an integer or below ``least``."""
+    out = tuple(values)
     # type(v) is int first: the ABC check alone costs ten times as much.
     if not all(type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
                for v in out):
         raise InvalidControl(f"{what} must be integers")
-    return [int(v) for v in out]
-
-
-def _window_bounds(window_bounds: Sequence[int]) -> list[int]:
-    """Declared window bounds as ints, raising InvalidControl on any below 1."""
-    bounds = _integers(window_bounds, "window bounds")
-    if any(w < 1 for w in bounds):
-        raise InvalidControl("window bounds must be >= 1")
-    return bounds
+    if any(v < least for v in out):
+        raise InvalidControl(f"{what} must be >= {least}")
+    return tuple(map(int, out))
 
 
 @lru_cache(maxsize=16)
@@ -120,8 +115,39 @@ def _turns(windows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(g[0] for g in groups.values()), tuple(groups), tuple(after)
 
 
-class Cyclic(ControlSequence):
+class _Fixed(ControlSequence):
+    """A control as a fixed value: its slots ``_fields`` hold its constructor's arguments,
+    in order, as tuples of ints (``_args()``); it compares and hashes by its exact class and
+    them, and prints and is copied as its constructor call.  Assigning an attribute raises
+    on the three classes of this module; a subclass defined elsewhere keeps a dict."""
+    __slots__ = _fields = ()
+
+    def _args(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])  # no generator: less peak
+
+    def __repr__(self):
+        args = (f"{k}={v if v is None else list(v)}" for k, v in zip(self._fields, self._args()))
+        return f"{type(self).__name__}({', '.join(args)})"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._args() == self._args()
+
+    def __hash__(self):
+        return hash((type(self), self._args()))
+
+    def __reduce_ex__(self, protocol):
+        fixed = type(self) in _FIXED
+        return (type(self), self._args()) if fixed else super().__reduce_ex__(protocol)
+
+    def __setattr__(self, name, value):
+        if type(self) in _FIXED:
+            raise AttributeError(f"{type(self).__name__} is immutable; build a new one")
+        object.__setattr__(self, name, value)
+
+
+class Cyclic(_Fixed):
     """0, 1, ..., m-1, 0, 1, ...; every index recurs within a window of m."""
+    __slots__ = ()
 
     def _stream(self, m):
         return cycle(range(m)), m
@@ -129,11 +155,8 @@ class Cyclic(ControlSequence):
     def windows(self, m):
         return [m] * m
 
-    def __repr__(self):
-        return "Cyclic()"
 
-
-class QuasiCyclic(ControlSequence):
+class QuasiCyclic(_Fixed):
     """Deterministic schedule honoring per-index window bounds M_i.
 
     At each step the index with the largest normalized waiting time
@@ -148,9 +171,10 @@ class QuasiCyclic(ControlSequence):
     distinct window, whose last visit it keeps, starting from the first
     window's.  The next index depends only on the waits, so its phase is 1.
     """
+    __slots__ = _fields = ("window_bounds",)
 
     def __init__(self, window_bounds: Sequence[int]):
-        self.window_bounds = _window_bounds(window_bounds)
+        object.__setattr__(self, "window_bounds", _integers(window_bounds, "window bounds", 1))
 
     def _stream(self, m):
         return self._schedule(m, tuple(self.windows(m))), 1
@@ -177,30 +201,30 @@ class QuasiCyclic(ControlSequence):
             heads[j] = i = after[best]
             due[j] = last[i]
 
-    def __repr__(self):
-        return f"QuasiCyclic(window_bounds={self.window_bounds})"
 
-
-class Explicit(ControlSequence):
+class Explicit(_Fixed):
     """A user-given index list, repeated to cover the horizon.
 
     Optional declared windows are validated against the produced sequence;
     without them only presence of every index over the horizon is required.
     """
+    __slots__ = _fields = ("index_list", "window_bounds")
 
     def __init__(self, index_list: Sequence[int], window_bounds: Optional[Sequence[int]] = None):
-        self.index_list = _integers(index_list, "explicit indices")
+        object.__setattr__(self, "index_list", _integers(index_list, "explicit indices"))
         if not self.index_list:
             raise InvalidControl("the index list must be nonempty")
-        self.window_bounds = None if window_bounds is None else _window_bounds(window_bounds)
+        object.__setattr__(self, "window_bounds", None if window_bounds is None
+                           else _integers(window_bounds, "window bounds", 1))
 
     def _stream(self, m):
         if any(i < 0 or i >= m for i in self.index_list):
             raise InvalidControl("explicit index out of range")
         return cycle(self.index_list), len(self.index_list)
 
-    def __repr__(self):
-        return f"Explicit(index_list={self.index_list}, window_bounds={self.window_bounds})"
+
+# The controls that are fixed values: no attribute can be assigned, so a verdict is kept.
+_FIXED = (Cyclic, QuasiCyclic, Explicit)
 
 
 @dataclass(frozen=True)
@@ -221,7 +245,8 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
 
     The scan walks the control's indices once and keeps only each index's
     last visit; the violations come sorted by index and start.  An index
-    outside [0, m) raises InvalidControl, naming the index and its step.
+    outside [0, m) raises InvalidControl, naming the index and its step, as
+    does a horizon past ``sys.maxsize``, the most that the walk can count.
 
     The control's phase Q says that index n depends only on n mod Q and the
     waits n - last[i], so the walk finds where the stream repeats by cycle
@@ -255,6 +280,8 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     """
     if m < 1:
         raise InvalidControl("need at least one function")
+    if horizon > sys.maxsize:
+        raise InvalidControl(f"horizon {horizon} is beyond the {sys.maxsize} steps a walk can take")
     windows = control.windows(m)
     if any(w is not None and w > horizon for w in windows):
         raise ValueError("horizon must cover the largest declared window")
@@ -516,13 +543,11 @@ class _AffineBlock:
     an affine oracle cannot raise within the screen's range, so any error is the
     plain loop's.  Where the screen is not used (too few affine rows, one row or
     offset, or the iterate, as long as ``core.SCREEN_MAX``), the plain loop runs
-    instead.  A row is taken only where ``core._trusted`` vouches for ``affine_row``
-    against ``value``; a constraint of a class defined outside the package, a
-    subclass too, is one of the others.
+    instead.
 
     The margin screen covers every constraint that the affine screen does not:
     the others, or all of them where the screen is never used.  Each one that states a
-    radius (``FunctionSpec._bind_margin``, trusted against ``value``) has a budget: the
+    radius (``FunctionSpec._bind_margin``, under ``core._trusted``) has a budget: the
     radius its oracle last gave at a value <= 0 from ``value``, less a bound on each
     step since (``_evaluate``).
     The computed step norm of an n-vector difference understates its length by at most
@@ -536,7 +561,7 @@ class _AffineBlock:
         m, n = len(p.functions), p.dimension
         # One byte per constraint (a list of bound methods would hold about 64 B more
         # each), resolved before the row buffer exists, so that its ask adds no peak.
-        self.fused = bytes(_trusted(f, "_cut_normal", "subgradient", "value") for f in p.functions)
+        self.fused = bytes(_trusted(f, "_cut_normal") for f in p.functions)
         # Filled in place, so no second copy of the rows exists; at most m x n
         # doubles, as when every constraint is affine.
         rows = np.empty((m, n))
@@ -544,7 +569,7 @@ class _AffineBlock:
         self.index: list[int] = []
         self.others = []
         for i, f in enumerate(p.functions):
-            row = f.affine_row() if _trusted(f, "affine_row", "value") else None
+            row = f.affine_row() if _trusted(f, "affine_row") else None
             if row is None:
                 self.others.append((i, f))
             else:
@@ -595,15 +620,17 @@ def _check_control(p: Problem, m: int) -> None:
     misses one within max(max_iter, largest declared window) steps.  A function of
     its own, so that nothing of the check stays alive through the run.
 
-    The verdict depends only on the control, m and the horizon, so for the package's
-    three controls it is kept per process (``_verdict``) under a snapshot of all that
-    the walk reads: a repeat solve of an equal control does no walk, and a control
-    changed since gives a new key.  Any other control is walked at every call."""
+    The package's three controls are fixed values, so their verdict is kept per
+    process (``_verdict``), keyed by the control itself: a repeat solve of an equal
+    control does no walk.  Any other control, a subclass too, or one with a list
+    longer than ``_STATE_MAX``, is walked at every call."""
     control = p.control
     declared = [w for w in control.windows(m) if w is not None]
     horizon = max([p.max_iter] + declared)
-    key = _verdict_key(control, m, horizon)
-    message = _violations(control, m, horizon) if key is None else _verdict(*key)
+    cls = type(control)
+    kept = cls in _FIXED and all(len(a) <= _STATE_MAX for a in control._args() if a)
+    message = (_verdict(control, cls._stream, cls.windows, getattr(cls, "_schedule", None),
+                        m, horizon) if kept else _violations(control, m, horizon))
     if message:
         raise InvalidControl(message)
 
@@ -614,51 +641,17 @@ def _violations(control: ControlSequence, m: int, horizon: int) -> str:
     return "; ".join(str(v) for v in validate_control(control, m, horizon)[:5])
 
 
-# The controls whose verdict is kept, each with the instance attributes its walk reads.
-_STATE = {Cyclic: (), QuasiCyclic: ("window_bounds",), Explicit: ("index_list", "window_bounds")}
-# A control with a list longer than _STATE_MAX, or an entry that is not an int of
-# magnitude below _BIG, or a horizon of _BIG or more, is walked at every solve.  Such an
-# int takes at most 32 B, so a key holds at most 2 * _STATE_MAX of them in two tuples,
-# about 82 KB, and a message five missed windows, under 600 B: 32 verdicts hold at most
-# about 2.7 MB.
+# The longest list of a control whose verdict is kept.  Its walk ended, so its windows are
+# at most the horizon, at most sys.maxsize, and its indices below m: it holds two tuples of
+# at most _STATE_MAX ints of 36 B (90 KB), so 32 verdicts keep at most 3 MB alive.
 _STATE_MAX = 1024
-_BIG = 2 ** 60
-
-
-def _verdict_key(control: ControlSequence, m: int, horizon: int) -> Optional[tuple]:
-    """Everything the walk of ``control`` reads, as a hashable snapshot, or None where
-    the verdict is not kept: the exact class, one of ``_STATE``'s; the class functions
-    that the walk calls, as read now; the instance's state as tuples of ints, where the
-    instance holds exactly those attributes, in that order, so that none shadows a
-    class function; m and the horizon.  Values equal to an int but of another type
-    (True, 2.0) print and index otherwise, so only exact ints are kept."""
-    cls = type(control)
-    state = vars(control)
-    if _STATE.get(cls) != tuple(state) or not horizon < _BIG:
-        return None
-    snapshot = []
-    for value in state.values():
-        if value is not None:
-            if type(value) not in (list, tuple) or len(value) > _STATE_MAX:
-                return None
-            value = tuple(value)
-            if not all(type(v) is int and -_BIG < v < _BIG for v in value):
-                return None
-        snapshot.append(value)
-    return (cls, cls._stream, cls.windows, getattr(cls, "_schedule", None), tuple(snapshot),
-            m, horizon)
 
 
 @lru_cache(maxsize=32)
-def _verdict(cls, _stream, _windows, _schedule, state, m, horizon) -> str:
-    """``_violations`` of the control that ``_verdict_key`` snapshotted, rebuilt with its
-    state as lists and walked; the class functions are arguments only to be part of the
-    key.  The rebuild bypasses the constructor, which would refuse a list mutated since
-    (a window bound of 0) where the walk does not.  An exception of the walk propagates
-    and is not kept.  At most 32 verdicts are kept, the least recently used dropped
-    first."""
-    control = cls.__new__(cls)
-    vars(control).update(zip(_STATE[cls], (None if v is None else list(v) for v in state)))
+def _verdict(control: ControlSequence, _stream, _windows, _schedule, m: int, horizon: int) -> str:
+    """``_violations`` of a fixed control; the class functions that the walk calls are in
+    the key, so one replaced on the class misses.  An exception of the walk is not kept.
+    At most 32 verdicts are kept, the least recently used dropped first."""
     return _violations(control, m, horizon)
 
 
@@ -670,12 +663,11 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
     longer move the iterate (step size underflow), and NonFiniteValue when an
     iterate or a step scale overflows.
 
-    The control is checked over max(max_iter, largest window) steps before the
-    first iteration.  For ``Cyclic``, ``QuasiCyclic`` and ``Explicit`` the verdict
-    is kept per process, keyed by the exact class, the class functions the check
-    calls, the control's lists, m and the horizon, so a repeat solve of an equal
-    control does not walk it again; any other control, a subclass too, is walked
-    at every solve.  ``validate_control`` always walks.
+    The control is checked over max(max_iter, largest window) steps, at most
+    ``sys.maxsize``, before the first iteration.  ``Cyclic``, ``QuasiCyclic`` and
+    ``Explicit`` are fixed values, so a repeat solve of an equal control keeps the
+    verdict of the first; any other control, a subclass too, is walked at every
+    solve (``_check_control``).  ``validate_control`` always walks.
     """
     m = len(p.functions)
     _check_control(p, m)

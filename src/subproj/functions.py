@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
@@ -141,10 +140,10 @@ class FunctionSpec:
 
     ``value`` returns +inf outside the effective domain and never NaN.  The
     subgradient oracle returns a member of the subdifferential whenever the
-    value is finite and the subdifferential is nonempty.  Specs are immutable
-    after construction and all oracles are pure.
+    value is finite and the subdifferential is nonempty.  Specs are slotted and
+    immutable after construction, and all oracles are pure.
     """
-
+    __slots__ = ("dim",)
     dim: int
     domain_is_full: bool = True
     nonnegative: bool = False
@@ -179,7 +178,7 @@ class FunctionSpec:
         or a multiple of r, then at most three more roundings) and returns w where w > 0
         and a value <= 0 elsewhere.  ``core.AffineRows`` checks those lengths and brackets
         w; an implementation checks only its own oracle's arithmetic limits.  The solve
-        reads the row only where ``core._trusted`` vouches for it against ``value``.
+        reads the row only where ``core._trusted`` vouches for it.
         """
         return None
 
@@ -207,16 +206,16 @@ class FunctionSpec:
         return None
 
 
-def _margin_oracle(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
-    """The oracle that f's ``_bind_margin`` returns, where ``core._trusted`` vouches for it
-    against ``value`` and each of ``oracles``, else None."""
-    return f._bind_margin() if _trusted(f, "_bind_margin", "value", *oracles) else None
+def _margin_oracle(f: FunctionSpec) -> Optional[Callable[[np.ndarray, float], float]]:
+    """The oracle that f's ``_bind_margin`` returns, where ``core._trusted`` vouches for it,
+    else None."""
+    return f._bind_margin() if _trusted(f, "_bind_margin") else None
 
 
-def _inner_margin(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarray, float], float]]:
+def _inner_margin(f: FunctionSpec) -> Optional[Callable[[np.ndarray, float], float]]:
     """A combinator's radius oracle: its inner f's own, where f is ``nonnegative`` and
-    states one for ``value`` and each of ``oracles`` (``_margin_oracle``), else None."""
-    return _margin_oracle(f, *oracles) if f.nonnegative else None
+    states one (``_margin_oracle``), else None."""
+    return _margin_oracle(f) if f.nonnegative else None
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +224,7 @@ def _inner_margin(f: FunctionSpec, *oracles: str) -> Optional[Callable[[np.ndarr
 
 class Linear(FunctionSpec):
     """x -> <x, u>."""
+    __slots__ = ("u", "_level")
 
     def __init__(self, u):
         self.u = as_vector(u)
@@ -257,7 +257,7 @@ class Linear(FunctionSpec):
 
 class _SetAtom(FunctionSpec):
     """An atom built on a closed convex set S whose zero sublevel set is S."""
-
+    __slots__ = ("set",)
     nonnegative = True
 
     def __init__(self, s: ConvexSet):
@@ -268,8 +268,7 @@ class _SetAtom(FunctionSpec):
         return self.set.project(x)
 
     def _bind_margin(self):
-        """The set's depth as the radius oracle, where ``core._trusted`` vouches for it
-        against the set's ``distance``, ``contains`` and ``project``, else None.
+        """The set's depth as the radius oracle where ``core._trusted`` vouches for it, else None.
 
         A set that has one (``Ball``, ``Halfspace``, ``Box``) states its depth as
         ``_depth(x, v=0.0)``, a depth >= 0 with this contract: at every point z within depth
@@ -277,8 +276,7 @@ class _SetAtom(FunctionSpec):
         returns z.  It is the distance to the complement, shrunk by a forward-error bound
         (``core._reach``).  So it is the radius of every set atom, bound as it is: v is not
         read, and no value is computed."""
-        s = self.set
-        return s._depth if _trusted(s, "_depth", "distance", "contains", "project") else None
+        return self.set._depth if _trusted(self.set, "_depth") else None
 
     def _hessian(self, x, what: str, outside: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Zeros inside S, NotTwiceDifferentiable on its boundary, else ``outside(x)``."""
@@ -294,17 +292,17 @@ class _SetAtom(FunctionSpec):
 
 class Dist(_SetAtom):
     """Distance to a closed convex set; its projector is the metric projection."""
+    __slots__ = ()
 
     def value(self, x):
         return self.set.distance(x)
 
     def affine_row(self):
-        return self.set.affine_row() if _trusted(self.set, "affine_row", "distance") else None
+        return self.set.affine_row() if _trusted(self.set, "affine_row") else None
 
     def _cut_normal(self, x, fx):
         """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx =
-        ``value(x)`` > 0; ``_AffineBlock`` takes it where ``core._trusted`` vouches for it
-        against ``subgradient`` and ``value``."""
+        ``value(x)`` > 0; ``_AffineBlock`` takes it where ``core._trusted`` vouches for it."""
         return (x - self.set.project(x)) / fx
 
     def subgradient(self, x, strategy=LEAST_INDEX):
@@ -322,6 +320,7 @@ class Dist(_SetAtom):
 
 class SqDist(_SetAtom):
     """Squared distance to a closed convex set; differentiable everywhere."""
+    __slots__ = ()
 
     def value(self, x):
         d = self.set.distance(x)
@@ -336,7 +335,7 @@ class SqDist(_SetAtom):
 
 class NormPow(FunctionSpec):
     """||x||^p with p >= 1."""
-
+    __slots__ = ("p",)
     nonnegative = True
 
     def __init__(self, p: float, dim: int = 1):
@@ -405,7 +404,7 @@ def _positive(x, formula: str) -> float:
 
 class NegLog(FunctionSpec):
     """-ln(x) for x > 0, +inf otherwise; its zero sublevel set is [1, inf)."""
-
+    __slots__ = ()
     dim = 1
     domain_is_full = False
 
@@ -433,7 +432,7 @@ class NegLog(FunctionSpec):
 
 class SqrtShift(FunctionSpec):
     """eta - sqrt(x) for x > 0, +inf otherwise; zero sublevel set [eta^2, inf)."""
-
+    __slots__ = ("eta",)
     dim = 1
     domain_is_full = False
 
@@ -461,7 +460,7 @@ class SqrtShift(FunctionSpec):
 
 class Hyperbolic(FunctionSpec):
     """sqrt(1 + x^2) - eta with eta > 1; zero sublevel set [-a, a], a = sqrt(eta^2 - 1)."""
-
+    __slots__ = ("eta",)
     dim = 1
 
     def __init__(self, eta: float):
@@ -498,6 +497,7 @@ class AffineMax(FunctionSpec):
     only those its rounding bound cannot settle, so they return what the
     per-piece values give, bit for bit.
     """
+    __slots__ = ("offsets", "slopes", "_screen")
 
     def __init__(self, pieces):
         if not pieces:
@@ -508,15 +508,18 @@ class AffineMax(FunctionSpec):
         if any(a.size != self.dim for a in slopes):
             raise DimensionMismatch("all pieces must share one dimension")
         self.slopes = np.array(slopes)
+        self._screen = None
 
     @property
     def pieces(self) -> list[tuple[np.ndarray, float]]:
         return list(zip(self.slopes, self.offsets))
 
-    @cached_property
+    @property
     def _rows(self) -> AffineRows:
-        # Built at the first evaluation, so that constructing a spec stays cheap.
-        return AffineRows(self.slopes, -np.array(self.offsets))
+        # Built at the first evaluation and kept, so that constructing a spec stays cheap.
+        if self._screen is None:
+            self._screen = AffineRows(self.slopes, -np.array(self.offsets))
+        return self._screen
 
     def _piece(self, i, x) -> float:
         return dot(self.slopes[i], x) + self.offsets[i]
@@ -576,7 +579,7 @@ class AffineMax(FunctionSpec):
 
 class Indicator(_SetAtom):
     """0 on the set, +inf outside.  Valid only under a Moreau envelope."""
-
+    __slots__ = ()
     domain_is_full = False
 
     def value(self, x):
@@ -595,6 +598,7 @@ class Indicator(_SetAtom):
 
 class _Unary(FunctionSpec):
     """One inner function f: its dimension and domain, and its zero sublevel set."""
+    __slots__ = ("inner", "domain_is_full")
 
     def __init__(self, f: FunctionSpec):
         self.inner = f
@@ -607,6 +611,7 @@ class _Unary(FunctionSpec):
 
 class Scale(_Unary):
     """lam * f with lam > 0; shares the sublevel set and projector of f."""
+    __slots__ = ("lam", "nonnegative")
 
     def __init__(self, lam: float, f: FunctionSpec):
         self.lam = finite_float(lam, "Scale lam", InvalidSpec)
@@ -641,7 +646,7 @@ class PowerComp(_Unary):
     Every base is checked at evaluation: a value of f below -_BASE_SLACK raises
     NegativeBaseError, and rounding above it counts as 0.
     """
-
+    __slots__ = ("alpha",)
     nonnegative = True
 
     def __init__(self, alpha: float, f: FunctionSpec):
@@ -691,6 +696,7 @@ class PowerComp(_Unary):
 class LeftCompose(_Unary):
     """phi o f for a scalar phi with phi(0) = 0, strictly increasing on f's range;
     phi(0) = 0 and monotonicity leave the zero sublevel set of f unchanged."""
+    __slots__ = ("phi", "dphi")
 
     def __init__(self, phi, dphi, f: FunctionSpec):
         self.phi = phi
@@ -739,6 +745,7 @@ class RightLinear(_Unary):
 
     Its dimension is L's column count, and its zero sublevel set is L^-1 of f's.
     """
+    __slots__ = ("L", "alpha", "nonnegative")
 
     def __init__(self, L, f: FunctionSpec):
         self.L = np.asarray(L, dtype=float)
@@ -768,6 +775,7 @@ class RightLinear(_Unary):
 
 class _Pair(FunctionSpec):
     """Two terms f and g of one dimension and their joint selection; full domain where both are."""
+    __slots__ = ("f", "g", "joint_u", "domain_is_full")
 
     def __init__(self, f: FunctionSpec, g: FunctionSpec, joint_u):
         if f.dim != g.dim:
@@ -784,6 +792,7 @@ class _Pair(FunctionSpec):
 
 class ConvexComb(_Pair):
     """alpha*f + (1-alpha)*g under a joint selection of both subdifferentials."""
+    __slots__ = ("alpha",)
 
     def __init__(self, alpha: float, f: FunctionSpec, g: FunctionSpec, joint_u):
         self.alpha = float(alpha)
@@ -800,6 +809,7 @@ class ConvexComb(_Pair):
 
 class SumPair(_Pair):
     """f + g; the selection used for projection is twice the joint selection."""
+    __slots__ = ()
 
     def value(self, x):
         return self.f.value(x) + self.g.value(x)
@@ -818,6 +828,7 @@ class InfConv(_Pair):
     probed against 8 pseudo-random competitors and InconsistentMinimizer is
     raised when a competitor beats it by more than 1e-8 or has a NaN value.
     """
+    __slots__ = ("minimizer",)
 
     def __init__(self, f: FunctionSpec, g: FunctionSpec, minimizer, joint_u=None):
         super().__init__(f, g, joint_u)

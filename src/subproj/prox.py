@@ -85,6 +85,7 @@ class MoreauEnv(FunctionSpec):
     """The Moreau envelope of a prox-friendly f as a first-class function: finite and
     differentiable, with gradient (x - prox_{gamma f} x) / gamma, and the projector of
     :func:`sproj_moreau`.  gamma and the closed form of f are checked once, here."""
+    __slots__ = ("gamma", "_closed_form", "inner")
 
     def __init__(self, gamma: float, f: FunctionSpec):
         self.gamma = _gamma(gamma)
@@ -101,7 +102,7 @@ class MoreauEnv(FunctionSpec):
         # Where a nonnegative f is <= 0 it is 0, and its closed form returns the point
         # itself (FunctionSpec._bind_margin), so the envelope is f(z) + 0 = 0 there and every
         # competitor of the audit is >= 0: f's radius holds for the envelope too.
-        return _inner_margin(self.inner, "_prox_map")
+        return _inner_margin(self.inner)
 
     def subgradient(self, x, strategy=LEAST_INDEX):
         return (x - _envelope(self.inner, self._closed_form, self.gamma, x)[0]) / self.gamma

@@ -19,8 +19,8 @@ __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
 
 
 class ConvexSet:
-    """Base class for sets with an exact projection oracle."""
-
+    """Base class for slotted sets with an exact projection oracle."""
+    __slots__ = ("dim",)
     dim: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -56,6 +56,7 @@ class ConvexSet:
 
 class Ball(ConvexSet):
     """Closed Euclidean ball {y : ||y - center|| <= radius}."""
+    __slots__ = ("center", "radius")
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center)
@@ -110,6 +111,7 @@ class Ball(ConvexSet):
 
 class Halfspace(ConvexSet):
     """Closed halfspace {y : <y, normal> <= offset}."""
+    __slots__ = ("normal", "offset", "_n2", "_length")
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
@@ -207,6 +209,7 @@ class Halfspace(ConvexSet):
 
 class Box(ConvexSet):
     """Axis-aligned box {y : lo <= y <= hi componentwise}."""
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         self.lo = as_vector(lo)
@@ -246,6 +249,7 @@ class Box(ConvexSet):
 
 class Point(ConvexSet):
     """Singleton {c}."""
+    __slots__ = ("c",)
 
     def __init__(self, c):
         self.c = as_vector(c)

@@ -121,6 +121,52 @@ class FlatOne(FunctionSpec):
         return self.h
 
 
+class FlatAt(FlatOne):
+    """FlatOne with the value ``v``."""
+
+    def __init__(self, v, u, h):
+        super().__init__(len(u), np.array(u, dtype=float), np.array(h, dtype=float))
+        self.v = v
+
+    def value(self, x):
+        return self.v
+
+
+def test_a_jacobian_whose_last_coefficient_overflows_is_formed_without_it():
+    # f(x) / ||u||^2 = 1e300 is finite and 2 f(x) / ||u||^4 = 2e310 is not.  Linear has
+    # H = 0, so the term it scales is 0 and the Jacobian I - u u^T / ||u||^2 is 0; the
+    # coefficient times that zero term gave [[nan]] with a RuntimeWarning.
+    assert sproj_jacobian(Linear([1e-5]), [1e295]).tolist() == [[0.0]]
+    # With H = 1 the Jacobian is 1 - 1 - t + 2 t = t = 1e300 (f = 1e290, ||u||^2 = 1e-10),
+    # and with H = 1e10 it is beyond the doubles.
+    got = sproj_jacobian(FlatAt(1e290, [1e-5], [[1.0]]), [0.0])
+    assert got.shape == (1, 1) and got[0, 0] == pytest.approx(1e300, rel=1e-15)
+    with pytest.raises(NonFiniteValue, match=r"^the projector Jacobian at f\(x\) = 1\.000e\+290, "
+                                             r"\|\|u\|\|\^2 = 1\.000e-10 overflows$"):
+        sproj_jacobian(FlatAt(1e290, [1e-5], [[1e10]]), [0.0])
+    # A finite coefficient whose Jacobian still overflows (t H = 1e10 * 1e300) raises too,
+    # where it returned [[-inf]] with a RuntimeWarning.
+    with pytest.raises(NonFiniteValue, match="projector Jacobian"):
+        sproj_jacobian(FlatAt(1e10, [1.0], [[1e300]]), [0.0])
+
+
+def test_the_jacobian_keeps_its_bits_where_its_last_coefficient_is_finite():
+    rng = np.random.default_rng(32)
+    for f in (NegLog(), Hyperbolic(2.0), SqDist(Ball([0.5, -1.0], 2.0)),
+              Dist(Ball([0.5, -1.0], 2.0)), Linear([1e-5, 3e-6])):
+        for x in (rng.standard_normal(f.dim) * 10.0 ** rng.uniform(-3, 5) for _ in range(40)):
+            if f.dim == 1:
+                x = np.abs(x) * 1e-3
+            fx = f.value(x)
+            if not 0.0 < fx < math.inf:
+                continue
+            u, h = f.gradient(x), f.hessian(x)
+            n2 = float(u @ u)
+            want = (np.eye(f.dim) - np.outer(u, u) / n2 - (fx / n2) * h
+                    + (2.0 * fx / (n2 * n2)) * np.outer(u, h @ u))
+            assert sproj_jacobian(f, x).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: sproj_jacobian(FlatOne(), [1.0, 2.0]), id="jacobian"),
     pytest.param(lambda: sproj_deriv_1d(FlatOne(dim=1), 1.0), id="deriv-1d"),

@@ -790,3 +790,22 @@ def test_overflowing_step_scale_exits_3_naming_it(tmp_path, capsys, command):
     assert main(command + ["--file", path]) == 3
     assert capsys.readouterr().err == ("error: NonFiniteValue: the step scale f(x) / ||u||^2 = "
                                        "1.000e+290 / 1.000e-20 overflows\n")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"max_iter": 2 ** 70}, {"control": {"type": "quasicyclic", "windows": [2 ** 70]}},
+], ids=["max_iter", "window"])
+def test_a_horizon_past_sys_maxsize_exits_3_on_solve_alone(tmp_path, capsys, overrides):
+    # The walk cannot count past sys.maxsize: solve let islice's bare ValueError out.
+    # project and analyze never walk the control, and read the file as before.
+    linear = [{"type": "linear", "u": [1.0]}]
+    path = write(tmp_path, "p.json", neglog_record(functions=linear, x0=[1.0], **overrides))
+    small = write(tmp_path, "q.json", neglog_record(functions=linear, x0=[1.0]))
+    assert main(["solve", "--file", path]) == 3
+    assert capsys.readouterr() == ("", "error: InvalidControl: horizon 1180591620717411303424 "
+                                   "is beyond the 9223372036854775807 steps a walk can take\n")
+    for command in (["project"], ["analyze", "jacobian"]):
+        assert main(command + ["--file", path]) == 0
+        out = capsys.readouterr()
+        assert main(command + ["--file", small]) == 0
+        assert capsys.readouterr() == out and out.out

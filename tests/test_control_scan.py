@@ -4,10 +4,12 @@ Brent's checkpoint alone would, and QuasiCyclic breaks ties by the smallest inde
 the solve's kept verdicts are the walk's."""
 
 import copy
+import pickle
 import random
 import sys
 from itertools import chain, count, cycle, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -20,12 +22,14 @@ from subproj import (
     Dist,
     Explicit,
     InvalidControl,
+    Linear,
     Problem,
     QuasiCyclic,
     solve,
     validate_control,
 )
-from subproj.feasibility import _STATE_MAX, _verdict, _verdict_key
+from subproj.feasibility import _STATE_MAX, _verdict
+from subproj.serialize import control_from_record, control_to_record
 
 
 def reference_windows(control, m):
@@ -406,25 +410,30 @@ def test_a_kept_verdict_raises_what_the_walk_raises(make, m):
     assert first[0] == "raised"
 
 
-@pytest.mark.parametrize("make, m, name, at, bad", [
-    (lambda: QuasiCyclic([3, 3, 3]), 3, "window_bounds", 0, 1),
-    (lambda: Explicit([0, 1, 2]), 3, "index_list", 2, 0),
-    (lambda: Explicit([0, 1, 2], [3, 3, 3]), 3, "window_bounds", 1, 2),
+@pytest.mark.parametrize("make, changed, m, name, at, bad", [
+    (lambda: QuasiCyclic([3, 3, 3]), lambda: QuasiCyclic([1, 3, 3]), 3, "window_bounds", 0, 1),
+    (lambda: Explicit([0, 1, 2]), lambda: Explicit([0, 1, 0]), 3, "index_list", 2, 0),
+    (lambda: Explicit([0, 1, 2], [3, 3, 3]), lambda: Explicit([0, 1, 2], [3, 2, 3]), 3,
+     "window_bounds", 1, 2),
 ], ids=["QuasiCyclic-windows", "Explicit-indices", "Explicit-windows"])
-def test_a_control_changed_after_a_solve_is_checked_again(make, m, name, at, bad):
+def test_a_control_cannot_be_changed_after_a_solve(make, changed, m, name, at, bad):
+    # A control holds tuples and takes no assignment, so the verdict kept for it stays
+    # its own; the changed control is another value, with the walk's verdict.
     control = make()
     values = getattr(control, name)
-    good = values[at]
     assert solve_outcome(control, m) == ("ok", None)
-    values[at] = bad  # in place
-    assert solve_outcome(control, m) == expected_outcome(control, m, 500)
-    assert solve_outcome(control, m)[0] == "raised"
-    values[at] = good
+    with pytest.raises(TypeError):
+        values[at] = bad  # in place
+    with pytest.raises(AttributeError):
+        setattr(control, name, values[:at] + (bad,) + values[at + 1:])  # a new tuple
+    with pytest.raises(AttributeError):
+        setattr(control, name, list(values))
+    assert getattr(control, name) is values and control == make()
     assert solve_outcome(control, m) == ("ok", None)
-    setattr(control, name, values[:at] + [bad] + values[at + 1:])  # a new list
-    assert solve_outcome(control, m)[0] == "raised"
-    setattr(control, name, values)
-    assert solve_outcome(control, m) == ("ok", None)
+    assert getattr(changed(), name)[at] == bad and changed() != control
+    assert solve_outcome(changed(), m) == expected_outcome(changed(), m, 500)
+    assert solve_outcome(changed(), m)[0] == "raised"
+    assert solve_outcome(make(), m) == ("ok", None)
 
 
 class SubCyclic(Cyclic):
@@ -477,30 +486,26 @@ def test_the_verdict_cache_holds_no_more_than_its_bound():
         solve_outcome(Explicit([0, 1] * (k + 1)), 2)
         assert _verdict.cache_info().currsize <= 32
     assert _verdict.cache_info().currsize == 32
-    # A list longer than _STATE_MAX, an entry that is not an int or one of 2**60 or
-    # more, and a horizon of 2**60 or more are walked, not kept.
+    # A list longer than _STATE_MAX is walked at every solve, not kept.
     _verdict.cache_clear()
     long_list = Explicit([0, 1] * (_STATE_MAX // 2) + [0])
     assert solve_outcome(Explicit([0, 1] * (_STATE_MAX // 2)), 2) == ("ok", None)
     assert _verdict.cache_info().currsize == 1
-    mixed = Explicit([0, 1])
-    mixed.index_list[1] = True  # indexes as 1, but prints as True
-    wide = QuasiCyclic([2, 2])
-    wide.window_bounds[0] = 2 ** 60
-    for control, max_iter in [(long_list, 500), (mixed, 500), (wide, 500),
-                              (Cyclic(), 2 ** 60)]:
-        assert _verdict_key(control, 2, max(max_iter, 2)) is None
     assert solve_outcome(long_list, 2) == ("ok", None)
-    assert solve_outcome(mixed, 2) == ("ok", None)
     assert _verdict.cache_info().currsize == 1
-    # The largest key that is kept: two lists of _STATE_MAX ints below 2**60, each a
-    # 32 B int, about 82 KB; 32 of them are the stated 2.7 MB.
-    entries = list(range(2 ** 59, 2 ** 59 + _STATE_MAX))
-    big = Explicit(entries, entries)
-    key = _verdict_key(big, _STATE_MAX, 2 ** 59 + _STATE_MAX)
-    assert key is not None
-    size = sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in key[4])
-    assert size <= 82_000 and 32 * (size + 600) < 2.7e6
+    # An entry that is not an int cannot be put in after construction, where a bool is
+    # refused; a horizon past sys.maxsize is refused before the walk, and not kept.
+    with pytest.raises(InvalidControl, match="must be integers"):
+        Explicit([0, True])
+    for control, max_iter in [(QuasiCyclic([2 ** 70, 2]), 500), (Cyclic(), 2 ** 70)]:
+        assert solve_outcome(control, 2, max_iter)[0] == "raised"
+    assert _verdict.cache_info().currsize == 1
+    # The largest control that is kept: its walk ended, so its windows are at most the
+    # horizon, at most sys.maxsize, and its indices below m; two tuples of _STATE_MAX
+    # such ints take about 90 KB, and 32 of them with their messages under 3 MB.
+    entries = tuple(range(sys.maxsize - _STATE_MAX, sys.maxsize))
+    size = 2 * (sys.getsizeof(entries) + sum(map(sys.getsizeof, entries)))
+    assert size <= 92_000 and 32 * (size + 600) < 3e6
 
 
 @seed(31)
@@ -513,3 +518,82 @@ def test_solving_twice_gives_the_walks_verdict_both_times(case):
     assert solve_outcome(control, m, horizon) == expected
     assert solve_outcome(copy.deepcopy(control), m, horizon) == expected
     assert _verdict.cache_info()[:2] == (1, 1)
+
+
+# -- controls as values -----------------------------------------------------------------
+
+VALUES = [
+    (lambda: Cyclic(), lambda: Cyclic()),
+    (lambda: QuasiCyclic([2, 3, 2]), lambda: QuasiCyclic((2, 3, 2))),
+    (lambda: Explicit([0, 2, 1]), lambda: Explicit(iter([0, 2, 1]))),
+    (lambda: Explicit([0, 2, 1], [3, 3, 3]), lambda: Explicit([0, 2, 1], (3, 3, 3))),
+]
+VALUE_IDS = ["Cyclic", "QuasiCyclic", "Explicit", "Explicit-windows"]
+
+
+@pytest.mark.parametrize("make, again", VALUES, ids=VALUE_IDS)
+def test_a_control_is_a_value(make, again):
+    control = make()
+    assert control == again() and hash(control) == hash(again())
+    for copied in (copy.deepcopy(control), copy.copy(control),
+                   pickle.loads(pickle.dumps(control)),
+                   control_from_record(control_to_record(control))):
+        assert type(copied) is type(control) and copied == control
+        assert hash(copied) == hash(control) and repr(copied) == repr(control)
+    for name in ("window_bounds", "index_list", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(control, name, (1, 1, 1))
+    assert control == again()
+
+
+def test_controls_with_other_arguments_or_classes_differ():
+    controls = [Cyclic(), QuasiCyclic([3, 3, 3]), QuasiCyclic([3, 3, 2]), Explicit([0, 1, 2]),
+                Explicit([0, 1, 2], [3, 3, 3]), Explicit([0, 2, 1]), SubCyclic(),
+                deviating(QuasiCyclic)([3, 3, 3])]
+    for k, a in enumerate(controls):
+        assert [b for b in controls if b == a] == [a], k
+    # Equal ints of any integral type give one value; the reprs print lists, as before.
+    assert QuasiCyclic(np.array([3, 3, 3])) == QuasiCyclic([3, 3, 3])
+    assert repr(Explicit([0, 1], [2, 2])) == "Explicit(index_list=[0, 1], window_bounds=[2, 2])"
+    assert repr(QuasiCyclic([3, 2])) == "QuasiCyclic(window_bounds=[3, 2])"
+
+
+def test_a_control_subclass_defined_elsewhere_keeps_its_own_attributes():
+    # Only the three classes refuse an assignment: a subclass sets what it adds, and a
+    # copy keeps it; its verdict is not kept (test_another_control_class_...).
+    control = deviating(QuasiCyclic)([3, 3, 3])
+    control.after = 1000
+    copied = copy.deepcopy(control)
+    assert copied.after == 1000 and copied.window_bounds == (3, 3, 3)
+    counting = copy.deepcopy(Counting(QuasiCyclic([3, 3, 3])))
+    counting.pulled = 5
+    assert counting.control == QuasiCyclic([3, 3, 3])
+
+
+def test_a_freshly_built_equal_control_hits_the_kept_verdict():
+    # The benchmark builds a new QuasiCyclic for every unit: an equal value is a hit.
+    windows = [20 + i % 5 for i in range(20)]
+    _verdict.cache_clear()
+    for k in range(3):
+        assert solve_outcome(QuasiCyclic(list(windows)), 20, 5000) == ("ok", None)
+        assert _verdict.cache_info()[:2] == (k, 1)
+
+
+# -- a horizon past sys.maxsize -----------------------------------------------------------
+
+def test_a_horizon_past_sys_maxsize_is_refused_before_the_walk():
+    # islice cannot count past sys.maxsize: the walk raised its bare ValueError.
+    for control, m, horizon in [(Cyclic(), 1, 2 ** 70), (QuasiCyclic([2 ** 70, 3]), 2, 2 ** 70),
+                                (Explicit([0, 1]), 2, sys.maxsize + 1)]:
+        with pytest.raises(InvalidControl, match="beyond the 9223372036854775807 steps"):
+            validate_control(control, m, horizon)
+    assert validate_control(Cyclic(), 1, sys.maxsize) == []
+    info = _verdict.cache_info()
+    p = Problem(dimension=1, functions=[Linear([1.0])], x0=[1.0], max_iter=2 ** 70)
+    with pytest.raises(InvalidControl, match="horizon 1180591620717411303424"):
+        solve(p)
+    q = Problem(dimension=1, functions=[Linear([1.0]), Linear([2.0])], x0=[1.0],
+                control=QuasiCyclic([2 ** 70, 3]))
+    with pytest.raises(InvalidControl, match="horizon 1180591620717411303424"):
+        solve(q)
+    assert _verdict.cache_info().currsize == info.currsize

@@ -8,6 +8,8 @@ import pytest
 
 from subproj import (
     Ball,
+    ControlSequence,
+    ConvexSet,
     DegenerateMoreau,
     DimensionMismatch,
     Dist,
@@ -307,79 +309,118 @@ class _OwnAtom(FunctionSpec):
         return np.ones(1), 0.0
 
 
-def _assigning(obj, **attrs):
-    """obj with attrs assigned on the instance itself."""
-    vars(obj).update(attrs)
-    return obj
-
-
 # A class outside the package is evaluated by its own oracles, whatever it defines.
-@pytest.mark.parametrize("obj, oracles, trusted, on_class", [
-    (Linear([1.0]), ["value"], True, {}),
-    (_OwnValue([1.0]), ["value"], False, {}),  # the row was written for Linear.value
-    (_OwnRow([1.0]), ["value"], False, {}),
-    (_OwnBoth([1.0]), ["value"], False, {}),
-    (Halfspace([1.0], 0.0), ["distance"], True, {}),
-    (_OwnDistance([1.0], 0.0), ["distance"], False, {}),
-    (_OwnRow([1.0]), ["value", "_prox_map"], False, {}),
-    (_OwnValue([1.0]), ["_prox_map", "value"], False, {}),  # every oracle must agree
-    (_assigning(Linear([1.0]), affine_row=lambda: (np.ones(1), 1.0)), ["value"], False, {}),
-    (_assigning(Linear([1.0]), value=lambda x: 1.0), ["value"], False, {}),
-    (_assigning(_OwnRow([1.0]), _prox_map=lambda: None), ["value", "_prox_map"], False, {}),
-    (_OwnAtom(), ["value"], False, {}),
-    (type("Near", (Linear,), {"__module__": "subprojects"})([1.0]), ["value"], False, {}),
+@pytest.mark.parametrize("obj, fast, trusted, on_class", [
+    (Linear([1.0]), "affine_row", True, {}),
+    (_OwnValue([1.0]), "affine_row", False, {}),  # the row was written for Linear.value
+    (_OwnRow([1.0]), "affine_row", False, {}),
+    (_OwnBoth([1.0]), "affine_row", False, {}),
+    (Halfspace([1.0], 0.0), "affine_row", True, {}),
+    (_OwnDistance([1.0], 0.0), "affine_row", False, {}),
+    # Rows that were asked against two oracles: the class alone decides.
+    (_OwnRow([1.0]), "_bind_margin", False, {}),
+    (_OwnValue([1.0]), "_bind_margin", False, {}),
+    (_OwnAtom(), "affine_row", False, {}),
+    (type("Near", (Linear,), {"__module__": "subprojects"})([1.0]), "affine_row", False, {}),
     # A library oracle replaced on its own class, as a tracer's wrapper is, is the
     # function the class holds.
-    (Linear([1.0]), ["value"], True, {"value": lambda self, x, value=Linear.value: value(self, x)}),
+    (Linear([1.0]), "affine_row", True,
+     {"value": lambda self, x, value=Linear.value: value(self, x)}),
 ], ids=["linear", "own-value", "own-row", "own-both", "halfspace", "own-distance",
-        "two-oracles", "one-of-two-overridden", "instance-row", "instance-value",
-        "instance-second-oracle", "own-atom", "near-name", "class-value"])
-def test_a_fast_path_is_trusted_only_on_the_packages_own_classes(monkeypatch, obj, oracles,
+        "two-oracles", "one-of-two-overridden", "own-atom", "near-name", "class-value"])
+def test_a_fast_path_is_trusted_only_on_the_packages_own_classes(monkeypatch, obj, fast,
                                                                   trusted, on_class):
     for name, func in on_class.items():
         monkeypatch.setattr(type(obj), name, func)
-    assert _trusted(obj, "affine_row", *oracles) is trusted
+    assert _trusted(obj, fast) is trusted
 
 
-# The three fast paths of a solve: the affine row, the radius and the fused cut normal.
+@pytest.mark.parametrize("name, value", [
+    ("affine_row", lambda: (np.ones(1), 1.0)), ("value", lambda x: 1.0),
+    ("_prox_map", lambda: None),
+], ids=["instance-row", "instance-value", "instance-second-oracle"])
+def test_an_oracle_cannot_be_assigned_on_a_library_instance(name, value):
+    # A library atom is slotted: no instance attribute can shadow the oracle that its
+    # row speaks for, so the class check alone decides.  A subclass defined elsewhere
+    # takes the attribute, and is not trusted.
+    f = Linear([1.0])
+    with pytest.raises(AttributeError):
+        setattr(f, name, value)
+    assert _trusted(f, "affine_row") and getattr(f, name).__func__ is getattr(Linear, name)
+    own = _OwnRow([1.0])
+    setattr(own, name, value)
+    assert not _trusted(own, "affine_row")
+
+
+# The three fast paths of a solve (the affine row, the radius and the fused cut
+# normal), each with the oracles it stands in for.
 _FAST_PATHS = [("affine_row", ("value",)), ("_bind_margin", ("value",)),
                ("_cut_normal", ("subgradient", "value"))]
 
 
 @pytest.mark.parametrize("fast, oracles", _FAST_PATHS, ids=["row", "radius", "cut-normal"])
-def test_a_method_borrowed_from_another_instance_is_not_trusted(fast, oracles):
-    # g.value = h.value keeps the class's own function, but bound to h, on another
+def test_a_method_cannot_be_borrowed_from_another_instance(fast, oracles):
+    # g.value = h.value would keep the class's own function, but bound to h, on another
     # halfspace: g's row, radius or cut normal would speak for h's oracle.  A function
-    # of its own bound to g itself is refused too.
+    # of its own bound to g itself would too.  Neither can be assigned.
     for name in (fast, *oracles):
         for borrowed in ("other instance", "other function"):
             g, h = Dist(Halfspace([1.0, 0.0], 0.0)), Dist(Halfspace([0.0, 1.0], 3.0))
-            assert _trusted(g, fast, *oracles)
+            assert _trusted(g, fast)
             method = getattr(type(g), name)
-            setattr(g, name, getattr(h, name) if borrowed == "other instance" else
-                    MethodType(lambda self, *args, method=method: method(self, *args), g))
-            assert not _trusted(g, fast, *oracles), (name, borrowed)
+            with pytest.raises(AttributeError):
+                setattr(g, name, getattr(h, name) if borrowed == "other instance" else
+                        MethodType(lambda self, *args, method=method: method(self, *args), g))
+            bound = getattr(g, name)
+            assert _trusted(g, fast), (name, borrowed)
+            assert bound.__self__ is g and bound.__func__ is method, (name, borrowed)
 
 
 def test_a_fast_path_that_only_the_instance_defines_is_not_trusted():
-    # No class defines the name: the instance's own method, bound to it, is refused,
-    # and asking raises nothing.
+    # No class defines the name: the instance cannot take it, and asking raises nothing.
     g = Dist(Halfspace([1.0, 0.0], 0.0))
-    g.own_row = MethodType(lambda self: None, g)
-    assert not _trusted(g, "own_row", "value")
+    with pytest.raises(AttributeError):
+        g.own_row = MethodType(lambda self: None, g)
+    assert not _trusted(g, "own_row")
+
+
+def _package_classes(base):
+    """base and every subclass of it, at any depth, defined in a module of the package."""
+    found, todo = [], [base]
+    while todo:
+        cls = todo.pop()
+        found += [cls] if cls.__module__.startswith("subproj.") else []
+        todo += cls.__subclasses__()
+    return found
+
+
+def test_no_instance_of_a_package_atom_set_or_control_has_a_dict():
+    # _trusted lets the class decide because no instance of a package class can shadow
+    # a method: one class without __slots__, here or in its bases, would void that.
+    classes = [cls for base in (FunctionSpec, ConvexSet, ControlSequence)
+               for cls in _package_classes(base)]
+    names = {cls.__name__ for cls in classes}
+    assert {"Dist", "AffineMax", "MoreauEnv", "InfConv", "Halfspace", "Point",
+            "QuasiCyclic", "Explicit"} <= names and len(classes) >= 30
+    assert [cls.__name__ for cls in classes if cls.__dictoffset__ != 0] == []
+    for obj in (Dist(Halfspace([1.0], 0.0)), Halfspace([1.0], 0.0), Linear([1.0])):
+        with pytest.raises(TypeError):
+            vars(obj)
+    # A subclass defined elsewhere has a dict, as the check expects.
+    assert type("Own", (Dist,), {}).__dictoffset__ != 0
 
 
 def test_trust_builds_no_instance_dict():
     # Reading obj.__dict__ built one per checked object, 62 B for a Dist on CPython 3.11.
     fs = [Dist(Ball([0.0, 0.0], 1.0)) for _ in range(1000)]
-    for fast, oracles in _FAST_PATHS:  # a first ask of each, outside the count
-        _trusted(Dist(Ball([0.0, 0.0], 1.0)), fast, *oracles)
+    for fast, _oracles in _FAST_PATHS:  # a first ask of each, outside the count
+        _trusted(Dist(Ball([0.0, 0.0], 1.0)), fast)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for f in fs:
-            for fast, oracles in _FAST_PATHS:
-                _trusted(f, fast, *oracles)
+            for fast, _oracles in _FAST_PATHS:
+                _trusted(f, fast)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -110,8 +110,8 @@ def test_non_integer_control_entries_rejected_at_construction(make, message):
 
 
 def test_numpy_integer_control_entries_accepted():
-    assert QuasiCyclic(np.array([2, 3])).window_bounds == [2, 3]
-    assert Explicit(np.arange(2), np.array([2, 2])).index_list == [0, 1]
+    assert QuasiCyclic(np.array([2, 3])).window_bounds == (2, 3)
+    assert Explicit(np.arange(2), np.array([2, 2])).index_list == (0, 1)
     assert type(QuasiCyclic(np.array([2])).window_bounds[0]) is int
 
 

@@ -338,27 +338,28 @@ def test_the_block_gives_the_plain_loop_residual_along_a_walk(s, n, scale):
     assert len(p.functions) - 1 not in block.margins  # Linear states no radius
 
 
-def spy_values(p, block, log):
+def spy_values(monkeypatch, p, block, log):
     """Log each value that the block computes for a constraint with a margin, after the
-    block has resolved its margins, as ("value", i, x, v)."""
-    for i in block.margins:
-        f = p.functions[i]
-
-        def value(x, i=i, oracle=f.value):
-            v = oracle(x)
-            log.append(("value", i, x.tobytes(), v))
+    block has resolved its margins, as ("value", i, x, v): a spy on the class of each
+    such constraint, which logs those constraints alone (not an inner spec's value)."""
+    index = {id(p.functions[i]): i for i in block.margins}
+    for cls in {type(p.functions[i]) for i in block.margins}:
+        def value(self, x, oracle=cls.value):
+            v = oracle(self, x)
+            if id(self) in index:
+                log.append(("value", index[id(self)], x.tobytes(), v))
             return v
 
-        f.value = value
+        monkeypatch.setattr(cls, "value", value)
 
 
-def test_the_mixed_walk_skips_constraints():
+def test_the_mixed_walk_skips_constraints(monkeypatch):
     # Without skips the walk above would prove nothing about the budgets.
     rng = np.random.default_rng(5)
     p = mixed_problem(rng, 3, 1.0)
     block = _AffineBlock(p)
     calls = []
-    spy_values(p, block, calls)
+    spy_values(monkeypatch, p, block, calls)
     x = p.functions[0].set.center.copy()
     for _ in range(20):
         step = unit(rng.standard_normal(3)) * 1e-6
@@ -367,14 +368,14 @@ def test_the_mixed_walk_skips_constraints():
     assert len(calls) < 20 * len(block.margins) / 2
 
 
-def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0():
+def test_the_block_asks_a_radius_only_at_a_value_it_just_computed_at_most_0(monkeypatch):
     # A radius speaks for the value that ``value`` computed at the same x, and only
     # where that value is <= 0; every such value gets a radius.
     rng = np.random.default_rng(11)
     p = mixed_problem(rng, 3, 1.0)
     block = _AffineBlock(p)
     log = []
-    spy_values(p, block, log)
+    spy_values(monkeypatch, p, block, log)
     for i, m in list(block.margins.items()):
         block.margins[i] = (lambda x, v, m=m, i=i:
                             log.append(("margin", i, x.tobytes(), v)) or m(x, v))
@@ -538,22 +539,35 @@ def test_a_padded_subclass_is_never_skipped():
         solve(p)
 
 
-def test_an_instance_value_is_evaluated_by_both_screens():
-    # Nine Linear rows and one whose instance value adds 3: the affine screen
-    # once proved its row <= 0 at [0, -1] and returned Converged at residual 2.0.
-    fs = [Linear(np.array([1.0, 0.0]) * (k + 1)) for k in range(9)]
+class ShiftedLinear(Linear):
+    """A Linear whose value adds 3, defined outside the package."""
+
+    def value(self, x):
+        return super().value(x) + 3.0
+
+
+def test_an_instance_value_is_refused_and_an_own_value_evaluated_by_both_screens():
+    # An instance value that adds 3 to one of ten Linear rows once let the affine screen
+    # prove its row <= 0 at [0, -1] and return Converged at residual 2.0.  A library
+    # atom is slotted, so the instance cannot take it; the same value in a class of
+    # its own is computed by its oracle.
     g = Linear(np.array([0.0, 1.0]))
-    g.value = lambda x: float(np.vdot(x, g.u)) + 3.0
-    fs.append(g)
+    with pytest.raises(AttributeError):
+        g.value = lambda x: float(np.vdot(x, g.u)) + 3.0
+    fs = [Linear(np.array([1.0, 0.0]) * (k + 1)) for k in range(9)]
+    fs.append(ShiftedLinear(np.array([0.0, 1.0])))
     p = Problem(dimension=2, functions=fs, x0=[1.0, -1.0], max_iter=50)
     x, trace = solve(p)
     assert trace.status == "Converged"
     assert np.array_equal(x, [0.0, -3.0])
     assert residual(p, x) == trace.final_residual == 0.0
-    # The margin screen: a Dist whose instance value is padded states no radius.
+    # The margin screen: a Dist whose instance value is padded cannot be built, and
+    # one whose class pads it states no radius.
     h = Dist(Ball([0.0, 0.0], 5.0))
-    h.value = lambda x: Dist.value(h, x) + 1.0
-    block = _AffineBlock(Problem(dimension=2, functions=[Dist(Ball([0.0, 0.0], 9.0)), h],
+    with pytest.raises(AttributeError):
+        h.value = lambda x: Dist.value(h, x) + 1.0
+    block = _AffineBlock(Problem(dimension=2, functions=[Dist(Ball([0.0, 0.0], 9.0)),
+                                                         PaddedDist(Ball([0.0, 0.0], 5.0))],
                                  x0=[0.0, 0.0]))
     assert list(block.margins) == [0]
 
