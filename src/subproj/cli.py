@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -242,9 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing keeps nothing in it, and
+    it reads sys.argv and the streams only when it parses or prints."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "project":
             return cmd_project(args)

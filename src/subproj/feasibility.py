@@ -70,7 +70,9 @@ class ControlSequence:
             "method, and indices(m, horizon) is a view of it")
 
     def indices(self, m: int, horizon: int) -> list[int]:
-        """The first ``horizon`` indices."""
+        """The first ``horizon`` indices; a horizon is refused as ``validate_control``
+        refuses it."""
+        _walkable(horizon)
         return list(islice(self._stream(m)[0], horizon))
 
     def windows(self, m: int) -> list[Optional[int]]:
@@ -81,6 +83,15 @@ class ControlSequence:
             raise InvalidControl(
                 f"{len(self.window_bounds)} window bounds for {m} functions")
         return list(self.window_bounds)
+
+
+def _walkable(horizon: int) -> None:
+    """Refuse a horizon that no walk can take: a negative one (ValueError), and one past
+    ``sys.maxsize``, the most that islice can count (InvalidControl)."""
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
+    if horizon > sys.maxsize:
+        raise InvalidControl(f"horizon {horizon} is beyond the {sys.maxsize} steps a walk can take")
 
 
 def _integers(values: Sequence[int], what: str, least: float = -math.inf) -> tuple[int, ...]:
@@ -246,7 +257,8 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     The scan walks the control's indices once and keeps only each index's
     last visit; the violations come sorted by index and start.  An index
     outside [0, m) raises InvalidControl, naming the index and its step, as
-    does a horizon past ``sys.maxsize``, the most that the walk can count.
+    does a horizon past ``sys.maxsize``, the most that the walk can count; a
+    negative horizon raises ValueError.
 
     The control's phase Q says that index n depends only on n mod Q and the
     waits n - last[i], so the walk finds where the stream repeats by cycle
@@ -280,8 +292,7 @@ def validate_control(control: ControlSequence, m: int, horizon: int) -> list[Con
     """
     if m < 1:
         raise InvalidControl("need at least one function")
-    if horizon > sys.maxsize:
-        raise InvalidControl(f"horizon {horizon} is beyond the {sys.maxsize} steps a walk can take")
+    _walkable(horizon)
     windows = control.windows(m)
     if any(w is not None and w > horizon for w in windows):
         raise ValueError("horizon must cover the largest declared window")
@@ -525,12 +536,17 @@ def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=Non
 
 class _AffineBlock:
     """The screens of a solve: the constraints that expose an affine row, screened
-    together, and a margin budget for each of the others.  It is the one place that
-    resolves a constraint's three fast paths, each once per solve under
-    ``core._trusted``, which vouches only for the package's own classes: its affine
-    row, its radius oracle (``functions._margin_oracle``) and, in ``fused[i]``, whether
-    ``solve`` may cut it by ``Dist._cut_normal`` from the value it holds, in place of
-    ``subgradient``.
+    together, and a margin budget for each of the others.  It resolves two fast paths
+    of each constraint in one pass, once per solve under ``core._trusted``, which
+    vouches only for the package's own classes: its affine row, and else its radius
+    oracle (``functions._margin_oracle``).  The third, the fused cut normal, ``solve``
+    resolves at its first projected step.
+
+    ``solve`` builds the block at its second projected step, the first evaluation
+    that the screens can serve: a fresh block computes every value it does not settle
+    by a row, and its budgets pay off only at the evaluations after that.  x0 and x1
+    are evaluated by the plain loop (``_values``), so a solve that ends after one step,
+    as a start one projection from feasible does, builds no block at all.
 
     ``values(x, step)`` gives the residual of ``_values``, bit for bit, and the
     values the solve uses.  The affine screen takes them from one matrix-vector
@@ -559,19 +575,21 @@ class _AffineBlock:
     def __init__(self, p: Problem):
         self.p = p
         m, n = len(p.functions), p.dimension
-        # One byte per constraint (a list of bound methods would hold about 64 B more
-        # each), resolved before the row buffer exists, so that its ask adds no peak.
-        self.fused = bytes(_trusted(f, "_cut_normal") for f in p.functions)
         # Filled in place, so no second copy of the rows exists; at most m x n
         # doubles, as when every constraint is affine.
         rows = np.empty((m, n))
         offsets = np.empty(m)
         self.index: list[int] = []
         self.others = []
+        self.margins = {}
+        # One pass: each constraint's row, or else its radius oracle.
         for i, f in enumerate(p.functions):
             row = f.affine_row() if _trusted(f, "affine_row") else None
             if row is None:
                 self.others.append((i, f))
+                margin = _margin_oracle(f)
+                if margin is not None:
+                    self.margins[i] = margin
             else:
                 k = len(self.index)
                 rows[k], offsets[k] = row
@@ -580,12 +598,12 @@ class _AffineBlock:
         if k < m:  # a view would keep all m rows alive
             rows, offsets = rows[:k].copy(), offsets[:k].copy()
         self.rows = AffineRows(rows, offsets)
-        self._scatter = np.array(self.index) if self.others else slice(None)
-        self.margins = {}
-        for i, f in self.others if self.rows.used else enumerate(p.functions):
-            margin = _margin_oracle(f)
-            if margin is not None:
-                self.margins[i] = margin
+        if k and not self.rows.used:  # an unused screen leaves its rows to their margins
+            for i in self.index:
+                margin = _margin_oracle(p.functions[i])
+                if margin is not None:
+                    self.margins[i] = margin
+        self._scatter = np.array(self.index) if self.others else None
         self.budget = dict.fromkeys(self.margins, 0.0)
         self._stretch = 1.0 + (n + 10) * 2.0 ** -53
         self._tiny = (n + 8) * 2.0 ** -537
@@ -602,11 +620,14 @@ class _AffineBlock:
             values = [0.0] * len(self.p.functions)
             return (_evaluate(enumerate(self.p.functions), x, values, self.margins, self.budget,
                               spent, cut), values)
-        g[hi > 0.0] = np.nan
-        full = np.empty(len(self.p.functions))
-        full[self._scatter] = g
-        values = full.tolist()
-        worst = _evaluate(self.others, x, values, self.margins, self.budget, spent, cut)
+        np.putmask(g, hi > 0.0, np.nan)
+        if self._scatter is None:  # every constraint is a row, in order
+            values, worst = g.tolist(), 0.0
+        else:
+            full = np.empty(len(self.p.functions))
+            full[self._scatter] = g
+            values = full.tolist()
+            worst = _evaluate(self.others, x, values, self.margins, self.budget, spent, cut)
         for k in contenders(worst):
             i = self.index[k]
             v = values[i] = self.p.functions[i].value(x)
@@ -683,11 +704,13 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         return x, SolveTrace([], "Converged", x, res)
     x = x + 0.0  # -0.0 entries become +0.0, as x + lam (G x - x) makes them on any step
     dist = None if witness is None else norm(x - witness)
-    # x0 runs the plain loop, which calls every value oracle: the block's affine screen
-    # settles a row without calling value, so an oracle replaced on its own class (a
-    # Dist.value set to NaN) could go unseen there.  The block is built at the first
-    # projected step, before its cut, which reads the block's fused[i].
-    block = None
+    # x0 and x1 are evaluated by the plain loop, which calls every value oracle: the
+    # block's affine screen settles a row without calling value, so an oracle replaced on
+    # its own class (a Dist.value set to NaN) could go unseen there.  The first projected
+    # step resolves which constraints may be cut by their fused normal; the block is built
+    # at the second, the first evaluation its screens can serve, so a solve that ends
+    # after one step builds none (_AffineBlock).
+    fused = block = None
 
     # Oracles are pure, so the values at x hold until the iterate moves: a step
     # on a satisfied constraint (G x = x) leaves x, and everything measured at
@@ -699,22 +722,34 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
             fx = values[i] = p.functions[i].value(x)
         step = 0.0
         if fx > 0.0:
-            if block is None:
+            if fused is None:
+                # One byte per constraint: a list of bound methods would hold about 64 B more each.
+                fused = bytes(_trusted(f, "_cut_normal") for f in p.functions)
+            elif block is None:
                 block = _AffineBlock(p)
             f = p.functions[i]
             # Passed straight to _cut: a normal bound to a local would outlive the step.
-            point, step_scale = _cut(x, f._cut_normal(x, fx) if block.fused[i]
+            point, step_scale = _cut(x, f._cut_normal(x, fx) if fused[i]
                                      else f.subgradient(x, p.selections[i]), fx)
             if step_scale < STALL_FLOOR:
                 raise StalledStep(
                     f"step size {step_scale:.3e} underflowed at iteration {n}")
-            x_next = x + lam * (point - x)
+            # numpy reports an overflow here as an error under warnings-as-errors or
+            # np.seterr(over="raise"); a try costs a step nothing where nothing is raised,
+            # where np.errstate would cost every step.
+            try:
+                x_next = x + lam * (point - x)
+            except (RuntimeWarning, FloatingPointError):
+                raise NonFiniteValue(f"iteration {n} produced a non-finite iterate") from None
             # x is finite, so a finite step proves x_next finite.
             step = norm(x_next - x)
             if not math.isfinite(step) and not np.isfinite(x_next).all():
                 raise NonFiniteValue(f"iteration {n} produced a non-finite iterate")
-            # At lam <= 1 the step stops at or short of the cut: f_i has no radius there.
-            res, values = block.values(x_next, step, i if lam <= 1.0 else None)
+            if block is None:
+                res, values = _values(p, x_next)
+            else:
+                # At lam <= 1 the step stops at or short of the cut: f_i has no radius there.
+                res, values = block.values(x_next, step, i if lam <= 1.0 else None)
             if witness is not None:
                 dist = norm(x_next - witness)
             x = x_next

@@ -197,7 +197,7 @@ class FunctionSpec:
         solve may skip it while the steps since x sum to less than rho.  None where every
         radius is 0.0; the base class states none.  Each premise beyond ``value`` (the
         trust of a set's ``_depth`` or of an inner spec's oracles) is resolved here, once
-        per solve, where ``_AffineBlock`` resolves the fast paths.
+        per solve, where ``_AffineBlock`` resolves the rows and radii.
 
         Of the package's own nonnegative specs, only the set atoms and the combinators over
         them state a radius, and each such radius is a set's depth at x, which reads no
@@ -302,7 +302,7 @@ class Dist(_SetAtom):
 
     def _cut_normal(self, x, fx):
         """``subgradient(x, s)`` under any selection s, bit for bit, stated from fx =
-        ``value(x)`` > 0; ``_AffineBlock`` takes it where ``core._trusted`` vouches for it."""
+        ``value(x)`` > 0; ``solve`` takes it where ``core._trusted`` vouches for it."""
         return (x - self.set.project(x)) / fx
 
     def subgradient(self, x, strategy=LEAST_INDEX):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subproj import Linear, Problem, SolveTrace, TraceRow, solve
-from subproj.cli import main, write_trace
+from subproj.cli import _parser, main, write_trace
 from subproj.errors import SchemaError
 from subproj.serialize import (
     control_from_record,
@@ -809,3 +809,28 @@ def test_a_horizon_past_sys_maxsize_exits_3_on_solve_alone(tmp_path, capsys, ove
         out = capsys.readouterr()
         assert main(command + ["--file", small]) == 0
         assert capsys.readouterr() == out and out.out
+
+
+def test_a_usage_error_leaves_later_calls_as_a_fresh_parser_prints_them(tmp_path, capsysbinary):
+    # main builds its parser once per process and parses every call with it.
+    path = write(tmp_path, "p.json", two_ball_record())
+    trace = tmp_path / "t.csv"
+    good, bad = ["solve", "--file", path, "--trace", str(trace)], ["solve", "--file"]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsysbinary.readouterr()
+        return code, out.out, out.err
+
+    _parser.cache_clear()
+    fresh_error = run(bad)
+    _parser.cache_clear()
+    fresh = run(good), trace.read_bytes()
+    assert fresh_error[0] == 2 and fresh_error[2].startswith(b"usage: subproj solve")
+    assert fresh[0][0] == 0 and fresh[0][1] and fresh[1]
+    assert run(bad) == fresh_error
+    assert (run(good), trace.read_bytes()) == fresh
+    assert _parser.cache_info().misses == 1

@@ -597,3 +597,25 @@ def test_a_horizon_past_sys_maxsize_is_refused_before_the_walk():
     with pytest.raises(InvalidControl, match="horizon 1180591620717411303424"):
         solve(q)
     assert _verdict.cache_info().currsize == info.currsize
+
+
+# -- a negative horizon, and a horizon past sys.maxsize in indices -------------------------
+
+def test_cyclic_indices_refuse_a_horizon_past_sys_maxsize():
+    # islice cannot count past sys.maxsize: indices let its bare ValueError out.
+    with pytest.raises(InvalidControl, match="^horizon 1180591620717411303424 is beyond the "
+                                              "9223372036854775807 steps a walk can take$"):
+        Cyclic().indices(1, 2 ** 70)
+
+
+def test_quasicyclic_indices_refuse_a_negative_horizon():
+    with pytest.raises(ValueError, match="^horizon -1 is negative$"):
+        QuasiCyclic([3]).indices(1, -1)
+    assert QuasiCyclic([3]).indices(1, 0) == []
+
+
+def test_validate_control_refuses_a_negative_horizon():
+    # A presence-only control has no declared window for the horizon to cover.
+    with pytest.raises(ValueError, match="^horizon -1 is negative$"):
+        validate_control(Explicit([0]), 1, -1)
+    assert validate_control(Explicit([0]), 1, 1) == []

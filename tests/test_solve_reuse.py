@@ -42,6 +42,7 @@ from subproj import (
     sproj,
     validate_control,
 )
+from subproj import feasibility
 from subproj.core import norm, norm2
 from subproj.feasibility import STALL_FLOOR
 
@@ -326,6 +327,18 @@ def test_an_overflowing_iterate_raises_naming_the_iteration():
     assert str(info.value) == "iteration 0 produced a non-finite iterate"
 
 
+@pytest.mark.parametrize("numpy_errors", ["warn", "raise"])
+def test_an_overflowing_iterate_raises_naming_the_iteration_where_numpy_errors(numpy_errors):
+    # Warnings are errors in this suite, so the overflowing product 1.9 * 1.7e308
+    # raises numpy's RuntimeWarning, or its FloatingPointError where numpy raises;
+    # either is the same non-finite iterate, named as such.
+    p = Problem(dimension=1, functions=[Linear([1.0])], x0=[1.7e308], relaxation=1.9)
+    with np.errstate(over=numpy_errors), pytest.raises(NonFiniteValue) as info:
+        solve(p)
+    assert str(info.value) == "iteration 0 produced a non-finite iterate"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 def test_an_overflowing_subgradient_norm_stalls_the_solve():
     # ||u||^2 = 2e400 overflows, so the cut's step scale is 0 and the iterate cannot move.
     p = Problem(dimension=2, functions=[Linear([1e200, 1e200])], x0=[1.0, 1.0])
@@ -397,3 +410,67 @@ def test_only_a_dist_that_owns_both_oracles_is_cut_by_its_fused_normal(monkeypat
     calls.clear()
     solve(p)
     assert projected > 0 and len(calls) == (0 if oracle is None else projected)
+
+
+# -- the block is built where a second projected step can use it ---------------------------
+
+def spy_on_the_block(monkeypatch):
+    """(built, cuts): the number of cuts made before each _AffineBlock was built, and the
+    list of cuts made so far, by class-level spies on _AffineBlock.__init__ and _cut."""
+    built, cuts = [], []
+    init, cut = feasibility._AffineBlock.__init__, feasibility._cut
+
+    def counted_init(self, p):
+        built.append(len(cuts))
+        init(self, p)
+
+    def counted_cut(*args):
+        cuts.append(1)
+        return cut(*args)
+
+    monkeypatch.setattr(feasibility._AffineBlock, "__init__", counted_init)
+    monkeypatch.setattr(feasibility, "_cut", counted_cut)
+    return built, cuts
+
+
+def one_step(m=12, n=6):
+    """Halfspaces that x0 = 0 meets but for the first, which one projection settles."""
+    rng = np.random.default_rng(11)
+    fs = [Dist(Halfspace(np.eye(n)[0], -1.0))]
+    fs += [Dist(Halfspace(a, 5.0)) for a in rng.uniform(-1.0, 1.0, (m - 1, n))]
+    return Problem(dimension=n, functions=fs, x0=np.zeros(n))
+
+
+def test_a_one_step_solve_builds_no_block(monkeypatch):
+    built, cuts = spy_on_the_block(monkeypatch)
+    x, trace = solve(one_step())
+    assert (trace.status, trace.iterations, trace.final_residual) == ("Converged", 1, 0.0)
+    assert len(cuts) == 1 and built == []
+    assert x.tobytes() == np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["halfspaces-cyclic", "halfspaces-64x64", "mixed-explicit",
+                                  "linear-and-halfspaces", "two-balls-schedule"])
+def test_a_solve_builds_one_block_at_its_second_projected_step(monkeypatch, name):
+    p = CASES[name]()
+    statuses = assert_same_solve(p)
+    assert statuses.count(ProjStatus.PROJECTED) >= 2
+    built, cuts = spy_on_the_block(monkeypatch)
+    _x, trace = solve(p)
+    # Built once, after the first cut and before the second.
+    assert built == [1] and len(cuts) == statuses.count(ProjStatus.PROJECTED)
+
+
+def test_an_oracle_replaced_on_its_class_is_met_at_the_first_step(monkeypatch):
+    # Dist.value, replaced on the class, returns NaN anywhere but at x0.  x1 is
+    # evaluated by the plain loop, which calls every value oracle and so meets the NaN
+    # there; 16 rows in R^8 are enough for the affine screen, which would settle
+    # most rows without asking them.
+    p = halfspaces(6, 16, 8)
+    value, x0 = Dist.value, p.x0.tobytes()
+    monkeypatch.setattr(Dist, "value",
+                        lambda self, x: value(self, x) if x.tobytes() == x0 else float("nan"))
+    built, cuts = spy_on_the_block(monkeypatch)
+    with pytest.raises(NonFiniteValue, match="^Dist value is NaN$"):
+        solve(p)
+    assert len(cuts) == 1 and built == []

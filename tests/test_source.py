@@ -339,6 +339,15 @@ def test_every_margin_is_read_behind_the_ownership_rule():
 
 _FUSED = "fused = bytes(_trusted(g, '_cut_normal', 'subgradient', 'value') for g in p.functions)\n"
 _BLOCK = "self." + _FUSED
+_SOLVE = ("fused = block = None\n"
+          "for n, i in zip(range(p.max_iter), order):\n"
+          "    if fx > 0.0:\n"
+          "        if fused is None:\n"
+          "            fused = bytes(_trusted(f, '_cut_normal') for f in p.functions)\n"
+          "        elif block is None:\n"
+          "            block = _AffineBlock(p)\n"
+          "        f = p.functions[i]\n"
+          "        point = _cut(x, f._cut_normal(x, fx) if {} else f.subgradient(x), fx)\n")
 
 
 @pytest.mark.parametrize("source, found", [
@@ -371,6 +380,9 @@ _BLOCK = "self." + _FUSED
      "f = p.functions[i]\nu = f._cut_normal(x, fx) if block.fused[i] else None", 1),
     ("normals = [g._cut_normal for g in fs]", 1),
     ("def _cut_normal(self, x, fx):\n    return x / fx", 0),
+    # solve's own table, resolved at its first projected step.
+    (_SOLVE.format("fused[i]"), 0),
+    (_SOLVE.format("fused[n]"), 1),
 ])
 def test_fused_normal_rule_sees_every_spelling(source, found):
     assert len(list(_unguarded(ast.parse(source), "_cut_normal"))) == found
@@ -383,6 +395,33 @@ def test_every_fused_normal_is_read_behind_the_ownership_rule():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in _unguarded(ast.parse(path.read_text(encoding="utf-8")), "_cut_normal")]
     assert found == []
+
+
+def _block_builds(tree):
+    """Calls that construct the solve's block: ``_AffineBlock(...)``, by name or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "_AffineBlock"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "_AffineBlock"):
+            yield node
+
+
+@pytest.mark.parametrize("source, found", [
+    ("block = _AffineBlock(p)", 1), ("block = feasibility._AffineBlock(p)", 1),
+    ("res = _AffineBlock(p).values(x)", 1), ("values = block.values(x, step, i)", 0),
+    ("class _AffineBlock:\n    pass", 0), ("build = _AffineBlock", 0),
+])
+def test_block_rule_sees_every_spelling(source, found):
+    assert len(list(_block_builds(ast.parse(source)))) == found
+
+
+def test_the_block_is_built_at_one_place():
+    # A build is the fixed cost that solve defers to its second projected step; a
+    # second construction would pay it again, or where no second step can use it.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _block_builds(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == 1 and found[0].startswith("feasibility.py:")
 
 
 def _is_property(node) -> bool:
