@@ -53,16 +53,35 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     Scalars become vectors of dimension one.  Raises :class:`DimensionMismatch`
     if the length disagrees with ``dim``, and ``ValueError`` on NaN/inf entries.
     """
+    return _vector_n2(x, dim)[0]
+
+
+def _vector_n2(x, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """``as_vector(x, dim)`` with its squared norm ``norm2``, the one reduction that
+    checks it (``_finite_n2``)."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
+    n2 = _finite_n2(v)
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
-    return v
+    return v, n2
+
+
+def _finite_n2(v: np.ndarray) -> float:
+    """The sum of squares of a float array's entries, of any shape, as ``norm2`` gives
+    it; ``ValueError`` where an entry is NaN or infinite.
+
+    A finite sum proves every entry finite, so one C reduction checks the whole
+    array.  The entries are tested one by one only where the sum is not finite:
+    where one of them is not, or where the squares overflow.
+    """
+    n2 = float(_vdot(v, v))
+    if not n2 < math.inf and not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    return n2
 
 
 def finite_float(v, what: str, error: type[Exception] = ValueError) -> float:
@@ -99,6 +118,15 @@ def norm(x: np.ndarray) -> float:
     return math.sqrt(_vdot(x, x))
 
 
+def scaled_norm(x) -> float:
+    """Euclidean norm of a nonzero vector, computed from x / max |x_i| so that no square
+    overflows or underflows (Blue, ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017).
+    It holds where ``norm`` overflows to +inf or rounds subnormal squares; at ordinary
+    scale it may differ from ``norm`` in the last bits, so it is taken only there."""
+    m = float(np.max(np.abs(x)))
+    return m * norm(np.divide(x, m))
+
+
 def nonzero_norm2(n2: float, error: type[Exception], message: str) -> float:
     """A squared norm ``n2``, raising ``error(message)`` where the norm is at most EPS_NORM."""
     if math.sqrt(n2) <= EPS_NORM:
@@ -122,8 +150,7 @@ def _audit(objective: Callable[[np.ndarray], float], y: np.ndarray, best: float,
     """
     scale = 1.0 + norm(x)
     if scale == math.inf:
-        m = float(np.max(np.abs(x)))
-        scale = min(1.0 + m * norm(np.divide(x, m)), sys.float_info.max)
+        scale = min(1.0 + scaled_norm(x), sys.float_info.max)
     block = _probe_block(seed, y.size)
     with np.errstate(over="ignore"):
         probes = block * scale
@@ -162,9 +189,18 @@ def _trusted(obj, fast: str) -> bool:
     or a new atom, is evaluated by its own oracles, whatever it defines.  A method
     replaced on a library class itself (a tracer's wrapper) stays trusted, as the class
     holds it.  The package's atoms, sets and controls are slotted, so no instance can
-    shadow a method with an attribute of its own: the class alone decides.
+    shadow a method with an attribute of its own: the class alone decides, and its
+    verdict is drawn once per process (``_class_trusted``).
     """
-    cls = type(obj)
+    return _class_trusted(type(obj), fast)
+
+
+@lru_cache(maxsize=256)
+def _class_trusted(cls: type, fast: str) -> bool:
+    """``_trusted``'s verdict on a class, kept per process: a fast method added to or
+    deleted from a class after its first check goes unseen, so a method added stays
+    unused and a deleted one raises AttributeError where it is called.  At most 256
+    verdicts are kept, the least recently used dropped first."""
     return cls.__module__.startswith(_PACKAGE) and hasattr(cls, fast)
 
 

@@ -526,12 +526,21 @@ def _evaluate(rows, x: np.ndarray, values: list[float], margins=None, budget=Non
             budget[i] = margin(x, v) if v <= 0.0 and i != cut else 0.0
         if v > worst:
             if v == INF:
-                raise DomainError("residual undefined where a constraint is +inf")
+                _refuse(f, v)
             worst = v
         elif v != v:
-            raise NonFiniteValue(f"{type(f).__name__} value is NaN")
+            _refuse(f, v)
         values[i] = v
     return worst
+
+
+def _refuse(f: FunctionSpec, v: float) -> None:
+    """Raise where v, a value of the constraint f, is +inf or NaN: the one refusal of a
+    value, wherever a solve computes it."""
+    if v == INF:
+        raise DomainError("residual undefined where a constraint is +inf")
+    if v != v:
+        raise NonFiniteValue(f"{type(f).__name__} value is NaN")
 
 
 class _AffineBlock:
@@ -557,9 +566,10 @@ class _AffineBlock:
     when the solve visits it.  Oracles are pure, so each computed value is the
     plain loop's.  The other constraints are computed as in ``_values``, in order;
     an affine oracle cannot raise within the screen's range, so any error is the
-    plain loop's.  Where the screen is not used (too few affine rows, one row or
-    offset, or the iterate, as long as ``core.SCREEN_MAX``), the plain loop runs
-    instead.
+    plain loop's, and a value computed for a contender, or at a visit, that is +inf
+    or NaN raises as there (``_refuse``), an oracle replaced on its class included.
+    Where the screen is not used (too few affine rows, one row or offset, or the
+    iterate, as long as ``core.SCREEN_MAX``), the plain loop runs instead.
 
     The margin screen covers every constraint that the affine screen does not:
     the others, or all of them where the screen is never used.  Each one that states a
@@ -630,9 +640,14 @@ class _AffineBlock:
             worst = _evaluate(self.others, x, values, self.margins, self.budget, spent, cut)
         for k in contenders(worst):
             i = self.index[k]
-            v = values[i] = self.p.functions[i].value(x)
+            f = self.p.functions[i]
+            v = values[i] = f.value(x)
             if v > worst:
+                if v == INF:
+                    _refuse(f, v)
                 worst = v
+            elif v != v:
+                _refuse(f, v)
         return worst, values
 
 
@@ -720,6 +735,7 @@ def solve(p: Problem) -> tuple[np.ndarray, SolveTrace]:
         fx = values[i]
         if fx != fx:  # a value the block left to the visit
             fx = values[i] = p.functions[i].value(x)
+            _refuse(p.functions[i], fx)
         step = 0.0
         if fx > 0.0:
             if fused is None:

@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     AffineRows,
     _audit,
+    _finite_n2,
     _trusted,
     as_vector,
     dot,
@@ -488,6 +489,18 @@ class Hyperbolic(FunctionSpec):
         return f"Hyperbolic(eta={self.eta})"
 
 
+def _slope_block(pieces) -> Optional[np.ndarray]:
+    """The slopes of ``pieces`` as one (k, n) float array, n >= 1, checked finite by one
+    reduction (``core._finite_n2``); None where they are not such a block of finite
+    entries."""
+    try:
+        slopes = np.array([a for a, _ in pieces], dtype=float)
+        _finite_n2(slopes)
+    except Exception:  # the per-piece path raises the error, or takes the pieces
+        return None
+    return slopes if slopes.ndim == 2 and slopes.shape[1] else None
+
+
 class AffineMax(FunctionSpec):
     """x -> max_i <a_i, x> + b_i over finitely many affine pieces.
 
@@ -502,12 +515,23 @@ class AffineMax(FunctionSpec):
     def __init__(self, pieces):
         if not pieces:
             raise InvalidSpec("AffineMax needs at least one piece")
-        slopes = [as_vector(a) for a, _ in pieces]
-        self.offsets = [float(b) for _, b in pieces]
-        self.dim = slopes[0].size
-        if any(a.size != self.dim for a in slopes):
-            raise DimensionMismatch("all pieces must share one dimension")
-        self.slopes = np.array(slopes)
+        slopes = _slope_block(pieces)
+        # Pieces that are not one such block are taken one by one, as vectors: scalar
+        # slopes in one dimension, or a bad piece, which raises its own error there.
+        each = None if slopes is not None else [as_vector(a) for a, _ in pieces]
+        try:
+            offsets = [float(b) for _, b in pieces]
+        except OverflowError:  # an integer beyond every float
+            offsets = None
+        if offsets is None or not math.isfinite(sum(offsets)):  # a finite sum has only finite terms
+            offsets = [finite_float(b, "AffineMax offset") for _, b in pieces]
+        self.offsets = offsets
+        if each is not None:
+            if any(a.size != each[0].size for a in each):
+                raise DimensionMismatch("all pieces must share one dimension")
+            slopes = np.array(each)
+        self.slopes = slopes
+        self.dim = slopes.shape[1]
         self._screen = None
 
     @property

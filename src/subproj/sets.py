@@ -9,10 +9,12 @@ strict-interior membership and the Hessians of d_S and d_S^2 off the set.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core import SCREEN_MAX, _reach, as_vector, dot, finite_float, norm, norm2
+from .core import (SCREEN_MAX, _reach, _vector_n2, as_vector, dot, finite_float, norm,
+                   scaled_norm)
 from .errors import NonFiniteValue, NotTwiceDifferentiable
 
 __all__ = ["ConvexSet", "Ball", "Halfspace", "Box", "Point", "project_set"]
@@ -114,13 +116,15 @@ class Halfspace(ConvexSet):
     __slots__ = ("normal", "offset", "_n2", "_length")
 
     def __init__(self, normal, offset: float):
-        self.normal = as_vector(normal)
+        self.normal, self._n2 = _vector_n2(normal)
         self.offset = finite_float(offset, "halfspace offset")
         self.dim = self.normal.size
-        self._n2 = norm2(self.normal)
         if self._n2 == 0.0:
             raise ValueError("halfspace normal must be nonzero")
-        self._length = math.sqrt(self._n2)
+        # The square root of an overflowed or subnormal _n2 loses the length, which the
+        # scaled norm keeps.
+        self._length = (math.sqrt(self._n2) if sys.float_info.min <= self._n2 < math.inf
+                        else scaled_norm(self.normal))
 
     def project(self, x):
         excess = dot(x, self.normal) - self.offset

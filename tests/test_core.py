@@ -425,3 +425,15 @@ def test_trust_builds_no_instance_dict():
     finally:
         tracemalloc.stop()
     assert grown < 8 * len(fs)
+
+
+
+def test_a_trust_verdict_is_drawn_once_per_class():
+    # The verdict is kept per (class, fast path): a second object of the class asks the
+    # class nothing again.  Own is a fresh class, so its first ask cannot hit.
+    Own = type("Own", (Linear,), {})
+    misses = core._class_trusted.cache_info().misses
+    assert not any(_trusted(Own([float(k)]), "affine_row") for k in range(5))
+    assert core._class_trusted.cache_info().misses == misses + 1
+    assert not _trusted(Own([1.0]), "_bind_margin")
+    assert core._class_trusted.cache_info().misses == misses + 2

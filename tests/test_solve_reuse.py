@@ -7,6 +7,9 @@ step, then ``residual`` at every new iterate.  ``solve`` must reproduce it
 bit for bit while calling ``value`` only where the iterate has moved.
 """
 
+import math
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from subproj import (
     Box,
     Cyclic,
     Dist,
+    DomainError,
     Explicit,
     Halfspace,
     Indicator,
@@ -431,6 +435,29 @@ def spy_on_the_block(monkeypatch):
     monkeypatch.setattr(feasibility._AffineBlock, "__init__", counted_init)
     monkeypatch.setattr(feasibility, "_cut", counted_cut)
     return built, cuts
+
+
+@pytest.mark.parametrize("bad, start, where", [
+    (math.nan, 40, "visit"), (math.nan, 41, "contender"),
+    (math.inf, 40, "visit"), (math.inf, 41, "contender"),
+])
+def test_a_bad_value_past_the_first_step_raises_where_the_solve_computes_it(monkeypatch, bad,
+                                                                          start, where):
+    # Dist.value, replaced on the class, returns NaN or +inf from its start-th call on.
+    # From the second projected step the block computes a contender's value itself, and
+    # the solve the value of a row the block left as NaN when it visits the row; both
+    # raise what the plain loop raises.  The NaN ones used to return Converged with
+    # final_residual 0.0, the true residual being 8.2 and 9.2.
+    p = halfspaces(6, 16, 8)
+    value, calls = Dist.value, []
+    monkeypatch.setattr(Dist, "value", lambda self, x: calls.append(1) or (
+        value(self, x) if len(calls) < start else bad))
+    error, message = ((NonFiniteValue, "^Dist value is NaN$") if bad != bad else
+                      (DomainError, "^residual undefined where a constraint is \\+inf$"))
+    with pytest.raises(error, match=message) as raised:
+        solve(p)
+    frames = [frame.name for frame in traceback.extract_tb(raised.tb)]
+    assert ("values" in frames) == (where == "contender") and "_values" not in frames
 
 
 def one_step(m=12, n=6):
